@@ -1,5 +1,7 @@
 //! Micro-benchmark: the Section-3 oracle algorithms running on an RR-set
 //! estimator (Greedy, ThresholdGreedy, and the full Search driver).
+//!
+//! Set `RMSA_BENCH_QUICK=1` to shrink the workload for CI smoke runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
@@ -12,15 +14,14 @@ use rmsa_diffusion::{RrArena, RrStrategy, UniformIc, UniformRrSampler};
 use rmsa_graph::generators::barabasi_albert;
 use rmsa_graph::NodeId;
 
-fn setup() -> (RmInstance, RrRevenueEstimator) {
+fn setup(h: usize, num_nodes: usize, theta: usize) -> (RmInstance, RrRevenueEstimator) {
     let mut rng = Pcg64Mcg::seed_from_u64(5);
-    let graph = barabasi_albert(5_000, 6, &mut rng);
-    let h = 5;
+    let graph = barabasi_albert(num_nodes, 6, &mut rng);
     let model = UniformIc::new(h, 0.05);
     let cpes = vec![1.0; h];
     let sampler = UniformRrSampler::new(&cpes);
     let mut arena = RrArena::new(graph.num_nodes(), RrStrategy::Standard);
-    arena.generate(&graph, &model, &sampler, 30_000, &mut rng);
+    arena.generate(&graph, &model, &sampler, theta, &mut rng);
     let estimator = RrRevenueEstimator::new(&arena, h, h as f64);
     let instance = RmInstance::try_new(
         graph.num_nodes(),
@@ -34,7 +35,13 @@ fn setup() -> (RmInstance, RrRevenueEstimator) {
 }
 
 fn bench_greedy(c: &mut Criterion) {
-    let (instance, estimator) = setup();
+    let quick = std::env::var("RMSA_BENCH_QUICK").is_ok();
+    let (num_nodes, theta) = if quick {
+        (1_000, 6_000)
+    } else {
+        (5_000, 30_000)
+    };
+    let (instance, estimator) = setup(5, num_nodes, theta);
     let mut group = c.benchmark_group("oracle_algorithms");
     group.sample_size(10);
     let candidates: Vec<NodeId> = (0..instance.num_nodes as NodeId).collect();
@@ -45,6 +52,12 @@ fn bench_greedy(c: &mut Criterion) {
         b.iter(|| threshold_greedy(&instance, &estimator, 0.0).b);
     });
     group.bench_function("rm_with_oracle_h5", |b| {
+        b.iter(|| rm_with_oracle(&instance, &estimator, 0.1).revenue);
+    });
+    // h = 10 is the serving line-up: each Search probe starts from n·h
+    // singleton candidates.
+    let (instance, estimator) = setup(10, num_nodes, theta);
+    group.bench_function("rm_with_oracle_h10", |b| {
         b.iter(|| rm_with_oracle(&instance, &estimator, 0.1).revenue);
     });
     group.finish();

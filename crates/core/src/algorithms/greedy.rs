@@ -11,7 +11,7 @@
 
 use crate::oracle::{marginal_rate, RevenueOracle, SeedState};
 use crate::problem::RmInstance;
-use crate::util::LazyQueue;
+use crate::util::{LazyEntry, LazyQueue};
 use rmsa_diffusion::AdId;
 use rmsa_graph::NodeId;
 
@@ -57,16 +57,21 @@ pub fn greedy_single<O: RevenueOracle>(
 ) -> GreedyOutcome {
     let budget = instance.budget(ad);
     let mut state = oracle.new_state(ad);
-    let mut queue = LazyQueue::with_capacity(candidates.len());
     // Line 1: drop candidates that are infeasible even alone.
-    for &v in candidates {
-        let rev = oracle.singleton_revenue(ad, v);
-        let cost = instance.cost(ad, v);
-        if cost + rev > budget {
-            continue;
-        }
-        queue.push(marginal_rate(rev, cost), v, ad, 0);
-    }
+    let entries = candidates
+        .iter()
+        .filter_map(|&v| {
+            let rev = oracle.singleton_revenue(ad, v);
+            let cost = instance.cost(ad, v);
+            (cost + rev <= budget).then(|| LazyEntry {
+                key: marginal_rate(rev, cost),
+                node: v,
+                ad,
+                version: 0,
+            })
+        })
+        .collect();
+    let mut queue = LazyQueue::from_entries(entries);
 
     let mut version = 0u32;
     let mut cost_sum = 0.0f64;

@@ -67,7 +67,11 @@ mod tests {
     use super::*;
     use crate::oracle::{ExactRevenueOracle, RevenueOracle};
     use crate::problem::{Advertiser, SeedCosts};
-    use rmsa_diffusion::UniformIc;
+    use crate::sampling::RrRevenueEstimator;
+    use rand::SeedableRng;
+    use rand_pcg::Pcg64Mcg;
+    use rmsa_diffusion::{RrArena, RrStrategy, UniformIc, UniformRrSampler};
+    use rmsa_graph::generators::celebrity_graph;
     use rmsa_graph::graph_from_edges;
 
     fn star_instance(h: usize, budget: f64) -> (rmsa_graph::DirectedGraph, UniformIc, RmInstance) {
@@ -82,6 +86,88 @@ mod tests {
         )
         .unwrap();
         (g, m, inst)
+    }
+
+    /// Seeded RR-set estimator over a celebrity graph with `h` advertisers.
+    fn rr_instance(h: usize) -> (RrRevenueEstimator, RmInstance) {
+        let graph = celebrity_graph(6, 8);
+        let n = graph.num_nodes();
+        let model = UniformIc::new(h, 0.3);
+        let cpes: Vec<f64> = (0..h).map(|i| 1.0 + i as f64 * 0.25).collect();
+        let sampler = UniformRrSampler::new(&cpes);
+        let mut arena = RrArena::new(n, RrStrategy::Standard);
+        let mut rng = Pcg64Mcg::seed_from_u64(5);
+        arena.generate(&graph, &model, &sampler, 20_000, &mut rng);
+        let estimator = RrRevenueEstimator::new(&arena, h, sampler.gamma());
+        let advertisers = cpes
+            .iter()
+            .map(|&cpe| Advertiser::try_new(14.0, cpe).unwrap())
+            .collect();
+        let costs = SeedCosts::Shared((0..n).map(|u| 0.5 + (u % 3) as f64).collect());
+        (
+            estimator,
+            RmInstance::try_new(n, advertisers, costs).unwrap(),
+        )
+    }
+
+    /// Selections and revenue bits recorded when the CELF queue was a
+    /// single binary heap. The sorted-run queue must pop in the same order,
+    /// so none of them may change.
+    #[test]
+    fn seeded_solutions_are_pinned_bit_for_bit() {
+        let pinned: [(usize, Vec<Vec<NodeId>>, u64); 3] = [
+            (1, vec![vec![18, 0]], 0x40229d21ff2e48e9),
+            (
+                3,
+                vec![vec![9, 36, 3, 48], vec![27, 0, 33], vec![18, 45]],
+                0x4042468f5c28f5c2,
+            ),
+            (
+                10,
+                vec![
+                    vec![46, 40, 7, 34, 22],
+                    vec![3, 31, 25, 49],
+                    vec![15, 12, 24, 33, 16],
+                    vec![0, 42, 51],
+                    vec![9, 21],
+                    vec![36, 30],
+                    vec![27],
+                    vec![18],
+                    vec![39, 48, 6],
+                    vec![45],
+                ],
+                0x405a6826e978d4fe,
+            ),
+        ];
+        for (h, seeds, bits) in pinned {
+            let (estimator, instance) = rr_instance(h);
+            let sol = rm_with_oracle(&instance, &estimator, 0.1);
+            assert_eq!(sol.allocation.seed_sets, seeds, "h = {h}");
+            assert_eq!(sol.revenue.to_bits(), bits, "h = {h}");
+        }
+
+        let g = graph_from_edges(
+            10,
+            &[(0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (7, 8), (8, 9)],
+        );
+        let m = UniformIc::new(3, 0.5);
+        let inst = RmInstance::try_new(
+            10,
+            vec![
+                Advertiser::try_new(6.0, 1.0).unwrap(),
+                Advertiser::try_new(5.0, 1.5).unwrap(),
+                Advertiser::try_new(7.0, 0.8).unwrap(),
+            ],
+            SeedCosts::Shared((0..10).map(|u| 0.5 + (u % 3) as f64 * 0.5).collect()),
+        )
+        .unwrap();
+        let o = ExactRevenueOracle::new(&g, &m, &inst);
+        let sol = rm_with_oracle(&inst, &o, 0.1);
+        assert_eq!(
+            sol.allocation.seed_sets,
+            vec![vec![1, 9, 3], vec![0], vec![7, 6, 4]]
+        );
+        assert_eq!(sol.revenue.to_bits(), 0x4025800000000000);
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //! interval is relatively short (`(1+τ)γ_1 ≥ γ_2`) or γ_2 has become
 //! negligible (`γ_2 ≤ min_i cpe(i) / (h+6)`).
 
-use crate::algorithms::threshold_greedy::threshold_greedy;
-use crate::oracle::{marginal_rate, RevenueOracle};
+use crate::algorithms::threshold_greedy::{threshold_greedy_over, SingletonCandidates};
+use crate::oracle::RevenueOracle;
 use crate::problem::{Allocation, RmInstance};
-use rmsa_graph::NodeId;
 
 /// Hard cap on binary-search iterations; the theoretical bound is
 /// `O(log(h·γ_max / min_i cpe(i)))`, which is far below this.
@@ -47,16 +46,7 @@ pub struct SearchOutcome {
 
 /// `γ_max = max { B_j · ζ_j(v | ∅) : v ∈ V, j ∈ [h] }` (Eq. 6).
 pub fn gamma_max<O: RevenueOracle>(instance: &RmInstance, oracle: &O) -> f64 {
-    let mut best = 0.0f64;
-    for ad in 0..instance.num_ads() {
-        let budget = instance.budget(ad);
-        for v in 0..instance.num_nodes as NodeId {
-            let rev = oracle.singleton_revenue(ad, v);
-            let rate = marginal_rate(rev, instance.cost(ad, v));
-            best = best.max(budget * rate);
-        }
-    }
-    best
+    SingletonCandidates::scan(instance, oracle).gamma_max
 }
 
 /// Run `Search(τ, b_min)` (Algorithm 4).
@@ -72,10 +62,11 @@ pub fn search<O: RevenueOracle>(
     let min_cpe = (0..h)
         .map(|i| instance.cpe(i))
         .fold(f64::INFINITY, f64::min);
-    let gmax = gamma_max(instance, oracle);
+    // Every probe starts from the same singleton candidates; scan them once.
+    let candidates = SingletonCandidates::scan(instance, oracle);
 
     let mut gamma1 = 0.0f64;
-    let mut gamma2 = (1.0 + tau) * gmax;
+    let mut gamma2 = (1.0 + tau) * candidates.gamma_max;
     let mut gamma = gamma1;
     let mut t1: Option<Allocation> = None;
     let mut t2: Option<Allocation> = None;
@@ -87,7 +78,7 @@ pub fn search<O: RevenueOracle>(
 
     loop {
         iterations += 1;
-        let outcome = threshold_greedy(instance, oracle, gamma);
+        let outcome = threshold_greedy_over(instance, oracle, gamma, &candidates);
         let revenue = oracle.allocation_revenue(&outcome.allocation.seed_sets);
         if revenue > best_revenue {
             best_revenue = revenue;

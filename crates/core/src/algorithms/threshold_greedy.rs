@@ -16,9 +16,48 @@
 use crate::algorithms::greedy::greedy_single;
 use crate::oracle::{marginal_rate, RevenueOracle, SeedState};
 use crate::problem::{Allocation, RmInstance};
-use crate::util::LazyQueue;
+use crate::util::{LazyEntry, LazyQueue, SortedRun};
 use rmsa_diffusion::AdId;
 use rmsa_graph::NodeId;
+
+/// `ThresholdGreedy`'s line-1 candidates: every singleton-feasible
+/// `(node, ad)` pair keyed by its singleton revenue, sorted once. They do
+/// not depend on γ, so `Search` scans them once per solve and every probe
+/// borrows them.
+pub(crate) struct SingletonCandidates {
+    run: SortedRun,
+    /// `γ_max` (Eq. 6), taken from the same pass over the singletons.
+    pub(crate) gamma_max: f64,
+}
+
+impl SingletonCandidates {
+    /// One pass over all `n·h` singleton revenues.
+    pub(crate) fn scan<O: RevenueOracle>(instance: &RmInstance, oracle: &O) -> Self {
+        let (h, n) = (instance.num_ads(), instance.num_nodes);
+        let mut entries = Vec::with_capacity(n * h);
+        let mut gamma_max = 0.0f64;
+        for ad in 0..h {
+            let budget = instance.budget(ad);
+            for v in 0..n as NodeId {
+                let rev = oracle.singleton_revenue(ad, v);
+                let cost = instance.cost(ad, v);
+                gamma_max = gamma_max.max(budget * marginal_rate(rev, cost));
+                if cost + rev <= budget {
+                    entries.push(LazyEntry {
+                        key: rev,
+                        node: v,
+                        ad,
+                        version: 0,
+                    });
+                }
+            }
+        }
+        SingletonCandidates {
+            run: SortedRun::new(entries),
+            gamma_max,
+        }
+    }
+}
 
 /// Result of `ThresholdGreedy(γ)`.
 #[derive(Clone, Debug)]
@@ -37,6 +76,17 @@ pub fn threshold_greedy<O: RevenueOracle>(
     oracle: &O,
     gamma: f64,
 ) -> ThresholdGreedyOutcome {
+    let candidates = SingletonCandidates::scan(instance, oracle);
+    threshold_greedy_over(instance, oracle, gamma, &candidates)
+}
+
+/// [`threshold_greedy`] over singleton candidates scanned beforehand.
+pub(crate) fn threshold_greedy_over<O: RevenueOracle>(
+    instance: &RmInstance,
+    oracle: &O,
+    gamma: f64,
+    candidates: &SingletonCandidates,
+) -> ThresholdGreedyOutcome {
     let h = instance.num_ads();
     let n = instance.num_nodes;
     assert_eq!(oracle.num_ads(), h);
@@ -51,17 +101,7 @@ pub fn threshold_greedy<O: RevenueOracle>(
 
     // Line 1: M holds every singleton-feasible (node, ad) pair, keyed by the
     // marginal gain π_j(v | S_j), initially the singleton revenue.
-    let mut queue = LazyQueue::with_capacity(n * h);
-    for ad in 0..h {
-        let budget = instance.budget(ad);
-        for v in 0..n as NodeId {
-            let rev = oracle.singleton_revenue(ad, v);
-            let cost = instance.cost(ad, v);
-            if cost + rev <= budget {
-                queue.push(rev, v, ad, 0);
-            }
-        }
-    }
+    let mut queue = LazyQueue::borrowing(&candidates.run);
 
     // Lines 3–8: greedy main loop over marginal gains with the rate
     // threshold, the partition constraint, and the budget check.
@@ -102,6 +142,8 @@ pub fn threshold_greedy<O: RevenueOracle>(
             depleted_count += 1;
         }
     }
+    // Free the refresh heap before the fallback and `Fill` build queues.
+    drop(queue);
 
     let depleted: Vec<AdId> = (0..h).filter(|&i| stopples[i].is_some()).collect();
     let b = depleted.len();
@@ -208,7 +250,7 @@ pub fn fill<O: RevenueOracle>(
     let mut versions = vec![0u32; h];
 
     // Line 1: all singleton-feasible pairs, keyed by marginal rate.
-    let mut queue = LazyQueue::with_capacity(n * h);
+    let mut entries = Vec::with_capacity(n * h);
     for ad in 0..h {
         let budget = instance.budget(ad);
         for v in 0..n as NodeId {
@@ -221,10 +263,16 @@ pub fn fill<O: RevenueOracle>(
                 // Key by the rate w.r.t. the current S_j (upper-bounded by
                 // the singleton rate).
                 let gain = oracle.marginal_gain(&states[ad], v);
-                queue.push(marginal_rate(gain, cost), v, ad, versions[ad]);
+                entries.push(LazyEntry {
+                    key: marginal_rate(gain, cost),
+                    node: v,
+                    ad,
+                    version: versions[ad],
+                });
             }
         }
     }
+    let mut queue = LazyQueue::from_entries(entries);
 
     while let Some(entry) = queue.pop() {
         let ad = entry.ad;

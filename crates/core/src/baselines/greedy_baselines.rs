@@ -10,7 +10,7 @@
 
 use crate::oracle::{marginal_rate, RevenueOracle, SeedState};
 use crate::problem::{Allocation, RmInstance};
-use crate::util::LazyQueue;
+use crate::util::{LazyEntry, LazyQueue};
 use rmsa_graph::NodeId;
 
 /// Which greedy rule the baseline uses.
@@ -37,7 +37,7 @@ pub fn baseline_greedy<O: RevenueOracle>(
     let mut saturated = vec![false; h];
     let mut assigned = vec![false; n];
 
-    let mut queue = LazyQueue::with_capacity(n * h);
+    let mut entries = Vec::with_capacity(n * h);
     for ad in 0..h {
         let budget = instance.budget(ad);
         for v in 0..n as NodeId {
@@ -50,9 +50,15 @@ pub fn baseline_greedy<O: RevenueOracle>(
                 BaselineRule::CostAgnostic => rev,
                 BaselineRule::CostSensitive => marginal_rate(rev, cost),
             };
-            queue.push(key, v, ad, 0);
+            entries.push(LazyEntry {
+                key,
+                node: v,
+                ad,
+                version: 0,
+            });
         }
     }
+    let mut queue = LazyQueue::from_entries(entries);
 
     while let Some(entry) = queue.pop() {
         let ad = entry.ad;

@@ -17,7 +17,7 @@
 use crate::error::RmError;
 use crate::oracle::marginal_rate;
 use crate::problem::{Allocation, RmInstance};
-use crate::util::LazyQueue;
+use crate::util::{LazyEntry, LazyQueue};
 use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
 use rmsa_diffusion::{PropagationModel, RrGenerator, RrSet, RrStrategy};
@@ -251,7 +251,7 @@ pub fn ti_baseline<M: PropagationModel + ?Sized>(
     let mut assigned = vec![false; n];
     let mut seed_sets: Vec<Vec<NodeId>> = vec![Vec::new(); h];
 
-    let mut queue = LazyQueue::with_capacity(n * h);
+    let mut entries = Vec::with_capacity(n * h);
     for ad in 0..h {
         for v in 0..n as NodeId {
             let gain = samples[ad].marginal_count(v) as f64 * scale[ad];
@@ -263,9 +263,15 @@ pub fn ti_baseline<M: PropagationModel + ?Sized>(
                 TiRule::CostAgnostic => gain,
                 TiRule::CostSensitive => marginal_rate(gain, cost),
             };
-            queue.push(key, v, ad, 0);
+            entries.push(LazyEntry {
+                key,
+                node: v,
+                ad,
+                version: 0,
+            });
         }
     }
+    let mut queue = LazyQueue::from_entries(entries);
 
     while let Some(entry) = queue.pop() {
         let ad = entry.ad;

@@ -2,10 +2,11 @@
 
 use rmsa_diffusion::AdId;
 use rmsa_graph::NodeId;
-use std::cmp::Ordering;
+use std::borrow::Cow;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-/// A `(key, node, ad)` max-heap entry with a per-advertiser version stamp
+/// A `(key, node, ad)` queue entry with a per-advertiser version stamp
 /// used for CELF-style lazy greedy evaluation: an entry whose stamp is older
 /// than its advertiser's current version carries a stale (upper-bound) key
 /// and must be re-evaluated before it can be selected.
@@ -20,6 +21,25 @@ pub struct LazyEntry {
     pub ad: AdId,
     /// Version of `ad`'s seed set when `key` was computed.
     pub version: u32,
+}
+
+impl LazyEntry {
+    /// The entry's position in [`LazyEntry::cmp`] order packed into one
+    /// integer: the `f64::total_cmp` bits of the key, then the node, then
+    /// the advertiser (advertiser ids are below 2³²).
+    fn packed(&self) -> u128 {
+        let bits = self.key.to_bits();
+        // Negative floats order by reversed magnitude: flipping every bit
+        // of a negative and only the sign bit of a non-negative makes the
+        // unsigned order agree with `total_cmp`.
+        let ordered = if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        };
+        debug_assert!(u32::try_from(self.ad).is_ok(), "advertiser id overflows");
+        (u128::from(ordered) << 64) | (u128::from(self.node) << 32) | self.ad as u128
+    }
 }
 
 impl PartialEq for LazyEntry {
@@ -38,7 +58,7 @@ impl PartialOrd for LazyEntry {
 
 impl Ord for LazyEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap by key; NaN keys are rejected at construction time, and
+        // Largest first by key; NaN keys are rejected at construction time, and
         // total_cmp gives every float a total order regardless.
         self.key
             .total_cmp(&other.key)
@@ -47,42 +67,69 @@ impl Ord for LazyEntry {
     }
 }
 
-/// A CELF lazy-greedy priority queue over `(node, advertiser)` candidates.
-#[derive(Clone, Debug, Default)]
-pub struct LazyQueue {
-    heap: BinaryHeap<LazyEntry>,
+/// Queue entries sorted once into descending [`LazyEntry::cmp`] order, so
+/// several queues can start from the same candidates without re-sorting.
+#[derive(Clone, Debug)]
+pub struct SortedRun(Vec<LazyEntry>);
+
+impl SortedRun {
+    /// Sort `entries` with one `sort_unstable` on the packed key.
+    pub fn new(mut entries: Vec<LazyEntry>) -> Self {
+        debug_assert!(
+            entries.iter().all(|e| !e.key.is_nan()),
+            "queue keys must not be NaN"
+        );
+        entries.sort_unstable_by_key(|e| Reverse(e.packed()));
+        SortedRun(entries)
+    }
 }
 
-#[cfg_attr(not(test), allow(dead_code))]
-impl LazyQueue {
-    /// Empty queue.
-    pub fn new() -> Self {
-        LazyQueue {
-            heap: BinaryHeap::new(),
-        }
+/// A CELF lazy-greedy priority queue over `(node, advertiser)` candidates.
+///
+/// The initial candidates live in a [`SortedRun`] read through a cursor;
+/// only CELF re-pushes go into a binary heap, which stays small. `pop`
+/// returns the larger of the run head and the heap top. Callers keep at
+/// most one live entry per `(node, ad)` pair and the order is total, so no
+/// two live entries compare equal and the pop sequence is exactly that of
+/// one max-heap holding every entry.
+#[derive(Clone, Debug)]
+pub struct LazyQueue<'a> {
+    run: Cow<'a, [LazyEntry]>,
+    next: usize,
+    refresh: BinaryHeap<LazyEntry>,
+}
+
+impl LazyQueue<'static> {
+    /// Queue over the given initial candidates.
+    pub fn from_entries(entries: Vec<LazyEntry>) -> Self {
+        LazyQueue::from_run(Cow::Owned(SortedRun::new(entries).0))
+    }
+}
+
+impl<'a> LazyQueue<'a> {
+    /// Queue whose initial candidates are a borrowed, already sorted run.
+    pub fn borrowing(run: &'a SortedRun) -> Self {
+        LazyQueue::from_run(Cow::Borrowed(&run.0))
     }
 
-    /// Empty queue with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
+    fn from_run(run: Cow<'a, [LazyEntry]>) -> Self {
         LazyQueue {
-            heap: BinaryHeap::with_capacity(cap),
+            run,
+            next: 0,
+            refresh: BinaryHeap::new(),
         }
     }
 
     /// Number of entries currently queued.
+    #[cfg_attr(not(test), allow(dead_code))]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.run.len() - self.next + self.refresh.len()
     }
 
-    /// True when no candidates remain.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Insert a candidate with the given cached key.
+    /// Re-insert a candidate with a refreshed key.
     pub fn push(&mut self, key: f64, node: NodeId, ad: AdId, version: u32) {
-        debug_assert!(!key.is_nan(), "heap keys must not be NaN");
-        self.heap.push(LazyEntry {
+        debug_assert!(!key.is_nan(), "queue keys must not be NaN");
+        self.refresh.push(LazyEntry {
             key,
             node,
             ad,
@@ -92,40 +139,148 @@ impl LazyQueue {
 
     /// Pop the entry with the largest cached key.
     pub fn pop(&mut self) -> Option<LazyEntry> {
-        self.heap.pop()
+        match (self.run.get(self.next), self.refresh.peek()) {
+            (Some(head), Some(top)) if top > head => self.refresh.pop(),
+            (Some(&head), _) => {
+                self.next += 1;
+                Some(head)
+            }
+            (None, _) => self.refresh.pop(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_pcg::Pcg64Mcg;
+
+    fn entry(key: f64, node: NodeId, ad: AdId) -> LazyEntry {
+        LazyEntry {
+            key,
+            node,
+            ad,
+            version: 0,
+        }
+    }
+
+    fn drain(q: &mut LazyQueue<'_>) -> Vec<(f64, NodeId, AdId)> {
+        std::iter::from_fn(|| q.pop().map(|e| (e.key, e.node, e.ad))).collect()
+    }
 
     #[test]
     fn pops_in_descending_key_order() {
-        let mut q = LazyQueue::new();
-        q.push(1.0, 0, 0, 0);
-        q.push(5.0, 1, 0, 0);
-        q.push(3.0, 2, 1, 0);
-        let keys: Vec<f64> = std::iter::from_fn(|| q.pop().map(|e| e.key)).collect();
+        let mut q =
+            LazyQueue::from_entries(vec![entry(1.0, 0, 0), entry(5.0, 1, 0), entry(3.0, 2, 1)]);
+        let keys: Vec<f64> = drain(&mut q).into_iter().map(|e| e.0).collect();
         assert_eq!(keys, vec![5.0, 3.0, 1.0]);
     }
 
     #[test]
     fn ties_are_broken_deterministically() {
-        let mut q = LazyQueue::new();
-        q.push(2.0, 3, 0, 0);
-        q.push(2.0, 7, 0, 0);
+        let mut q = LazyQueue::from_entries(vec![entry(2.0, 3, 0), entry(2.0, 7, 0)]);
         assert_eq!(q.pop().unwrap().node, 7);
         assert_eq!(q.pop().unwrap().node, 3);
     }
 
     #[test]
     fn len_and_is_empty_track_contents() {
-        let mut q = LazyQueue::with_capacity(4);
-        assert!(q.is_empty());
-        q.push(1.0, 0, 0, 0);
+        let mut q = LazyQueue::from_entries(vec![entry(1.0, 0, 0)]);
+        assert_eq!(q.len(), 1);
+        let e = q.pop().unwrap();
+        assert_eq!(q.len(), 0);
+        q.push(0.5, e.node, e.ad, 1);
         assert_eq!(q.len(), 1);
         q.pop();
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn packed_key_orders_like_entry_cmp() {
+        let keys = [
+            f64::NEG_INFINITY,
+            -f64::MAX,
+            -2.5,
+            -f64::MIN_POSITIVE,
+            -1e-310, // negative subnormal
+            -5e-324, // smallest-magnitude negative subnormal
+            -0.0,
+            0.0,
+            5e-324,
+            1e-310,
+            f64::MIN_POSITIVE,
+            2.5,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let mut entries = Vec::new();
+        for &key in &keys {
+            for node in [0, 1, u32::MAX] {
+                for ad in [0, 1, 9] {
+                    entries.push(entry(key, node, ad));
+                }
+            }
+        }
+        for a in &entries {
+            for b in &entries {
+                assert_eq!(a.packed().cmp(&b.packed()), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
+        // -0.0 sorts strictly below +0.0, as under total_cmp.
+        assert!(entry(-0.0, 5, 5).packed() < entry(0.0, 0, 0).packed());
+        // Key ties fall back to the node, then the advertiser.
+        assert!(entry(1.0, 2, 0).packed() > entry(1.0, 1, 9).packed());
+        assert!(entry(1.0, 1, 3).packed() > entry(1.0, 1, 2).packed());
+    }
+
+    #[test]
+    fn pop_sequence_matches_a_single_binary_heap() {
+        let mut rng = Pcg64Mcg::seed_from_u64(42);
+        for trial in 0..200 {
+            let num_nodes = rng.gen_range(1..40u32);
+            let num_ads = rng.gen_range(1..5usize);
+            // Coarse keys force plenty of ties on the key alone.
+            let draw = |rng: &mut Pcg64Mcg| rng.gen_range(-3..8i32) as f64 * 0.5;
+            let mut initial = Vec::new();
+            for node in 0..num_nodes {
+                for ad in 0..num_ads {
+                    if rng.gen_bool(0.7) {
+                        initial.push(entry(draw(&mut rng), node, ad));
+                    }
+                }
+            }
+            let mut reference: BinaryHeap<LazyEntry> = initial.iter().copied().collect();
+            let mut queue = LazyQueue::from_entries(initial);
+            for pop in 0.. {
+                let expected = reference.pop();
+                let got = queue.pop();
+                assert_eq!(
+                    expected.map(|e| (e.key, e.node, e.ad, e.version)),
+                    got.map(|e| (e.key, e.node, e.ad, e.version)),
+                    "trial {trial}, pop {pop}"
+                );
+                let Some(e) = got else { break };
+                // CELF refresh: re-push the popped pair, whose only live
+                // entry it was, with a key that never grows.
+                if rng.gen_bool(0.5) {
+                    let key = e.key - rng.gen_range(0..3i32) as f64 * 0.5;
+                    let version = e.version + 1;
+                    reference.push(LazyEntry { key, version, ..e });
+                    queue.push(key, e.node, e.ad, version);
+                }
+                assert_eq!(queue.len(), reference.len());
+            }
+        }
+    }
+
+    #[test]
+    fn borrowed_runs_replay_identically() {
+        let run = SortedRun::new(vec![entry(1.0, 0, 0), entry(4.0, 1, 1), entry(2.0, 2, 0)]);
+        let first = drain(&mut LazyQueue::borrowing(&run));
+        let second = drain(&mut LazyQueue::borrowing(&run));
+        assert_eq!(first, second);
+        assert_eq!(first, vec![(4.0, 1, 1), (2.0, 2, 0), (1.0, 0, 0)]);
     }
 }

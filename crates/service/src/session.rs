@@ -27,7 +27,7 @@ use rmsa_bench::{default_rma_config, default_ti_config, ExperimentContext};
 use rmsa_datasets::Dataset;
 use rmsa_obs::{flight, names, LazyCounter, Span};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,6 +44,47 @@ static MEMO_MISSES: LazyCounter = LazyCounter::new(names::MEMO_MISSES);
 /// application* under the warm invariant, so their results are
 /// interchangeable bit-for-bit.
 type SolveClass = (&'static str, &'static str, u64, bool);
+
+/// Most solve classes one session memoizes. Past it the oldest insertion
+/// is evicted, so a client that sends a new α with every request cannot
+/// grow daemon memory, while a small working set of classes stays hot.
+pub(crate) const MEMO_CAPACITY: usize = 256;
+
+/// Memoized solve results by [`SolveClass`], each tagged with the warm
+/// epoch it was computed under, holding at most [`MEMO_CAPACITY`] classes.
+#[derive(Default)]
+pub(crate) struct SolveMemo {
+    entries: BTreeMap<SolveClass, (usize, SolveResult)>,
+    /// Classes in insertion order, oldest first.
+    order: VecDeque<SolveClass>,
+}
+
+impl SolveMemo {
+    /// Number of memoized classes.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The result memoized for `class` in warm epoch `epoch`.
+    fn get(&self, class: &SolveClass, epoch: usize) -> Option<&SolveResult> {
+        match self.entries.get(class) {
+            Some((stored, result)) if *stored == epoch => Some(result),
+            _ => None,
+        }
+    }
+
+    /// Memoize `result`, evicting the oldest class when over capacity.
+    fn insert(&mut self, class: SolveClass, epoch: usize, result: SolveResult) {
+        if self.entries.insert(class, (epoch, result)).is_none() {
+            self.order.push_back(class);
+            if self.order.len() > MEMO_CAPACITY {
+                if let Some(oldest) = self.order.pop_front() {
+                    self.entries.remove(&oldest);
+                }
+            }
+        }
+    }
+}
 
 /// Cache fingerprint a request routes to: every request with the same key
 /// shares one workbench and therefore one RR-set cache.
@@ -114,9 +155,8 @@ pub struct Session {
     /// only within the epoch they were computed in (the warm invariant
     /// makes solves pure *per warm history*, not across histories).
     pub(crate) warm_epoch: AtomicUsize,
-    /// Memoized solve results by [`SolveClass`], tagged with the warm
-    /// epoch they were computed under.
-    pub(crate) memo: Mutex<BTreeMap<SolveClass, (usize, SolveResult)>>,
+    /// Memoized solve results, each tagged with its warm epoch.
+    pub(crate) memo: Mutex<SolveMemo>,
     pub(crate) warm_extensions: AtomicUsize,
     pub(crate) served: AtomicUsize,
     /// True when this session was warm-started from a disk snapshot.
@@ -152,7 +192,7 @@ impl Session {
             warm_level: Mutex::new(0),
             warm_level_hint: AtomicUsize::new(0),
             warm_epoch: AtomicUsize::new(0),
-            memo: Mutex::new(BTreeMap::new()),
+            memo: Mutex::new(SolveMemo::default()),
             warm_extensions: AtomicUsize::new(0),
             served: AtomicUsize::new(0),
             loaded_from_snapshot: false,
@@ -328,14 +368,12 @@ impl Session {
         let epoch = self.warm_epoch.load(Ordering::Acquire);
         {
             let memo = lock_unpoisoned(&self.memo);
-            if let Some((stored_epoch, result)) = memo.get(&class) {
-                if *stored_epoch == epoch {
-                    let result = result.clone();
-                    drop(memo);
-                    MEMO_HITS.inc();
-                    self.served.fetch_add(1, Ordering::Relaxed);
-                    return Ok(result);
-                }
+            if let Some(result) = memo.get(&class, epoch) {
+                let result = result.clone();
+                drop(memo);
+                MEMO_HITS.inc();
+                self.served.fetch_add(1, Ordering::Relaxed);
+                return Ok(result);
             }
         }
         MEMO_MISSES.inc();
@@ -344,7 +382,7 @@ impl Session {
         // Only cache results whose whole computation happened inside one
         // epoch; a concurrent warm makes this solve's history ambiguous.
         if self.warm_epoch.load(Ordering::Acquire) == epoch {
-            memo.insert(class, (epoch, result.clone()));
+            memo.insert(class, epoch, result.clone());
         }
         Ok(result)
     }
@@ -609,6 +647,45 @@ mod tests {
             "post-warm memo result must match a fresh post-warm solve"
         );
         assert_eq!(session.stats_entry().warm_target, target);
+    }
+
+    #[test]
+    fn memo_stays_bounded_under_distinct_alphas_and_repeats_still_hit() {
+        let result = SolveResult {
+            algorithm: "RMA".to_string(),
+            revenue: None,
+            revenue_estimate: 1.0,
+            revenue_lower_bound: None,
+            seeding_cost: 0.0,
+            seeds: 0,
+            feasible: true,
+            capped: false,
+            iterations: 1,
+            rr_used: 0,
+            rr_generated: 0,
+            index_extended: 0,
+            allocation_digest: String::new(),
+        };
+        let class = |alpha: f64| ("rma", "linear", alpha.to_bits(), true);
+        let hot = class(0.25);
+        let mut memo = SolveMemo::default();
+        let (mut repeats, mut hits) = (0, 0);
+        for i in 0..10_000u32 {
+            memo.insert(class(0.1 + f64::from(i) * 1e-5), 0, result.clone());
+            assert!(memo.len() <= MEMO_CAPACITY);
+            if i % 16 == 0 {
+                repeats += 1;
+                if memo.get(&hot, 0).is_some() {
+                    hits += 1;
+                } else {
+                    memo.insert(hot, 0, result.clone());
+                }
+            }
+        }
+        assert_eq!(memo.len(), MEMO_CAPACITY);
+        // The hot class is evicted once per MEMO_CAPACITY distinct inserts,
+        // i.e. it misses one repeat in MEMO_CAPACITY / 16.
+        assert!(hits * 10 >= repeats * 9, "{hits} hits of {repeats} repeats");
     }
 
     #[test]

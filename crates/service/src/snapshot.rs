@@ -24,7 +24,7 @@
 //! build; the daemon logs why.
 
 use crate::lock_unpoisoned;
-use crate::session::{Session, SessionKey};
+use crate::session::{Session, SessionKey, SolveMemo};
 use crate::wire::strategy_name;
 use rmsa::prelude::*;
 use rmsa_bench::ExperimentContext;
@@ -348,7 +348,7 @@ pub fn session_from_source<S: SectionSource>(
         warm_level: Mutex::new(meta.warm_level),
         warm_level_hint: AtomicUsize::new(meta.warm_level),
         warm_epoch: AtomicUsize::new(0),
-        memo: Mutex::new(std::collections::BTreeMap::new()),
+        memo: Mutex::new(SolveMemo::default()),
         warm_extensions: AtomicUsize::new(0),
         served: AtomicUsize::new(0),
         loaded_from_snapshot: true,

@@ -880,6 +880,12 @@ pub fn to_u32(v: usize, what: &str) -> Result<u32, StoreError> {
 mod tests {
     use super::*;
 
+    /// A directory of this test's own: tests run in parallel, and one
+    /// test's scan for temp files must not see another's in-flight write.
+    fn test_dir(test: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("rmsa_store_test-{}-{test}", std::process::id()))
+    }
+
     fn sample_snapshot() -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         let meta = w.section(section::META);
@@ -1086,7 +1092,7 @@ mod tests {
 
     #[test]
     fn mapped_and_owned_reads_agree_and_mapped_columns_borrow() {
-        let dir = std::env::temp_dir().join("rmsa_store_test");
+        let dir = test_dir("mapped");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join(format!("mapped-{}.rmsnap", std::process::id()));
         let mut w = SnapshotWriter::new();
@@ -1123,6 +1129,7 @@ mod tests {
         assert_eq!(c.get_usize_vec("b").expect("b"), &b[..]);
         assert_eq!(c.get_u64_vec("d").expect("d"), &d[..]);
         std::fs::remove_file(&path).ok();
+        std::fs::remove_dir(&dir).ok();
     }
 
     #[test]
@@ -1216,7 +1223,7 @@ mod tests {
 
     #[test]
     fn file_roundtrip_is_atomic_and_lossless() {
-        let dir = std::env::temp_dir().join("rmsa_store_test");
+        let dir = test_dir("roundtrip");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.rmsnap");
         let bytes = sample_snapshot();
@@ -1233,6 +1240,7 @@ mod tests {
         assert_eq!(read_file(&path).unwrap(), bytes);
         std::fs::remove_file(&path).ok();
         assert!(matches!(read_file(&path).unwrap_err(), StoreError::Io(_)));
+        std::fs::remove_dir(&dir).ok();
     }
 
     #[test]
