@@ -4,8 +4,10 @@
 //!
 //! The headline comparison is `extend_theta1_to_theta2` versus
 //! `rebuild_at_theta2`: growing a warm index from θ₁ to θ₂ only indexes
-//! the new sets (plus a copy-on-write of the advertiser/singleton
-//! columns), while a from-scratch build re-walks every member entry.
+//! the new sets (plus a copy-on-write of the singleton column), while a
+//! from-scratch build re-walks every member entry. The `_h10` points run
+//! the per-advertiser queries at the serving advertiser count, where the
+//! advertiser-major postings skip the other nine advertisers' sets.
 //!
 //! Set `RMSA_BENCH_QUICK=1` to shrink the workload for CI smoke runs.
 
@@ -64,16 +66,36 @@ fn bench_coverage(c: &mut Criterion) {
 
     let est = RrRevenueEstimator::new(&arena, 4, 5.5);
     group.bench_function("greedy_marginal_gains_1000_nodes", |b| {
-        b.iter(|| {
-            let state = est.new_state(0);
-            let mut best = 0.0f64;
-            for u in 0..1_000u32 {
-                best = best.max(est.marginal_gain(&state, u));
-            }
-            best
-        });
+        b.iter(|| max_gain(&est, 0));
+    });
+
+    // The same queries at h = 10, the advertiser count the service runs.
+    let model = UniformIc::new(10, 0.05);
+    let cpes: Vec<f64> = (0..10).map(|ad| 1.0 + 0.25 * f64::from(ad)).collect();
+    let sampler = UniformRrSampler::new(&cpes);
+    let mut arena = RrArena::new(graph.num_nodes(), RrStrategy::Standard);
+    arena.generate(&graph, &model, &sampler, theta2, &mut rng);
+    let gamma = sampler.gamma();
+    let est = RrRevenueEstimator::new(&arena, 10, gamma);
+    group.bench_function("greedy_marginal_gains_1000_nodes_h10", |b| {
+        b.iter(|| max_gain(&est, 3));
+    });
+    // Ten disjoint 20-seed sets, one per advertiser.
+    let allocation: Vec<Vec<u32>> = (0..10u32)
+        .map(|ad| (ad * 20..ad * 20 + 20).collect())
+        .collect();
+    group.bench_function("allocation_coverage_count_h10", |b| {
+        b.iter(|| est.coverage().allocation_coverage_count(&allocation));
     });
     group.finish();
+}
+
+/// Largest marginal gain of nodes `0..1000` for a fresh seed set of `ad`.
+fn max_gain(est: &RrRevenueEstimator, ad: usize) -> f64 {
+    let state = est.new_state(ad);
+    (0..1_000u32)
+        .map(|u| est.marginal_gain(&state, u))
+        .fold(0.0f64, f64::max)
 }
 
 criterion_group!(benches, bench_coverage);

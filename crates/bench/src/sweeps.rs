@@ -284,7 +284,7 @@ pub fn genscale_sweep(
 
         let gen_start = Instant::now();
         let mut arena = RrArena::new(graph.num_nodes(), RrStrategy::Subsim);
-        let spans = arena.generate_sharded(
+        arena.generate_sharded(
             &graph,
             &model,
             &sampler,
@@ -296,7 +296,9 @@ pub fn genscale_sweep(
         let gen_secs = gen_start.elapsed().as_secs_f64();
         let index_start = Instant::now();
         let mut index = CoverageIndex::new(graph.num_nodes(), ctx.num_ads);
-        index.extend_by_spans(&arena, &spans);
+        // One segment for the whole sharded batch: a segment per shard
+        // would pay the `h · n` group offsets once per shard.
+        index.extend_from(&arena);
         let index_secs = index_start.elapsed().as_secs_f64();
         let entries = arena.total_entries();
 

@@ -14,7 +14,9 @@
 //! instead of an index rebuild, and the per-`(ad, node)` singleton counts
 //! are maintained once per index extension, never per estimator. The
 //! incremental state keeps a packed `u64` covered-bitmap over the RR-sets
-//! so marginal-gain queries cost `O(#RR-sets containing u)`.
+//! so a marginal-gain query for advertiser `i` costs
+//! `O(#RR-sets of i containing u)`: the index groups postings by
+//! advertiser, so other advertisers' sets are never visited.
 
 use crate::oracle::{RevenueOracle, SeedState};
 use rmsa_diffusion::{AdId, CoverBitset, CoverageIndex, CoverageView, RrArena};
@@ -160,24 +162,16 @@ impl RevenueOracle for RrRevenueEstimator {
     }
 
     fn marginal_gain(&self, state: &RrSeedState, u: NodeId) -> f64 {
-        let ad = state.ad as u32;
-        let ads = self.view.ads();
         let mut newly = 0usize;
-        self.view.for_each_rr_containing(u, |rr| {
-            if ads[rr as usize] == ad && !state.covered.test(rr) {
-                newly += 1;
-            }
+        self.view.for_each_rr_of(state.ad, u, |rr| {
+            newly += usize::from(!state.covered.test(rr))
         });
         self.scale * newly as f64
     }
 
     fn add_seed(&self, state: &mut RrSeedState, u: NodeId) {
-        let ad = state.ad as u32;
-        let ads = self.view.ads();
-        self.view.for_each_rr_containing(u, |rr| {
-            if ads[rr as usize] == ad && state.covered.set(rr) {
-                state.covered_count += 1;
-            }
+        self.view.for_each_rr_of(state.ad, u, |rr| {
+            state.covered_count += usize::from(state.covered.set(rr))
         });
         state.seeds.push(u);
         state.revenue = self.scale * state.covered_count as f64;

@@ -12,11 +12,13 @@
 //!   the sets, and a parallel `ads` column with each set's advertiser.
 //!   Appending a set is a bump-pointer push; the memory footprint is a
 //!   closed-form function of three vector capacities.
-//! * [`CoverageIndex`] — the inverted `node → RR-set` index, stored as a
-//!   sequence of immutable CSR *segments*. Extending the arena appends one
-//!   new segment covering exactly the new sets; the segments indexed for a
-//!   smaller collection are never touched again (the *extend-never-rebuild*
-//!   rule). [`CoverageIndex::view`] takes an O(#segments) snapshot — a
+//! * [`CoverageIndex`] — the inverted `(advertiser, node) → RR-set` index,
+//!   stored as a sequence of immutable CSR *segments* whose posting groups
+//!   are advertiser-major, so a per-advertiser query never sees another
+//!   advertiser's sets. Extending the arena appends one new segment
+//!   covering exactly the new sets; the segments indexed for a smaller
+//!   collection are never touched again (the *extend-never-rebuild* rule).
+//!   [`CoverageIndex::view`] takes an O(#segments) snapshot — a
 //!   [`CoverageView`] — that stays valid and immutable while the index
 //!   keeps growing, which is what lets estimators built at different
 //!   sample sizes θ share one index.
@@ -412,10 +414,8 @@ impl RrArena {
     ///
     /// Bit-identical to [`RrArena::generate_parallel`] with the same
     /// `(seed, count)` for *any* shard count — the sharded analogue of the
-    /// thread-count-independence invariant. Returns the shard spans
-    /// (absolute set ranges within this arena), which
-    /// [`CoverageIndex::extend_by_spans`] turns into one coverage segment
-    /// per shard without rebuilding.
+    /// thread-count-independence invariant. The merged extension is
+    /// indexed as one coverage segment by [`CoverageIndex::extend_from`].
     #[allow(clippy::too_many_arguments)] // mirrors generate_chunks' knobs
     pub fn generate_sharded<M: PropagationModel + ?Sized>(
         &mut self,
@@ -426,9 +426,8 @@ impl RrArena {
         num_shards: usize,
         num_threads: usize,
         seed: u64,
-    ) -> Vec<ShardSpan> {
-        let base = self.len();
-        let mut spans = shard_plan(count, num_shards);
+    ) {
+        let spans = shard_plan(count, num_shards);
         if count > 0 {
             let strategy = self.strategy;
             let per_shard_threads = (num_threads.max(1) / spans.len().max(1)).max(1);
@@ -462,11 +461,6 @@ impl RrArena {
                 self.append_arena(shard);
             }
         }
-        for span in &mut spans {
-            span.set_from += base;
-            span.set_to += base;
-        }
-        spans
     }
 }
 
@@ -476,9 +470,7 @@ impl RrArena {
 /// derived exactly as unsharded generation derives it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardSpan {
-    /// First RR-set index of the span (relative to the batch from
-    /// [`shard_plan`]; absolute within the arena once returned by
-    /// [`RrArena::generate_sharded`]).
+    /// First RR-set index of the span, relative to the batch.
     pub set_from: usize,
     /// One past the last RR-set index of the span.
     pub set_to: usize,
@@ -564,13 +556,19 @@ fn chunk_rng(seed: u64, chunk: usize) -> Pcg64Mcg {
 /// One immutable CSR block of the inverted index, covering RR-sets
 /// `[rr_base, rr_base + num_sets)`. Once built, a segment is never
 /// modified — prefix views stay valid while the index grows.
+///
+/// Postings are grouped **advertiser-major**: group `ad · n + u` lists the
+/// segment's RR-sets generated for advertiser `ad` that contain node `u`,
+/// so every per-advertiser query walks exactly its own postings. With one
+/// advertiser the layout is byte-identical to a node-major CSR.
 #[derive(Debug)]
 pub struct CoverageSegment {
     pub(crate) rr_base: u32,
     pub(crate) num_sets: u32,
-    /// Per-node slice boundaries into `entries`; length `num_nodes + 1`.
+    /// Group boundaries into `entries`; length `num_ads · num_nodes + 1`,
+    /// group `ad · num_nodes + u` at `offsets[g]..offsets[g + 1]`.
     pub(crate) offsets: Column<u32>,
-    /// Ascending absolute RR-set ids, grouped by node.
+    /// Ascending absolute RR-set ids within each group.
     pub(crate) entries: Column<u32>,
 }
 
@@ -585,10 +583,10 @@ impl CoverageSegment {
         self.num_sets
     }
 
-    /// Absolute ids of the covered RR-sets containing `node`.
-    pub fn rr_containing(&self, node: NodeId) -> &[u32] {
-        let u = node as usize;
-        &self.entries[self.offsets[u] as usize..self.offsets[u + 1] as usize]
+    /// Absolute ids of the segment's RR-sets in posting group `group`
+    /// (`ad · num_nodes + u`).
+    fn group(&self, group: usize) -> &[u32] {
+        &self.entries[self.offsets[group] as usize..self.offsets[group + 1] as usize]
     }
 
     fn resident_bytes(&self) -> usize {
@@ -600,23 +598,21 @@ impl CoverageSegment {
     }
 }
 
-/// Incrementally extendable inverted `node → RR-set` index over an
-/// [`RrArena`], plus the per-`(advertiser, node)` singleton coverage
-/// counts, both maintained once per arena extension — never per
+/// Incrementally extendable inverted `(advertiser, node) → RR-set` index
+/// over an [`RrArena`], plus the per-`(advertiser, node)` singleton
+/// coverage counts, both maintained once per arena extension — never per
 /// estimator and never rebuilt.
 ///
 /// Mutation is append-only: [`CoverageIndex::extend_to`] adds one
 /// immutable [`CoverageSegment`] for the new sets and bumps the shared
-/// advertiser/singleton columns (copy-on-write when an older
-/// [`CoverageView`] still holds them, in place otherwise).
+/// singleton column (copy-on-write when an older [`CoverageView`] still
+/// holds it, in place otherwise).
 #[derive(Clone, Debug)]
 pub struct CoverageIndex {
     pub(crate) num_nodes: usize,
     pub(crate) num_ads: usize,
     pub(crate) num_rr: usize,
     pub(crate) segments: Vec<Arc<CoverageSegment>>,
-    /// Advertiser of each indexed RR-set (u32 column for cache density).
-    pub(crate) ads: Arc<Column<u32>>,
     /// `singleton[ad * num_nodes + u]` = #indexed RR-sets of `ad`
     /// containing `u`.
     pub(crate) singleton: Arc<Column<u32>>,
@@ -632,7 +628,6 @@ impl CoverageIndex {
             num_ads,
             num_rr: 0,
             segments: Vec::new(),
-            ads: Arc::new(Column::new()),
             singleton: Arc::new(vec![0u32; num_ads * num_nodes].into()),
         }
     }
@@ -647,7 +642,7 @@ impl CoverageIndex {
         self.num_nodes
     }
 
-    /// Number of advertisers the singleton counts are tracked for.
+    /// Number of advertisers the postings and singleton counts are keyed by.
     pub fn num_ads(&self) -> usize {
         self.num_ads
     }
@@ -657,8 +652,10 @@ impl CoverageIndex {
         self.segments.len()
     }
 
-    /// Index every set the arena holds beyond the current position.
-    /// Returns the number of newly indexed sets.
+    /// Index every set the arena holds beyond the current position, in one
+    /// segment (a sharded extension is indexed here once, after its shards
+    /// were merged into the arena). Returns the number of newly indexed
+    /// sets.
     pub fn extend_from(&mut self, arena: &RrArena) -> usize {
         self.extend_to(arena, arena.len())
     }
@@ -690,36 +687,41 @@ impl CoverageIndex {
              (split the request into smaller extensions)"
         );
 
-        // Pass 1 (fused): per-node entry counts for the counting sort,
-        // plus the advertiser column and singleton-count bumps — one walk
-        // over the new sets instead of three. `to_mut` promotes columns
-        // still borrowed from a snapshot mapping to owned before writing.
-        let ads = Arc::make_mut(&mut self.ads).to_mut();
-        ads.reserve(to - from);
+        // Counting sort keyed by group `ad · n + u`. Pass 1 (fused): group
+        // sizes plus the singleton-count bumps, one walk over the new sets.
+        // `to_mut` promotes a column still borrowed from a snapshot mapping
+        // to owned before writing.
+        let n = self.num_nodes;
+        let groups = self.num_ads * n;
         let singleton = Arc::make_mut(&mut self.singleton).to_mut();
-        let mut offsets = vec![0u32; self.num_nodes + 1];
+        let mut offsets = vec![0u32; groups + 1];
         for i in from..to {
             let ad = arena.ad_of(i);
             debug_assert!(ad < self.num_ads, "advertiser id out of range");
-            ads.push(ad as u32);
+            let base = ad * n;
             for &u in arena.nodes_of(i) {
-                offsets[u as usize + 1] += 1;
-                singleton[ad * self.num_nodes + u as usize] += 1;
+                offsets[base + u as usize + 1] += 1;
+                singleton[base + u as usize] += 1;
             }
         }
-        for u in 0..self.num_nodes {
-            offsets[u + 1] += offsets[u];
+        for g in 0..groups {
+            offsets[g + 1] += offsets[g];
         }
-        // Pass 2: fill the CSR entries.
+        // Pass 2: fill the groups in RR order, so ids ascend within each,
+        // using `offsets[g]` as group g's cursor. That leaves `offsets[g]`
+        // at group g's end, so one shift restores the starts — no second
+        // offsets-sized buffer.
         let mut entries = vec![0u32; segment_entries];
-        let mut cursor = offsets.clone();
         for i in from..to {
+            let base = arena.ad_of(i) * n;
             for &u in arena.nodes_of(i) {
-                let c = &mut cursor[u as usize];
+                let c = &mut offsets[base + u as usize];
                 entries[*c as usize] = i as u32;
                 *c += 1;
             }
         }
+        offsets.copy_within(0..groups, 1);
+        offsets[0] = 0;
         self.segments.push(Arc::new(CoverageSegment {
             rr_base: from as u32,
             num_sets: (to - from) as u32,
@@ -730,20 +732,6 @@ impl CoverageIndex {
         to - from
     }
 
-    /// Index a sharded extension: one immutable segment per [`ShardSpan`],
-    /// appended in span order — the merge is pure concatenation, no
-    /// rebuild. After [`RrArena::generate_sharded`], passing its returned
-    /// spans here leaves the index answering exactly as if the shards had
-    /// been indexed by one [`CoverageIndex::extend_from`] call (coverage
-    /// queries walk segments transparently). Returns the number of newly
-    /// indexed sets.
-    pub fn extend_by_spans(&mut self, arena: &RrArena, spans: &[ShardSpan]) -> usize {
-        spans
-            .iter()
-            .map(|span| self.extend_to(arena, span.set_to))
-            .sum()
-    }
-
     /// O(#segments) immutable snapshot sharing the index's storage.
     pub fn view(&self) -> CoverageView {
         CoverageView {
@@ -751,7 +739,6 @@ impl CoverageIndex {
             num_ads: self.num_ads,
             num_rr: self.num_rr,
             segments: self.segments.clone(),
-            ads: Arc::clone(&self.ads),
             singleton: Arc::clone(&self.singleton),
         }
     }
@@ -764,35 +751,23 @@ impl CoverageIndex {
 
     /// Owned heap bytes of the index storage.
     pub fn resident_bytes(&self) -> usize {
-        index_resident_bytes(&self.segments, &self.ads, &self.singleton)
+        index_resident_bytes(&self.segments, &self.singleton)
     }
 
     /// Bytes borrowed zero-copy from a snapshot mapping.
     pub fn mapped_bytes(&self) -> usize {
-        index_mapped_bytes(&self.segments, &self.ads, &self.singleton)
+        index_mapped_bytes(&self.segments, &self.singleton)
     }
 }
 
 /// Shared owned-heap formula for [`CoverageIndex`] and its views.
-fn index_resident_bytes(
-    segments: &[Arc<CoverageSegment>],
-    ads: &Arc<Column<u32>>,
-    singleton: &Arc<Column<u32>>,
-) -> usize {
-    segments.iter().map(|s| s.resident_bytes()).sum::<usize>()
-        + ads.resident_bytes()
-        + singleton.resident_bytes()
+fn index_resident_bytes(segments: &[Arc<CoverageSegment>], singleton: &Column<u32>) -> usize {
+    segments.iter().map(|s| s.resident_bytes()).sum::<usize>() + singleton.resident_bytes()
 }
 
 /// Shared mapped-bytes formula for [`CoverageIndex`] and its views.
-fn index_mapped_bytes(
-    segments: &[Arc<CoverageSegment>],
-    ads: &Arc<Column<u32>>,
-    singleton: &Arc<Column<u32>>,
-) -> usize {
-    segments.iter().map(|s| s.mapped_bytes()).sum::<usize>()
-        + ads.mapped_bytes()
-        + singleton.mapped_bytes()
+fn index_mapped_bytes(segments: &[Arc<CoverageSegment>], singleton: &Column<u32>) -> usize {
+    segments.iter().map(|s| s.mapped_bytes()).sum::<usize>() + singleton.mapped_bytes()
 }
 
 /// Immutable snapshot of a [`CoverageIndex`]: the coverage-query surface
@@ -805,7 +780,6 @@ pub struct CoverageView {
     num_ads: usize,
     num_rr: usize,
     segments: Vec<Arc<CoverageSegment>>,
-    ads: Arc<Column<u32>>,
     singleton: Arc<Column<u32>>,
 }
 
@@ -830,26 +804,19 @@ impl CoverageView {
         &self.segments
     }
 
-    /// Advertiser column: `ads()[rr]` is the advertiser of RR-set `rr`.
-    pub fn ads(&self) -> &[u32] {
-        &self.ads
-    }
-
-    /// Advertiser that RR-set `rr` was generated for.
-    pub fn ad_of(&self, rr: u32) -> AdId {
-        self.ads[rr as usize] as AdId
-    }
-
     /// Number of RR-sets of `ad` containing `u` (maintained incrementally
     /// per index extension, not recomputed per estimator).
     pub fn singleton_count(&self, ad: AdId, u: NodeId) -> u32 {
         self.singleton[ad * self.num_nodes + u as usize]
     }
 
-    /// Visit every RR-set id containing `node`, across all segments.
-    pub fn for_each_rr_containing(&self, node: NodeId, mut f: impl FnMut(u32)) {
+    /// Visit, in ascending order, the id of every RR-set generated for
+    /// `ad` that contains `node` — exactly
+    /// [`Self::singleton_count`]`(ad, node)` ids, across all segments.
+    pub fn for_each_rr_of(&self, ad: AdId, node: NodeId, mut f: impl FnMut(u32)) {
+        let group = ad * self.num_nodes + node as usize;
         for segment in &self.segments {
-            for &rr in segment.rr_containing(node) {
+            for &rr in segment.group(group) {
                 f(rr);
             }
         }
@@ -858,15 +825,10 @@ impl CoverageView {
     /// Number of RR-sets generated for `ad` that intersect `seeds`
     /// (from-scratch query; incremental callers keep a [`CoverBitset`]).
     pub fn coverage_count(&self, ad: AdId, seeds: &[NodeId]) -> usize {
-        let ad = ad as u32;
         let mut covered = CoverBitset::new(self.num_rr);
         let mut count = 0usize;
         for &u in seeds {
-            self.for_each_rr_containing(u, |rr| {
-                if self.ads[rr as usize] == ad && covered.set(rr) {
-                    count += 1;
-                }
-            });
+            self.for_each_rr_of(ad, u, |rr| count += usize::from(covered.set(rr)));
         }
         count
     }
@@ -874,16 +836,12 @@ impl CoverageView {
     /// Number of RR-sets covered by a full allocation `S⃗` (each RR-set is
     /// covered iff the seed set of *its own* advertiser intersects it).
     pub fn allocation_coverage_count(&self, allocation: &[Vec<NodeId>]) -> usize {
+        // Advertisers own disjoint RR-sets, so one bitset serves them all.
         let mut covered = CoverBitset::new(self.num_rr);
         let mut count = 0usize;
         for (ad, seeds) in allocation.iter().enumerate() {
-            let ad = ad as u32;
             for &u in seeds {
-                self.for_each_rr_containing(u, |rr| {
-                    if self.ads[rr as usize] == ad && covered.set(rr) {
-                        count += 1;
-                    }
-                });
+                self.for_each_rr_of(ad, u, |rr| count += usize::from(covered.set(rr)));
             }
         }
         count
@@ -897,13 +855,13 @@ impl CoverageView {
 
     /// Heap-owned portion of [`Self::memory_bytes`].
     pub fn resident_bytes(&self) -> usize {
-        index_resident_bytes(&self.segments, &self.ads, &self.singleton)
+        index_resident_bytes(&self.segments, &self.singleton)
     }
 
     /// Snapshot-mapped portion of [`Self::memory_bytes`] (pages borrowed
     /// from a mapped `.rmsnap` file rather than allocated).
     pub fn mapped_bytes(&self) -> usize {
-        index_mapped_bytes(&self.segments, &self.ads, &self.singleton)
+        index_mapped_bytes(&self.segments, &self.singleton)
     }
 }
 
@@ -1028,12 +986,8 @@ mod tests {
         reference.generate_parallel(&g, &m, &sampler, count, 2, 99);
         for shards in [1usize, 2, 8] {
             let mut sharded = RrArena::new(g.num_nodes(), RrStrategy::Standard);
-            let spans = sharded.generate_sharded(&g, &m, &sampler, count, shards, 4, 99);
+            sharded.generate_sharded(&g, &m, &sampler, count, shards, 4, 99);
             assert_eq!(sharded.len(), count);
-            assert!(spans.len() <= shards);
-            assert_eq!(spans.iter().map(ShardSpan::len).sum::<usize>(), count);
-            assert_eq!(spans.first().map(|s| s.set_from), Some(0));
-            assert_eq!(spans.last().map(|s| s.set_to), Some(count));
             assert_eq!(
                 collect_sets(&reference),
                 collect_sets(&sharded),
@@ -1061,33 +1015,127 @@ mod tests {
         assert!(shard_plan(0, 4).is_empty());
     }
 
-    /// Shard-merge determinism for the index side: one segment per shard
-    /// span, and every coverage answer equals a single-segment build.
+    /// Shard-merge determinism for the index side: a sharded extension is
+    /// indexed as one segment, byte-identical to indexing the unsharded
+    /// arena.
     #[test]
-    fn extend_by_spans_merges_shard_segments_without_rebuild() {
+    fn sharded_extension_indexes_as_one_segment_equal_to_unsharded() {
         let mut graph_rng = rng();
         let g = barabasi_albert(250, 3, &mut graph_rng);
         let m = UniformIc::new(2, 0.2);
         let sampler = UniformRrSampler::new(&[1.0, 2.0]);
         let count = 4 * GENERATION_CHUNK + 77;
-        let mut arena = RrArena::new(g.num_nodes(), RrStrategy::Standard);
-        let spans = arena.generate_sharded(&g, &m, &sampler, count, 4, 2, 17);
+        let mut sharded = RrArena::new(g.num_nodes(), RrStrategy::Standard);
+        sharded.generate_sharded(&g, &m, &sampler, count, 4, 2, 17);
+        let mut unsharded = RrArena::new(g.num_nodes(), RrStrategy::Standard);
+        unsharded.generate_parallel(&g, &m, &sampler, count, 2, 17);
 
         let mut sharded_index = CoverageIndex::new(g.num_nodes(), 2);
-        assert_eq!(sharded_index.extend_by_spans(&arena, &spans), count);
-        assert_eq!(sharded_index.num_segments(), spans.len());
-        assert_eq!(sharded_index.num_rr(), count);
-
+        assert_eq!(sharded_index.extend_from(&sharded), count);
         let mut fresh = CoverageIndex::new(g.num_nodes(), 2);
-        fresh.extend_from(&arena);
-        let (va, vb) = (sharded_index.view(), fresh.view());
-        for ad in 0..2 {
-            for u in (0..g.num_nodes() as NodeId).step_by(11) {
-                assert_eq!(va.singleton_count(ad, u), vb.singleton_count(ad, u));
+        fresh.extend_from(&unsharded);
+        assert_eq!(sharded_index.num_segments(), 1);
+        assert_eq!(sharded_index.num_rr(), count);
+        let (a, b) = (&sharded_index.segments[0], &fresh.segments[0]);
+        assert_eq!(a.offsets[..], b.offsets[..]);
+        assert_eq!(a.entries[..], b.entries[..]);
+        assert_eq!(sharded_index.singleton[..], fresh.singleton[..]);
+        assert_eq!(sharded_index.memory_bytes(), fresh.memory_bytes());
+    }
+
+    /// The advertiser-major layout, stated per posting group: across the
+    /// five generator families, both RR strategies, a two-segment index
+    /// (θ₁ → θ₂) and owned as well as mapped loads, `for_each_rr_of(ad, u)`
+    /// visits exactly the ascending ids of the RR-sets of `ad` containing
+    /// `u` — `singleton_count(ad, u)` postings, not the sets of every
+    /// advertiser containing `u`.
+    #[test]
+    fn advertiser_groups_hold_exactly_their_own_rr_sets() {
+        use rmsa_graph::generators;
+        use rmsa_store::{section, MappedSnapshot, SectionSource, SnapshotReader, SnapshotWriter};
+        let dir =
+            std::env::temp_dir().join(format!("rmsa_group_equivalence-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut graph_rng = Pcg64Mcg::seed_from_u64(29);
+        let graphs = [
+            (
+                "erdos_renyi",
+                generators::erdos_renyi(90, 0.06, &mut graph_rng),
+            ),
+            ("barabasi_albert", barabasi_albert(120, 3, &mut graph_rng)),
+            (
+                "power_law_configuration",
+                generators::power_law_configuration(120, 2.4, 3.0, 25, &mut graph_rng),
+            ),
+            (
+                "watts_strogatz",
+                generators::watts_strogatz(100, 4, 0.15, &mut graph_rng),
+            ),
+            ("celebrity_graph", generators::celebrity_graph(3, 8)),
+        ];
+        let num_ads = 3;
+        for (family, graph) in &graphs {
+            for strategy in [RrStrategy::Standard, RrStrategy::Subsim] {
+                let model = WeightedCascade::new(graph, num_ads);
+                let sampler = UniformRrSampler::new(&[1.0, 2.0, 1.5]);
+                let mut arena = RrArena::new(graph.num_nodes(), strategy);
+                let mut index = CoverageIndex::new(graph.num_nodes(), num_ads);
+                arena.generate_parallel(graph, &model, &sampler, 600, 2, 3);
+                index.extend_from(&arena);
+                arena.generate_parallel(graph, &model, &sampler, 500, 2, 4);
+                index.extend_from(&arena);
+                assert_eq!(index.num_segments(), 2);
+
+                let mut w = SnapshotWriter::new();
+                crate::snapshot::write_arena(&arena, w.section(section::CACHE_STREAM_BASE));
+                crate::snapshot::write_index(&index, w.section(section::CACHE_STREAM_BASE + 1));
+                let bytes = w.finish();
+                let path = dir.join(format!("{family}_{strategy:?}.rmsnap"));
+                rmsa_store::write_file(&path, &bytes).unwrap();
+                fn load<S: SectionSource>(src: &S) -> CoverageIndex {
+                    let arena = crate::snapshot::read_arena(
+                        &mut src.require(section::CACHE_STREAM_BASE).unwrap(),
+                    )
+                    .unwrap();
+                    crate::snapshot::read_index(
+                        &mut src.require(section::CACHE_STREAM_BASE + 1).unwrap(),
+                        &arena,
+                    )
+                    .unwrap()
+                }
+                let owned = load(&SnapshotReader::parse(&bytes).unwrap());
+                let mapped =
+                    load(&MappedSnapshot::open(&path, rmsa_store::VerifyMode::Lazy).unwrap());
+
+                let n = graph.num_nodes();
+                let mut expected = vec![Vec::new(); num_ads * n];
+                for rr in 0..arena.len() {
+                    for &u in arena.nodes_of(rr) {
+                        expected[arena.ad_of(rr) * n + u as usize].push(rr as u32);
+                    }
+                }
+                for (source, view) in [
+                    ("built", index.view()),
+                    ("owned", owned.view()),
+                    ("mapped", mapped.view()),
+                ] {
+                    for ad in 0..num_ads {
+                        for u in 0..n as NodeId {
+                            let mut got = Vec::new();
+                            view.for_each_rr_of(ad, u, |rr| got.push(rr));
+                            assert_eq!(
+                                got,
+                                expected[ad * n + u as usize],
+                                "{family}/{strategy:?}/{source}: group ({ad}, {u})"
+                            );
+                            assert_eq!(got.len(), view.singleton_count(ad, u) as usize);
+                        }
+                    }
+                }
+                std::fs::remove_file(&path).ok();
             }
-            let seeds: Vec<NodeId> = (0..25).collect();
-            assert_eq!(va.coverage_count(ad, &seeds), vb.coverage_count(ad, &seeds));
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -90,8 +90,8 @@ pub fn read_arena(cur: &mut Cursor<'_>) -> Result<RrArena, StoreError> {
     })
 }
 
-/// Write a coverage index: segment CSR blocks plus the shared
-/// advertiser/singleton columns.
+/// Write a coverage index: segment CSR blocks plus the shared singleton
+/// column.
 pub fn write_index(index: &CoverageIndex, out: &mut SectionBuf) {
     out.put_u64(index.num_nodes as u64);
     out.put_u64(index.num_ads as u64);
@@ -103,12 +103,23 @@ pub fn write_index(index: &CoverageIndex, out: &mut SectionBuf) {
         out.put_u32_slice(&segment.offsets);
         out.put_u32_slice(&segment.entries);
     }
-    out.put_u32_slice(&index.ads);
     out.put_u32_slice(&index.singleton);
 }
 
+/// The typed rejection of an index in the node-major layout older builds
+/// wrote (one posting group per node plus an advertiser column): reading
+/// it as advertiser-major groups would silently mix advertisers.
+fn node_major_layout(why: String) -> StoreError {
+    StoreError::Mismatch(format!(
+        "coverage-index section: {why}; this is the node-major index layout of older \
+         builds, and this build reads only advertiser-major posting groups — rebuild \
+         the snapshot"
+    ))
+}
+
 /// Read a coverage index back, validating segment structure against the
-/// arena it indexes.
+/// arena it indexes. An index in the older node-major layout is rejected
+/// with a [`StoreError::Mismatch`] naming that layout, never misread.
 pub fn read_index(cur: &mut Cursor<'_>, arena: &RrArena) -> Result<CoverageIndex, StoreError> {
     let corrupt = |why: String| StoreError::Corrupt(format!("coverage-index section: {why}"));
     let num_nodes = cur.get_usize("index num_nodes")?;
@@ -124,6 +135,9 @@ pub fn read_index(cur: &mut Cursor<'_>, arena: &RrArena) -> Result<CoverageIndex
     if num_ads == 0 {
         return Err(corrupt("zero advertisers".to_string()));
     }
+    let groups = num_ads
+        .checked_mul(num_nodes)
+        .ok_or_else(|| corrupt(format!("{num_ads} advertisers overflow the group count")))?;
     if num_rr > arena.len() {
         return Err(corrupt(format!(
             "index claims {num_rr} RR-sets but the arena holds {}",
@@ -146,7 +160,13 @@ pub fn read_index(cur: &mut Cursor<'_>, arena: &RrArena) -> Result<CoverageIndex
                 "segment {i} starts at RR {rr_base}, expected {expected_base}"
             )));
         }
-        if offsets.len() != num_nodes + 1
+        if num_ads > 1 && offsets.len() == num_nodes + 1 {
+            return Err(node_major_layout(format!(
+                "segment {i} has {} offsets, one group per node for {num_ads} advertisers",
+                offsets.len()
+            )));
+        }
+        if offsets.len() != groups + 1
             || offsets.first() != Some(&0)
             || offsets.last().map(|&v| u64::from(v)) != Some(entries.len() as u64)
         {
@@ -165,6 +185,19 @@ pub fn read_index(cur: &mut Cursor<'_>, arena: &RrArena) -> Result<CoverageIndex
             {
                 return Err(corrupt(format!("segment {i} has an RR id out of range")));
             }
+            // Group `ad · n + u` may only list RR-sets of advertiser `ad`
+            // (an id past the arena reads as misfiled, not as a panic).
+            let idx = |v: u32| usize::try_from(v).unwrap_or(usize::MAX);
+            let misfiled = offsets.windows(2).enumerate().any(|(g, w)| {
+                entries[idx(w[0])..idx(w[1])]
+                    .iter()
+                    .any(|&rr| arena.ads.get(idx(rr)).map(|&ad| idx(ad)) != Some(g / num_nodes))
+            });
+            if misfiled {
+                return Err(corrupt(format!(
+                    "segment {i} files an RR-set under another advertiser"
+                )));
+            }
         }
         expected_base = u32::try_from(end)
             .map_err(|_| corrupt(format!("segment {i} extends past the u32 RR id space")))?;
@@ -180,23 +213,23 @@ pub fn read_index(cur: &mut Cursor<'_>, arena: &RrArena) -> Result<CoverageIndex
             "segments cover {expected_base} RR-sets, header says {num_rr}"
         )));
     }
-    let ads = cur.get_u32_col("index ads")?;
     let singleton = cur.get_u32_col("index singleton")?;
-    if ads.len() != num_rr {
-        return Err(corrupt("advertiser column length mismatch".to_string()));
+    if cur.remaining() > 0 {
+        // Older builds wrote an advertiser column between the segments and
+        // the singleton counts; with one advertiser their segments are
+        // otherwise indistinguishable from advertiser-major ones.
+        return Err(node_major_layout(
+            "a column follows the singleton counts".to_string(),
+        ));
     }
-    if singleton.len() != num_ads * num_nodes {
+    if singleton.len() != groups {
         return Err(corrupt("singleton column length mismatch".to_string()));
-    }
-    if !ads.is_mapped() && ads.iter().any(|&a| u64::from(a) >= num_ads as u64) {
-        return Err(corrupt("an advertiser id is out of range".to_string()));
     }
     Ok(CoverageIndex {
         num_nodes,
         num_ads,
         num_rr,
         segments,
-        ads: Arc::new(ads),
         singleton: Arc::new(singleton),
     })
 }
@@ -728,5 +761,84 @@ mod tests {
             read_model(&mut r.require(section::MODEL).unwrap()).unwrap_err(),
             StoreError::Corrupt(_)
         ));
+    }
+
+    /// A stream section in the node-major layout older builds wrote: one
+    /// posting group per node, then an advertiser column before the
+    /// singleton counts.
+    fn write_node_major_stream(arena: &RrArena, num_ads: usize, out: &mut SectionBuf) {
+        let n = arena.num_nodes();
+        let mut offsets = vec![0u32; n + 1];
+        let mut singleton = vec![0u32; num_ads * n];
+        for set in arena.iter() {
+            for &u in set.nodes {
+                offsets[u as usize + 1] += 1;
+                singleton[set.ad * n + u as usize] += 1;
+            }
+        }
+        for u in 0..n {
+            offsets[u + 1] += offsets[u];
+        }
+        let mut cursor = offsets.clone();
+        let mut entries = vec![0u32; arena.total_entries()];
+        for (i, set) in arena.iter().enumerate() {
+            for &u in set.nodes {
+                entries[cursor[u as usize] as usize] = i as u32;
+                cursor[u as usize] += 1;
+            }
+        }
+        out.put_u64(1); // extensions
+        write_arena(arena, out);
+        out.put_u64(n as u64);
+        out.put_u64(num_ads as u64);
+        out.put_u64(arena.len() as u64);
+        out.put_u64(1);
+        out.put_u32(0);
+        out.put_u32(arena.len() as u32);
+        out.put_u32_slice(&offsets);
+        out.put_u32_slice(&entries);
+        out.put_u32_slice(&arena.ads);
+        out.put_u32_slice(&singleton);
+    }
+
+    /// Old snapshots are rejected with an error naming the node-major
+    /// layout — for three advertisers by the segment's group count, and
+    /// for one (where the segments coincide byte for byte) by the trailing
+    /// advertiser column — never misread as advertiser-major groups.
+    #[test]
+    fn node_major_stream_sections_are_rejected_by_name() {
+        let mut rng = <rand_pcg::Pcg64Mcg as rand::SeedableRng>::seed_from_u64(13);
+        let g = barabasi_albert(150, 3, &mut rng);
+        for cpes in [vec![1.0, 2.0, 1.5], vec![1.0]] {
+            let h = cpes.len();
+            let m = crate::models::WeightedCascade::new(&g, h);
+            let sampler = UniformRrSampler::new(&cpes);
+            let mut arena = RrArena::new(g.num_nodes(), RrStrategy::Standard);
+            arena.generate_parallel(&g, &m, &sampler, 900, 2, 5);
+
+            let mut w = SnapshotWriter::new();
+            let meta = w.section(section::CACHE_META);
+            meta.put_u64(g.num_nodes() as u64);
+            meta.put_u8(strategy_tag(RrStrategy::Standard));
+            meta.put_u64(5);
+            meta.put_u8(0);
+            meta.put_u64(0);
+            meta.put_u64(1);
+            write_node_major_stream(&arena, h, w.section(section::CACHE_STREAM_BASE));
+            let bytes = w.finish();
+            let r = SnapshotReader::parse(&bytes).unwrap();
+
+            let mut cur = r.require(section::CACHE_STREAM_BASE).unwrap();
+            cur.get_u64("stream extensions").unwrap();
+            let arena2 = read_arena(&mut cur).unwrap();
+            let err = read_index(&mut cur, &arena2).map(|_| ()).unwrap_err();
+            assert!(matches!(err, StoreError::Mismatch(_)), "h = {h}: {err:?}");
+            assert!(err.to_string().contains("node-major"), "h = {h}: {err}");
+
+            let err = crate::RrCache::read_snapshot(&r, 1)
+                .map(|_| ())
+                .unwrap_err();
+            assert!(err.to_string().contains("node-major"), "h = {h}: {err}");
+        }
     }
 }

@@ -50,6 +50,8 @@ pub const ERRORS_TOTAL: &str = "errors_total";
 pub const MEMO_HITS: &str = "memo_hits";
 /// Warm-epoch memo misses in `solve_memoized`.
 pub const MEMO_MISSES: &str = "memo_misses";
+/// Solve classes evicted from a session memo at its capacity.
+pub const MEMO_EVICTIONS: &str = "memo_evictions";
 /// RR sets sampled across all sessions.
 pub const RR_GENERATED_TOTAL: &str = "rr_generated_total";
 /// RR sets folded into coverage indexes across all sessions.

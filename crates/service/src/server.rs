@@ -690,6 +690,7 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>, popped_at: Instant) {
                 if !outcome.already_warm {
                     persist_in_background(shared, session.clone());
                 }
+                RPC_WARM.observe_traced(job.enqueued.elapsed().as_secs_f64(), job.reply.trace);
                 shared.complete(
                     job.reply,
                     job.enqueued,
@@ -701,7 +702,6 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>, popped_at: Instant) {
                         already_warm: outcome.already_warm,
                     }),
                 );
-                RPC_WARM.observe_traced(job.enqueued.elapsed().as_secs_f64(), job.reply.trace);
             }
             JobKind::Solve(solve) => {
                 // Warm before solving — a no-op for every batch member
@@ -746,8 +746,10 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>, popped_at: Instant) {
                         WireError::new(ErrorCode::SolveFailed, e.to_string()),
                     ),
                 };
-                shared.complete(job.reply, job.enqueued, &response);
+                // Observe before handing the response over, so a client that
+                // asks for metrics right after its answer sees this solve.
                 RPC_SOLVE.observe_traced(job.enqueued.elapsed().as_secs_f64(), job.reply.trace);
+                shared.complete(job.reply, job.enqueued, &response);
             }
         }
     }

@@ -38,6 +38,8 @@ static MEMO_HITS: LazyCounter = LazyCounter::new(names::MEMO_HITS);
 /// Warm-epoch memo misses (full solver runs) in
 /// [`Session::solve_memoized`].
 static MEMO_MISSES: LazyCounter = LazyCounter::new(names::MEMO_MISSES);
+/// Solve classes evicted by the [`MEMO_CAPACITY`] bound.
+static MEMO_EVICTIONS: LazyCounter = LazyCounter::new(names::MEMO_EVICTIONS);
 
 /// Memo key of one solve class: `(algorithm, incentive, α bits,
 /// evaluate)`. Two requests with equal keys are the *same pure function
@@ -74,15 +76,20 @@ impl SolveMemo {
     }
 
     /// Memoize `result`, evicting the oldest class when over capacity.
-    fn insert(&mut self, class: SolveClass, epoch: usize, result: SolveResult) {
-        if self.entries.insert(class, (epoch, result)).is_none() {
-            self.order.push_back(class);
-            if self.order.len() > MEMO_CAPACITY {
-                if let Some(oldest) = self.order.pop_front() {
-                    self.entries.remove(&oldest);
-                }
-            }
+    /// Returns whether a class was evicted.
+    fn insert(&mut self, class: SolveClass, epoch: usize, result: SolveResult) -> bool {
+        if self.entries.insert(class, (epoch, result)).is_some() {
+            return false;
         }
+        self.order.push_back(class);
+        if self.order.len() <= MEMO_CAPACITY {
+            return false;
+        }
+        if let Some(oldest) = self.order.pop_front() {
+            self.entries.remove(&oldest);
+        }
+        MEMO_EVICTIONS.inc();
+        true
     }
 }
 
@@ -211,24 +218,36 @@ impl Session {
         snapshot_dir: Option<&Path>,
         verify: rmsa_store::VerifyMode,
     ) -> Session {
+        Session::build_or_load_logged(key, ctx, snapshot_dir, verify, &mut |line| {
+            eprintln!("{line}")
+        })
+    }
+
+    /// [`Session::build_or_load`], reporting each warm start or rejection
+    /// as one line through `log` instead of stderr.
+    pub(crate) fn build_or_load_logged(
+        key: SessionKey,
+        ctx: &ExperimentContext,
+        snapshot_dir: Option<&Path>,
+        verify: rmsa_store::VerifyMode,
+        log: &mut dyn FnMut(String),
+    ) -> Session {
         if let Some(dir) = snapshot_dir {
             match crate::snapshot::load_session_with(key, ctx, dir, verify) {
                 Ok(Some(session)) => {
-                    eprintln!(
+                    log(format!(
                         "rmsa serve: warm-started {} from {} in {:.1} ms",
                         key.label(),
                         crate::snapshot::snapshot_path(dir, key).display(),
                         session.snapshot_load_secs * 1e3,
-                    );
+                    ));
                     return session;
                 }
                 Ok(None) => {}
-                Err(e) => {
-                    eprintln!(
-                        "rmsa serve: rejecting snapshot for {}: {e}; rebuilding cold",
-                        key.label()
-                    );
-                }
+                Err(e) => log(format!(
+                    "rmsa serve: rejecting snapshot for {}: {e}; rebuilding cold",
+                    key.label()
+                )),
             }
         }
         Session::build(key, ctx)
@@ -669,20 +688,27 @@ mod tests {
         let class = |alpha: f64| ("rma", "linear", alpha.to_bits(), true);
         let hot = class(0.25);
         let mut memo = SolveMemo::default();
-        let (mut repeats, mut hits) = (0, 0);
+        let (mut repeats, mut hits, mut inserts, mut evictions) = (0, 0, 0, 0);
+        let mut insert = |memo: &mut SolveMemo, class| {
+            inserts += 1;
+            evictions += usize::from(memo.insert(class, 0, result.clone()));
+        };
         for i in 0..10_000u32 {
-            memo.insert(class(0.1 + f64::from(i) * 1e-5), 0, result.clone());
+            insert(&mut memo, class(0.1 + f64::from(i) * 1e-5));
             assert!(memo.len() <= MEMO_CAPACITY);
             if i % 16 == 0 {
                 repeats += 1;
                 if memo.get(&hot, 0).is_some() {
                     hits += 1;
                 } else {
-                    memo.insert(hot, 0, result.clone());
+                    insert(&mut memo, hot);
                 }
             }
         }
         assert_eq!(memo.len(), MEMO_CAPACITY);
+        // Every insert above adds a new class, and each one past the
+        // capacity evicts exactly one.
+        assert_eq!(evictions, inserts - MEMO_CAPACITY);
         // The hot class is evicted once per MEMO_CAPACITY distinct inserts,
         // i.e. it misses one repeat in MEMO_CAPACITY / 16.
         assert!(hits * 10 >= repeats * 9, "{hits} hits of {repeats} repeats");

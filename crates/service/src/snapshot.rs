@@ -50,7 +50,10 @@ static LOAD_SECS: LazyHistogram = LazyHistogram::new(names::SNAPSHOT_LOAD_SECS);
 pub const SESSION_SNAPSHOT_KIND: &str = "rmsa-session";
 
 /// Session-snapshot schema version (independent of the container version).
-pub const SESSION_SNAPSHOT_VERSION: u32 = 1;
+/// Version 2 stores advertiser-major coverage postings; version-1 files
+/// (node-major postings plus an advertiser column) are rejected and the
+/// session is rebuilt cold.
+pub const SESSION_SNAPSHOT_VERSION: u32 = 2;
 
 /// Canonical file name of a session snapshot inside a snapshot directory.
 pub fn snapshot_path(dir: &Path, key: SessionKey) -> PathBuf {
@@ -108,7 +111,10 @@ fn read_meta<S: SectionSource>(r: &S) -> Result<SessionMeta, StoreError> {
     }
     let version = c.get_u32("session snapshot version")?;
     if version != SESSION_SNAPSHOT_VERSION {
-        return Err(StoreError::UnsupportedVersion(version));
+        return Err(stale(format!(
+            "session snapshot schema version is {version}, this build reads version \
+             {SESSION_SNAPSHOT_VERSION} (advertiser-major coverage index)"
+        )));
     }
     Ok(SessionMeta {
         dataset: c.get_str("meta dataset")?,
@@ -597,6 +603,46 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         assert!(load_session(key(), &ctx, &dir).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A session snapshot written under the previous schema version (whose
+    /// streams carry node-major coverage postings) is never read: the
+    /// loader names the version, and `build_or_load` logs that reason and
+    /// rebuilds the session cold.
+    #[test]
+    fn old_schema_snapshot_falls_back_to_a_cold_build_with_a_logged_reason() {
+        let ctx = tiny_ctx();
+        let dir = temp_dir("old_schema");
+        let mut w = SnapshotWriter::new();
+        let meta = w.section(section::META);
+        meta.put_str(SESSION_SNAPSHOT_KIND);
+        meta.put_u32(1);
+        meta.put_str(key().dataset.name());
+        meta.put_str(strategy_name(key().strategy));
+        meta.put_f64(key().dataset.default_scale() * ctx.scale);
+        meta.put_u64(ctx.seed);
+        for field in [ctx.num_ads, ctx.spread_rr, ctx.eval_rr, 0] {
+            meta.put_u64(field as u64);
+        }
+        rmsa_store::write_file(&snapshot_path(&dir, key()), &w.finish()).unwrap();
+
+        let err = load_session(key(), &ctx, &dir).map(|_| ()).unwrap_err();
+        assert!(matches!(err, StoreError::Mismatch(_)), "{err:?}");
+        assert!(err.to_string().contains("schema version is 1"), "{err}");
+
+        let mut log = Vec::new();
+        let session =
+            Session::build_or_load_logged(key(), &ctx, Some(&dir), VerifyMode::Lazy, &mut |line| {
+                log.push(line)
+            });
+        assert!(
+            !session.loaded_from_snapshot(),
+            "the old file must not be used"
+        );
+        assert_eq!(log.len(), 1, "{log:?}");
+        assert!(log[0].contains("rejecting snapshot"), "{log:?}");
+        assert!(log[0].contains("schema version is 1"), "{log:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
