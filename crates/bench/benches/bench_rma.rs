@@ -17,7 +17,6 @@ fn bench_rma(c: &mut Criterion) {
     let rma_cfg = RmaConfig {
         epsilon: 0.1,
         rho: 0.1,
-        num_threads: 1,
         max_rr_per_collection: 40_000,
         ..RmaConfig::default()
     };

@@ -112,7 +112,7 @@ impl ExperimentContext {
 
 /// One algorithm's outcome on one configuration: the row format shared by
 /// every figure and table.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AlgoOutcome {
     /// Algorithm name (`RMA`, `TI-CARM`, `TI-CSRM`, …).
     pub algorithm: String,
@@ -202,10 +202,7 @@ pub fn default_rma_config(ctx: &ExperimentContext) -> RmaConfig {
         delta: 0.001,
         tau: 0.1,
         rho: 0.1,
-        strategy: RrStrategy::Standard,
-        num_threads: ctx.threads,
         max_rr_per_collection: ctx.rma_max_rr,
-        seed: ctx.seed,
     }
 }
 

@@ -1,10 +1,9 @@
 //! A minimal JSON document model with a writer and a parser.
 //!
-//! The workspace vendors a no-op `serde` shim (see `vendor/README.md`), so
-//! the bench reports cannot rely on `serde_json`. This module provides the
-//! small, dependency-free subset the `rmsa` CLI needs: objects with *stable
-//! key order* (golden-file friendly), arrays, strings, booleans, integers
-//! and floats. Floats are written with Rust's shortest-roundtrip formatting,
+//! The workspace builds offline with no third-party JSON crate. This module
+//! provides the small, dependency-free subset the `rmsa` CLI needs: objects
+//! with *stable key order* (golden-file friendly), arrays, strings,
+//! booleans, integers and floats. Floats are written with Rust's shortest-roundtrip formatting,
 //! so `parse(render(x)) == x` exactly.
 
 use std::fmt::Write as _;

@@ -1,10 +1,11 @@
 //! Shared experiment harness for reproducing the paper's tables and figures.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure: it builds the
-//! relevant synthetic dataset(s), assembles RM instances, runs RMA and the
-//! TI-CARM / TI-CSRM baselines, evaluates every allocation on an independent
-//! RR-set collection, prints the rows the paper reports, and writes a CSV
-//! under `results/`.
+//! Each manifest in `scenarios/` regenerates one table or figure through
+//! `rmsa sweep` / `rmsa run`: the runner builds the relevant synthetic
+//! dataset(s), assembles RM instances, runs RMA and the TI-CARM / TI-CSRM
+//! baselines, evaluates every allocation on an independent RR-set
+//! collection, prints the rows the paper reports, and writes a CSV under
+//! `results/`.
 //!
 //! All experiments accept a global scale factor through the `RMSA_SCALE`
 //! environment variable (default 1.0): the dataset sizes *and* advertiser
@@ -25,4 +26,4 @@ pub use harness::{
 };
 pub use manifest::{Scenario, ScenarioJob, SweepSpec};
 pub use report::{compare_reports, BenchReport, RunManifest, Tolerance};
-pub use runner::{run_scenario, scenario_main, ScenarioOutput};
+pub use runner::{run_scenario, ScenarioOutput};

@@ -32,14 +32,13 @@ use crate::sweeps::{RmaParameter, ScalabilitySweep};
 use crate::toml_lite::{self, Toml};
 use rmsa_datasets::{DatasetKind, IncentiveModel};
 use rmsa_diffusion::RrStrategy;
-use serde::{Deserialize, Serialize};
 
 /// Manifest schema version understood by this build.
 pub const MANIFEST_SCHEMA: u32 = 1;
 
 /// Overrides for [`ExperimentContext`] fields; unset fields keep the
 /// surrounding value.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CtxOverrides {
     /// Global dataset/budget scale factor.
     pub scale: Option<f64>,
@@ -112,7 +111,7 @@ impl CtxOverrides {
 }
 
 /// The sweep a job runs; mirrors the functions in [`crate::sweeps`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SweepSpec {
     /// Figs. 1–3 / 7(c–d) / 10, Table 3: α sweep on one dataset/incentive.
     Alpha {
@@ -135,7 +134,7 @@ pub enum SweepSpec {
         /// Dataset to sweep on.
         dataset: DatasetKind,
         /// Advertiser-count or budget sweep.
-        sweep: ScalabilitySpec,
+        sweep: ScalabilitySweep,
     },
     /// Tentpole scalability: generator-family graphs swept toward
     /// million-node scale with sharded RR generation and owned-vs-mapped
@@ -162,7 +161,7 @@ pub enum SweepSpec {
         /// Dataset to sweep on.
         dataset: DatasetKind,
         /// Which parameter is swept.
-        parameter: RmaParam,
+        parameter: RmaParameter,
         /// Parameter values.
         values: Vec<f64>,
     },
@@ -175,62 +174,8 @@ pub enum SweepSpec {
     },
 }
 
-/// Serializable mirror of [`ScalabilitySweep`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum ScalabilitySpec {
-    /// Vary `h` at a fixed per-advertiser budget.
-    Advertisers {
-        /// Budget shared by every advertiser.
-        budget: f64,
-        /// The `h` values.
-        values: Vec<usize>,
-    },
-    /// Vary the per-advertiser budget at fixed `h`.
-    Budgets {
-        /// Fixed number of advertisers.
-        num_ads: usize,
-        /// The budget values.
-        values: Vec<f64>,
-    },
-}
-
-impl ScalabilitySpec {
-    /// Convert into the sweep-runner representation.
-    pub fn to_sweep(&self) -> ScalabilitySweep {
-        match self {
-            ScalabilitySpec::Advertisers { budget, values } => ScalabilitySweep::Advertisers {
-                budget: *budget,
-                values: values.clone(),
-            },
-            ScalabilitySpec::Budgets { num_ads, values } => ScalabilitySweep::Budgets {
-                num_ads: *num_ads,
-                values: values.clone(),
-            },
-        }
-    }
-}
-
-/// Serializable mirror of [`RmaParameter`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RmaParam {
-    /// Binary-search accuracy τ.
-    Tau,
-    /// Budget-overshoot ϱ.
-    Rho,
-}
-
-impl RmaParam {
-    /// Convert into the sweep-runner representation.
-    pub fn to_parameter(self) -> RmaParameter {
-        match self {
-            RmaParam::Tau => RmaParameter::Tau,
-            RmaParam::Rho => RmaParameter::Rho,
-        }
-    }
-}
-
 /// One `[[job]]` of a scenario: a sweep plus its CSV/reporting decoration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioJob {
     /// The sweep to run.
     pub sweep: SweepSpec,
@@ -244,7 +189,7 @@ pub struct ScenarioJob {
 }
 
 /// A parsed scenario manifest.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Scenario {
     /// Scenario name: `results/<name>.csv` and `BENCH_<name>.json`.
     pub name: String,
@@ -399,7 +344,7 @@ fn parse_job(table: &Toml) -> Result<ScenarioJob, String> {
         "scalability" => {
             let mode = req_str(table, "mode")?;
             let sweep = match mode.as_str() {
-                "advertisers" => ScalabilitySpec::Advertisers {
+                "advertisers" => ScalabilitySweep::Advertisers {
                     budget: table
                         .get("budget")
                         .and_then(|v| v.as_f64())
@@ -412,7 +357,7 @@ fn parse_job(table: &Toml) -> Result<ScenarioJob, String> {
                         .map(|x| x.as_usize().ok_or("h values must be integers".to_string()))
                         .collect::<Result<Vec<_>, _>>()?,
                 },
-                "budgets" => ScalabilitySpec::Budgets {
+                "budgets" => ScalabilitySweep::Budgets {
                     num_ads: table
                         .get("num_ads")
                         .and_then(|v| v.as_usize())
@@ -463,8 +408,8 @@ fn parse_job(table: &Toml) -> Result<ScenarioJob, String> {
         "rma" => SweepSpec::Rma {
             dataset: dataset("dataset")?,
             parameter: match req_str(table, "parameter")?.as_str() {
-                "tau" => RmaParam::Tau,
-                "rho" => RmaParam::Rho,
+                "tau" => RmaParameter::Tau,
+                "rho" => RmaParameter::Rho,
                 other => return Err(format!("unknown RMA parameter {other:?}")),
             },
             values: f64_values()?.ok_or("rma sweep needs `values`")?,

@@ -16,13 +16,12 @@
 
 use crate::harness::AlgoOutcome;
 use crate::json::{self, Json};
-use serde::{Deserialize, Serialize};
 
 /// Schema version written into every report.
 pub const BENCH_SCHEMA_VERSION: u32 = 1;
 
 /// One `(job, key, algorithm)` measurement of a scenario run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BenchPoint {
     /// Job label (the CSV row prefix of the job that produced the point).
     pub job: String,
@@ -33,7 +32,7 @@ pub struct BenchPoint {
 }
 
 /// Self-description footer: where, how and from what a report was produced.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunManifest {
     /// `git rev-parse --short=12 HEAD` when available.
     pub git_rev: Option<String>,
@@ -75,7 +74,7 @@ pub fn git_revision() -> Option<String> {
 }
 
 /// The JSON bench report of one scenario run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BenchReport {
     /// Scenario name (`BENCH_<scenario>.json`).
     pub scenario: String,

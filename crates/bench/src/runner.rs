@@ -167,7 +167,7 @@ fn run_job(
             sweep_result(scenario, job, rows)
         }
         SweepSpec::Scalability { dataset, sweep } => {
-            let rows = scalability_sweep(ctx, *dataset, sweep.to_sweep());
+            let rows = scalability_sweep(ctx, *dataset, sweep.clone());
             sweep_result(scenario, job, rows)
         }
         SweepSpec::GenScale {
@@ -188,11 +188,10 @@ fn run_job(
             parameter,
             values,
         } => {
-            let rows: Vec<SweepRow> =
-                rma_parameter_sweep(ctx, *dataset, parameter.to_parameter(), values)
-                    .into_iter()
-                    .map(|(key, outcome)| (key, vec![outcome]))
-                    .collect();
+            let rows: Vec<SweepRow> = rma_parameter_sweep(ctx, *dataset, *parameter, values)
+                .into_iter()
+                .map(|(key, outcome)| (key, vec![outcome]))
+                .collect();
             sweep_result(scenario, job, rows)
         }
         SweepSpec::Datasets => datasets_result(ctx),
@@ -326,16 +325,14 @@ fn settings_result(ctx: &ExperimentContext, datasets: &[rmsa_datasets::DatasetKi
 }
 
 /// Write the CSV (`results/<scenario>.csv`) and bench report
-/// (`<json_dir>/BENCH_<scenario>.json`, default CWD). Returns both paths.
+/// (`<json_dir>/BENCH_<scenario>.json`). Returns both paths.
 pub fn write_outputs(
     scenario: &Scenario,
     output: &ScenarioOutput,
-    json_dir: Option<&Path>,
+    json_dir: &Path,
 ) -> std::io::Result<(PathBuf, PathBuf)> {
     let csv_path = crate::harness::write_csv(&scenario.name, &output.csv_header, &output.csv_rows)?;
-    let json_path = json_dir
-        .unwrap_or_else(|| Path::new("."))
-        .join(format!("BENCH_{}.json", scenario.name));
+    let json_path = json_dir.join(format!("BENCH_{}.json", scenario.name));
     if let Some(parent) = json_path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
@@ -346,8 +343,8 @@ pub fn write_outputs(
 }
 
 /// Locate `scenarios/<stem>.toml` from the current directory or relative to
-/// the workspace root (so `cargo run -p rmsa-bench --bin fig1_…` works from
-/// anywhere inside the repository).
+/// the workspace root (so `rmsa sweep fig1` works from anywhere inside the
+/// repository).
 pub fn find_scenario(stem: &str) -> Option<PathBuf> {
     let file = format!("{stem}.toml");
     let candidates = [
@@ -385,25 +382,6 @@ pub fn default_parallel_jobs(ctx: &ExperimentContext) -> usize {
         .map(|n| n.get())
         .unwrap_or(1);
     (cores / ctx.threads.max(1)).max(1)
-}
-
-/// Entry point of the thin figure/table binaries: run
-/// `scenarios/<stem>.toml` with environment-driven settings and write the
-/// CSV + `BENCH_*.json` outputs. `RMSA_BENCH_QUICK=1` selects the quick
-/// profile.
-pub fn scenario_main(stem: &str) {
-    let path = find_scenario(stem)
-        .unwrap_or_else(|| panic!("scenario manifest scenarios/{stem}.toml not found"));
-    let scenario = Scenario::load(&path).unwrap_or_else(|e| panic!("{e}"));
-    let ctx = ExperimentContext::from_env();
-    let quick = env_flag("RMSA_BENCH_QUICK");
-    let jobs = default_parallel_jobs(&ctx);
-    let output = run_scenario(&scenario, &ctx, quick, jobs).unwrap_or_else(|e| panic!("{e}"));
-    print!("{}", output.console);
-    let (csv_path, json_path) =
-        write_outputs(&scenario, &output, None).expect("write scenario outputs");
-    println!("\nwrote {}", csv_path.display());
-    println!("wrote {}", json_path.display());
 }
 
 #[cfg(test)]

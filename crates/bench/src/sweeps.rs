@@ -114,6 +114,7 @@ pub fn epsilon_sweep(ctx: &ExperimentContext, kind: DatasetKind) -> Vec<SweepRow
 /// Fig. 5 sweeps: either the number of advertisers `h` (with a fixed budget
 /// per advertiser) or the per-advertiser budget (with fixed `h = 5`) on a
 /// Weighted-Cascade scalability dataset.
+#[derive(Clone, Debug, PartialEq)]
 pub enum ScalabilitySweep {
     /// Vary the number of advertisers.
     Advertisers {
@@ -456,7 +457,7 @@ pub fn demand_sweep(ctx: &ExperimentContext, kind: DatasetKind, demands: &[f64])
 }
 
 /// Which RMA parameter [`rma_parameter_sweep`] varies.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RmaParameter {
     /// The binary-search accuracy τ (Fig. 8 / Table 5).
     Tau,

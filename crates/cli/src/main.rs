@@ -329,7 +329,7 @@ fn execute(scenario: &Scenario, opts: &RunOptions) -> Result<(), String> {
         runner::run_scenario_with_overrides(scenario, &base, opts.quick, &overrides, parallel)?;
     print!("{}", output.console);
     if opts.write_csv {
-        let (csv_path, json_path) = write_outputs(scenario, &output, Some(&opts.out_dir))
+        let (csv_path, json_path) = write_outputs(scenario, &output, &opts.out_dir)
             .map_err(|e| format!("writing outputs: {e}"))?;
         println!("\nwrote {}", csv_path.display());
         println!("wrote {}", json_path.display());

@@ -90,26 +90,6 @@ pub fn baseline_greedy<O: RevenueOracle>(
     }
 }
 
-/// CA-Greedy of [5].
-#[deprecated(
-    since = "0.2.0",
-    note = "use the unified solver API: `rmsa_core::solver::CaGreedy` with a `SolveContext`, \
-            or call `baseline_greedy` directly with a custom oracle"
-)]
-pub fn ca_greedy<O: RevenueOracle>(instance: &RmInstance, oracle: &O) -> Allocation {
-    baseline_greedy(instance, oracle, BaselineRule::CostAgnostic)
-}
-
-/// CS-Greedy of [5].
-#[deprecated(
-    since = "0.2.0",
-    note = "use the unified solver API: `rmsa_core::solver::CsGreedy` with a `SolveContext`, \
-            or call `baseline_greedy` directly with a custom oracle"
-)]
-pub fn cs_greedy<O: RevenueOracle>(instance: &RmInstance, oracle: &O) -> Allocation {
-    baseline_greedy(instance, oracle, BaselineRule::CostSensitive)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

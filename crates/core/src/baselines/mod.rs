@@ -6,10 +6,4 @@ pub mod greedy_baselines;
 pub mod ti;
 
 pub use greedy_baselines::{baseline_greedy, BaselineRule};
-
-#[allow(deprecated)]
-pub use greedy_baselines::{ca_greedy, cs_greedy};
 pub use ti::{ti_baseline, TiConfig, TiResult, TiRule};
-
-#[allow(deprecated)]
-pub use ti::{ti_carm, ti_csrm};

@@ -34,10 +34,7 @@ pub enum TiRule {
 }
 
 /// Configuration shared by TI-CARM and TI-CSRM.
-///
-/// Request-facing: carries serde derives so serving layers can embed it
-/// in wire/report schemas.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TiConfig {
     /// Estimation accuracy ε of Eq. (5); the paper uses 0.1–0.3.
     pub epsilon: f64,
@@ -315,40 +312,6 @@ pub fn ti_baseline<M: PropagationModel + ?Sized>(
         memory_bytes: memory,
         elapsed: start.elapsed(),
     })
-}
-
-/// TI-CARM of [5].
-#[deprecated(
-    since = "0.2.0",
-    note = "use the unified solver API: `rmsa_core::solver::TiCarm` with a `SolveContext`"
-)]
-#[allow(clippy::expect_used)]
-pub fn ti_carm<M: PropagationModel>(
-    graph: &DirectedGraph,
-    model: &M,
-    instance: &RmInstance,
-    config: &TiConfig,
-) -> TiResult {
-    ti_baseline(graph, model, instance, config, TiRule::CostAgnostic)
-        // lint: allow(R1, reason = "deprecated pre-0.2 API whose documented contract is to panic on invalid configuration")
-        .expect("invalid TI configuration")
-}
-
-/// TI-CSRM of [5].
-#[deprecated(
-    since = "0.2.0",
-    note = "use the unified solver API: `rmsa_core::solver::TiCsrm` with a `SolveContext`"
-)]
-#[allow(clippy::expect_used)]
-pub fn ti_csrm<M: PropagationModel>(
-    graph: &DirectedGraph,
-    model: &M,
-    instance: &RmInstance,
-    config: &TiConfig,
-) -> TiResult {
-    ti_baseline(graph, model, instance, config, TiRule::CostSensitive)
-        // lint: allow(R1, reason = "deprecated pre-0.2 API whose documented contract is to panic on invalid configuration")
-        .expect("invalid TI configuration")
 }
 
 #[cfg(test)]

@@ -10,10 +10,9 @@ use crate::problem::{Allocation, RmInstance};
 use crate::sampling::estimator::RrRevenueEstimator;
 use rmsa_diffusion::{PropagationModel, RrArena, RrStrategy, UniformRrSampler};
 use rmsa_graph::DirectedGraph;
-use serde::{Deserialize, Serialize};
 
 /// Summary of an allocation's quality under an independent evaluation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct EvaluationReport {
     /// Estimated total revenue `π(S⃗)`.
     pub revenue: f64,

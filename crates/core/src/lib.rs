@@ -23,8 +23,7 @@
 //! Every algorithm is exposed through the unified [`solver::Solver`] trait:
 //! a [`solver::SolveContext`] bundles graph, model, instance, and a shared
 //! [`rmsa_diffusion::RrCache`], and each solve returns a
-//! [`solver::SolveReport`]. See `DESIGN.md` for the paper → module map and
-//! the migration table from the deprecated free functions.
+//! [`solver::SolveReport`]. See `DESIGN.md` for the paper → module map.
 //!
 //! ## Quick example
 //!
@@ -73,6 +72,3 @@ pub use solver::{
     SolveReport, Solver, TiCarm, TiCsrm,
 };
 pub use threads::default_num_threads;
-
-#[allow(deprecated)]
-pub use sampling::{one_batch, rm_without_oracle};

@@ -9,10 +9,9 @@
 use crate::error::RmError;
 use rmsa_diffusion::AdId;
 use rmsa_graph::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// One advertiser's contract with the host.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Advertiser {
     /// Total budget `B_i` covering both engagements and seed incentives.
     pub budget: f64,
@@ -32,23 +31,6 @@ impl Advertiser {
         }
         Ok(Advertiser { budget, cpe })
     }
-
-    /// Construct an advertiser; panics on non-positive budget or CPE.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Advertiser::try_new` and handle `RmError`"
-    )]
-    pub fn new(budget: f64, cpe: f64) -> Self {
-        match Self::try_new(budget, cpe) {
-            Ok(a) => a,
-            Err(RmError::InvalidParameter { name: "budget", .. }) => {
-                // lint: allow(R1, reason = "deprecated constructor documented to panic; try_new is the fallible path")
-                panic!("budget must be positive")
-            }
-            // lint: allow(R1, reason = "deprecated constructor documented to panic; try_new is the fallible path")
-            Err(_) => panic!("cpe must be positive"),
-        }
-    }
 }
 
 /// Seed-incentive costs `c_i(u)`.
@@ -57,7 +39,7 @@ impl Advertiser {
 /// (Weighted-Cascade probabilities are ad-independent, hence so are singleton
 /// spreads); the TIC experiments use genuinely per-ad costs. The `Shared`
 /// variant avoids an `h × n` blow-up in the former case.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum SeedCosts {
     /// One cost vector shared by every advertiser.
     Shared(Vec<f64>),
@@ -86,7 +68,7 @@ impl SeedCosts {
 
 /// A complete RM problem instance (graph and influence model live in the
 /// oracle, which is passed to the algorithms separately).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RmInstance {
     /// Number of nodes `n` in the underlying graph.
     pub num_nodes: usize,
@@ -136,26 +118,6 @@ impl RmInstance {
             advertisers,
             costs,
         })
-    }
-
-    /// Create an instance; panics on dimension mismatches.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `RmInstance::try_new` and handle `RmError`"
-    )]
-    pub fn new(num_nodes: usize, advertisers: Vec<Advertiser>, costs: SeedCosts) -> Self {
-        match Self::try_new(num_nodes, advertisers, costs) {
-            Ok(inst) => inst,
-            // lint: allow(R1, reason = "deprecated constructor documented to panic; try_new is the fallible path")
-            Err(RmError::NoAdvertisers) => panic!("at least one advertiser required"),
-            Err(RmError::DimensionMismatch {
-                what: "per-ad cost rows",
-                ..
-                // lint: allow(R1, reason = "deprecated constructor documented to panic; try_new is the fallible path")
-            }) => panic!("one cost row per advertiser"),
-            // lint: allow(R1, reason = "deprecated constructor documented to panic; try_new is the fallible path")
-            Err(_) => panic!("cost table does not cover every node"),
-        }
     }
 
     /// Number of advertisers `h`.
@@ -240,7 +202,7 @@ impl RmInstance {
 }
 
 /// An allocation `S⃗ = (S_1, …, S_h)`: one seed set per advertiser.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Allocation {
     /// Seed set per advertiser, in advertiser order.
     pub seed_sets: Vec<Vec<NodeId>>,
@@ -427,12 +389,5 @@ mod tests {
             RmInstance::try_new(0, Vec::new(), SeedCosts::Shared(Vec::new())),
             Err(RmError::NoAdvertisers)
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "budget must be positive")]
-    fn deprecated_constructor_still_panics() {
-        Advertiser::new(0.0, 1.0);
     }
 }

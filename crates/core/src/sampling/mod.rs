@@ -9,6 +9,3 @@ pub mod rma;
 pub use bounds::BoundParams;
 pub use estimator::{RrRevenueEstimator, RrSeedState};
 pub use rma::{seek_ub, RmaConfig, RmaResult};
-
-#[allow(deprecated)]
-pub use rma::{one_batch, rm_without_oracle};

@@ -12,8 +12,7 @@
 //! [`RrStream::Validate`]): a parameter sweep re-running RMA against the
 //! same graph/model *extends* the collections of the previous run instead of
 //! regenerating them, which is the core amortisation behind the
-//! [`crate::solver`] API. The deprecated [`rm_without_oracle`] free function
-//! reproduces the old behaviour by running against a private cache.
+//! [`crate::solver`] API.
 
 use crate::algorithms::rm_oracle::{rm_with_oracle, OracleSolution};
 use crate::approx::lambda;
@@ -24,15 +23,13 @@ use crate::sampling::bounds::{
     failure_exponent, revenue_lower_bound, revenue_upper_bound, theta_max, theta_zero, BoundParams,
 };
 use crate::sampling::estimator::RrRevenueEstimator;
-use rmsa_diffusion::{PropagationModel, RrCache, RrRequestStats, RrStrategy, RrStream};
+use rmsa_diffusion::{PropagationModel, RrCache, RrRequestStats, RrStream};
 use rmsa_graph::DirectedGraph;
 use std::time::{Duration, Instant};
 
-/// Configuration of the RMA algorithm.
-///
-/// Request-facing: carries serde derives so serving layers can embed it
-/// in wire/report schemas.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+/// Configuration of the RMA algorithm. The RR-set strategy, thread count
+/// and seed belong to the shared [`RrCache`] the solve runs against.
+#[derive(Clone, Debug)]
 pub struct RmaConfig {
     /// Approximation slack ε ∈ (0, λ).
     pub epsilon: f64,
@@ -42,22 +39,11 @@ pub struct RmaConfig {
     pub tau: f64,
     /// Budget-overshoot parameter ϱ ∈ (0, 1) of the bicriteria guarantee.
     pub rho: f64,
-    /// RR-set generation strategy (standard reverse BFS or SUBSIM). Only
-    /// consulted by the deprecated free functions, which own their RR-set
-    /// generation; under the [`crate::solver`] API the shared [`RrCache`]
-    /// fixes the strategy.
-    pub strategy: RrStrategy,
-    /// Worker threads for RR-set generation (same caveat as `strategy`).
-    /// Defaults from `RMSA_THREADS` via
-    /// [`crate::threads::default_num_threads`].
-    pub num_threads: usize,
     /// Practical cap on the size of each collection; the theoretical cap
     /// `θ_max` can exceed available memory on large instances, in which case
     /// the algorithm stops doubling at this many RR-sets per collection and
     /// reports `capped = true`.
     pub max_rr_per_collection: usize,
-    /// Base RNG seed (same caveat as `strategy`).
-    pub seed: u64,
 }
 
 impl Default for RmaConfig {
@@ -67,10 +53,7 @@ impl Default for RmaConfig {
             delta: 0.001,
             tau: 0.1,
             rho: 0.1,
-            strategy: RrStrategy::Standard,
-            num_threads: crate::threads::default_num_threads(),
             max_rr_per_collection: 4_000_000,
-            seed: 0xC0FFEE,
         }
     }
 }
@@ -319,45 +302,6 @@ pub(crate) fn rma_with_cache<M: PropagationModel + ?Sized>(
     }
 }
 
-/// Clamp ε into the admissible `(0, λ(h, τ))` range, preserving the
-/// pre-0.2 behaviour of the deprecated entry points, which accepted any
-/// ε > 0 (an over-large ε simply made the certificate trivially
-/// satisfiable).
-fn legacy_config(config: &RmaConfig, num_ads: usize) -> RmaConfig {
-    let mut cfg = config.clone();
-    if cfg.tau > 0.0 && cfg.tau < 1.0 && num_ads >= 1 {
-        cfg.epsilon = cfg.epsilon.min(0.999 * lambda(num_ads, cfg.tau));
-    }
-    cfg
-}
-
-/// Algorithm 6: `RM_without_Oracle(ε, δ, τ, ϱ)` — the RMA algorithm, run
-/// against a private single-use RR-set cache. ε values at or above
-/// λ(h, τ) are clamped into the admissible range, matching the pre-0.2
-/// acceptance of this entry point.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the unified solver API: `rmsa_core::solver::Rma` with a `SolveContext` \
-            (or a `Workbench`), which shares RR-set collections across runs"
-)]
-#[allow(clippy::expect_used)]
-pub fn rm_without_oracle<M: PropagationModel>(
-    graph: &DirectedGraph,
-    model: &M,
-    instance: &RmInstance,
-    config: &RmaConfig,
-) -> RmaResult {
-    let cache = RrCache::new(
-        instance.num_nodes,
-        config.strategy,
-        config.num_threads,
-        config.seed,
-    );
-    let cfg = legacy_config(config, instance.num_ads());
-    // lint: allow(R1, reason = "deprecated pre-0.2 API whose documented contract is to panic on invalid configuration")
-    rma_with_cache(graph, model, instance, &cfg, &cache).expect("invalid RMA configuration")
-}
-
 /// The one-batch algorithm of Section 4.3 against a shared cache: a single
 /// collection of `num_rr_sets` RR-sets (the [`RrStream::Optimize`] stream,
 /// shared with RMA) feeds `RM_with_Oracle` once under relaxed budgets.
@@ -392,40 +336,11 @@ pub(crate) fn one_batch_with_cache<M: PropagationModel + ?Sized>(
     Ok((solution.allocation, est, request))
 }
 
-/// The one-batch algorithm of Section 4.3 with a private single-use cache.
-/// ε values at or above λ(h, τ) are clamped into the admissible range,
-/// matching the pre-0.2 acceptance of this entry point.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the unified solver API: `rmsa_core::solver::OneBatch` with a `SolveContext`"
-)]
-#[allow(clippy::expect_used)]
-pub fn one_batch<M: PropagationModel>(
-    graph: &DirectedGraph,
-    model: &M,
-    instance: &RmInstance,
-    num_rr_sets: usize,
-    config: &RmaConfig,
-) -> (Allocation, RrRevenueEstimator) {
-    let cache = RrCache::new(
-        instance.num_nodes,
-        config.strategy,
-        config.num_threads,
-        config.seed,
-    );
-    let cfg = legacy_config(config, instance.num_ads());
-    let (allocation, estimator, _) =
-        one_batch_with_cache(graph, model, instance, num_rr_sets, &cfg, &cache)
-            // lint: allow(R1, reason = "deprecated pre-0.2 API whose documented contract is to panic on invalid configuration")
-            .expect("invalid one-batch configuration");
-    (allocation, estimator)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::problem::{Advertiser, SeedCosts};
-    use rmsa_diffusion::{RrArena, UniformIc, UniformRrSampler};
+    use rmsa_diffusion::{RrArena, RrStrategy, UniformIc, UniformRrSampler};
     use rmsa_graph::generators::celebrity_graph;
 
     fn setup(h: usize) -> (DirectedGraph, UniformIc, RmInstance) {
@@ -449,19 +364,16 @@ mod tests {
             delta: 0.1,
             tau: 0.1,
             rho: 0.2,
-            strategy: RrStrategy::Standard,
-            num_threads: 1,
             max_rr_per_collection: 40_000,
-            seed: 7,
         }
     }
 
-    fn fresh_cache(n: usize, cfg: &RmaConfig) -> RrCache {
-        RrCache::new(n, cfg.strategy, cfg.num_threads, cfg.seed)
+    fn fresh_cache(n: usize) -> RrCache {
+        RrCache::new(n, RrStrategy::Standard, 1, 7)
     }
 
     fn run(g: &DirectedGraph, m: &UniformIc, inst: &RmInstance, cfg: &RmaConfig) -> RmaResult {
-        let cache = fresh_cache(inst.num_nodes, cfg);
+        let cache = fresh_cache(inst.num_nodes);
         rma_with_cache(g, m, inst, cfg, &cache).expect("valid config")
     }
 
@@ -509,7 +421,7 @@ mod tests {
     #[test]
     fn invalid_configurations_are_rejected() {
         let (g, m, inst) = setup(3);
-        let cache = fresh_cache(inst.num_nodes, &quick_config());
+        let cache = fresh_cache(inst.num_nodes);
         let mut cfg = quick_config();
         cfg.epsilon = 0.5; // above λ(3, 0.1) ≈ 0.114
         assert!(matches!(
@@ -537,7 +449,7 @@ mod tests {
     fn warm_cache_reduces_generation_on_a_second_solve() {
         let (g, m, inst) = setup(3);
         let cfg = quick_config();
-        let cache = fresh_cache(inst.num_nodes, &cfg);
+        let cache = fresh_cache(inst.num_nodes);
         let first = rma_with_cache(&g, &m, &inst, &cfg, &cache).unwrap();
         let generated_first = cache.stats().generated;
         // Same instance solved again: everything is served from cache.
@@ -555,7 +467,7 @@ mod tests {
         // instead of judging the certificate against a tiny R2.
         let (g, m, inst) = setup(2);
         let cfg = quick_config();
-        let cache = fresh_cache(inst.num_nodes, &cfg);
+        let cache = fresh_cache(inst.num_nodes);
         one_batch_with_cache(&g, &m, &inst, 20_000, &cfg, &cache).unwrap();
         assert_eq!(cache.len(RrStream::Optimize), 20_000);
         assert_eq!(cache.len(RrStream::Validate), 0);
@@ -589,7 +501,7 @@ mod tests {
     fn one_batch_produces_a_nonempty_allocation() {
         let (g, m, inst) = setup(2);
         let cfg = quick_config();
-        let cache = fresh_cache(inst.num_nodes, &cfg);
+        let cache = fresh_cache(inst.num_nodes);
         let (alloc, est, request) =
             one_batch_with_cache(&g, &m, &inst, 10_000, &cfg, &cache).expect("valid config");
         assert_eq!(request.requested, 10_000);
@@ -605,7 +517,7 @@ mod tests {
         // check both runs return sensible, comparable revenue.
         let (g, m, inst) = setup(2);
         let cfg = quick_config();
-        let cache = fresh_cache(inst.num_nodes, &cfg);
+        let cache = fresh_cache(inst.num_nodes);
         let (a_small, est_small, _) =
             one_batch_with_cache(&g, &m, &inst, 2_000, &cfg, &cache).unwrap();
         let (a_large, est_large, _) =
@@ -614,15 +526,5 @@ mod tests {
         let r_large = est_large.allocation_estimate(&a_large.seed_sets);
         assert!(r_small > 0.0 && r_large > 0.0);
         assert!((r_small - r_large).abs() / r_large < 0.5);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_free_functions_still_work() {
-        let (g, m, inst) = setup(2);
-        let res = rm_without_oracle(&g, &m, &inst, &quick_config());
-        assert!(res.allocation.is_disjoint());
-        let (alloc, _) = one_batch(&g, &m, &inst, 5_000, &quick_config());
-        assert!(alloc.is_disjoint());
     }
 }

@@ -1,11 +1,10 @@
 //! The unified result type returned by every [`crate::solver::Solver`].
 
 use crate::problem::Allocation;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// RR-set accounting of one solve.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RrAccounting {
     /// RR-sets the solver's final answer was computed on (0 for pure
     /// oracle-mode solvers).
@@ -26,7 +25,7 @@ pub struct RrAccounting {
 
 /// Outcome of one [`crate::solver::Solver::solve`] call: the allocation
 /// plus the metrics every experiment in the paper reports.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SolveReport {
     /// Name of the solver that produced this report.
     pub solver: String,

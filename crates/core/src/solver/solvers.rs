@@ -633,7 +633,6 @@ mod tests {
             epsilon: 0.1,
             delta: 0.1,
             rho: 0.2,
-            num_threads: 1,
             max_rr_per_collection: 30_000,
             ..RmaConfig::default()
         }

@@ -1,8 +1,7 @@
 //! The single source of truth for worker-thread defaults.
 //!
 //! Every layer that owns RR-set generation (the shared `RrCache` behind a
-//! `Workbench`, [`crate::RmaConfig`]'s deprecated free-function path, and
-//! the experiment harness) defaults its thread count from here, so setting
+//! `Workbench` and the experiment harness) defaults its thread count from here, so setting
 //! `RMSA_THREADS` configures the whole stack consistently. Thread count
 //! never changes the generated collections — generation is chunked on
 //! `(seed, chunk_index)` — so this is purely a throughput knob.

@@ -3,10 +3,9 @@
 
 use rand::Rng;
 use rmsa_core::problem::Advertiser;
-use serde::{Deserialize, Serialize};
 
 /// Budget/CPE summary of one dataset row of Table 2.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct BudgetProfile {
     /// Mean budget across advertisers.
     pub budget_mean: f64,

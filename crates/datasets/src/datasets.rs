@@ -22,10 +22,9 @@ use rmsa_diffusion::{
     AdId, MaterializedModel, PropagationModel, RrGenerator, RrStrategy, WeightedCascade,
 };
 use rmsa_graph::{generators, stats::DegreeStats, DirectedGraph, EdgeId, GraphBuilder, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Which of the paper's datasets a synthetic graph stands in for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DatasetKind {
     /// LastFM (1.3 K nodes, 14.7 K edges, TIC model, action-log topics).
     LastfmSyn,

@@ -12,14 +12,13 @@
 //! guard against estimation noise and add a small floor so no node is free.
 
 use rmsa_core::problem::SeedCosts;
-use serde::{Deserialize, Serialize};
 
 /// Minimum cost assigned to any node, preventing zero-cost seeds that would
 /// make the marginal rate degenerate.
 const COST_FLOOR: f64 = 1e-6;
 
 /// The three incentive models used in the paper's experiments.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IncentiveModel {
     /// Cost proportional to the singleton spread.
     Linear,

@@ -8,7 +8,6 @@
 //! (`p = 1 / indeg(v)`, identical for all ads).
 
 use rmsa_graph::{DirectedGraph, EdgeId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Advertiser identifier, `0..h`.
 pub type AdId = usize;
@@ -72,7 +71,7 @@ impl<M: PropagationModel + ?Sized> PropagationModel for Box<M> {
 /// `e` activates under latent topic `z`; `ad_mixtures[i][z]` is advertiser
 /// `i`'s distribution over topics (`Σ_z φ_i(z) = 1`). The per-ad edge
 /// probability is the mixture `p^i_e = Σ_z φ_i(z) · p̂^z_e` (Sec. 2.1).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TicModel {
     num_edges: usize,
     /// `L x m` per-topic edge probabilities.
@@ -178,7 +177,7 @@ impl PropagationModel for TicModel {
 }
 
 /// Fully materialised per-ad per-edge probabilities (`h x m`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MaterializedModel {
     pub(crate) per_ad: Vec<Vec<f32>>,
 }
@@ -227,7 +226,7 @@ impl PropagationModel for MaterializedModel {
 /// (Sec. 5.2.3). Because the probability depends only on the target node and
 /// is identical across ads, RR-set generation can use the SUBSIM geometric
 /// fast path.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WeightedCascade {
     pub(crate) num_ads: usize,
     /// Probability per forward edge id (`1 / indeg(target)`).
@@ -277,7 +276,7 @@ impl PropagationModel for WeightedCascade {
 
 /// Uniform Independent Cascade: one constant probability on every edge and
 /// ad. Mostly used by tests, examples, and micro-benchmarks.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct UniformIc {
     pub(crate) num_ads: usize,
     pub(crate) prob: f64,

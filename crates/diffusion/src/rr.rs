@@ -19,10 +19,9 @@
 use crate::models::{AdId, PropagationModel};
 use rand::Rng;
 use rmsa_graph::{DirectedGraph, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Which RR-set generation algorithm to use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RrStrategy {
     /// One Bernoulli trial per incoming edge.
     Standard,
@@ -33,7 +32,7 @@ pub enum RrStrategy {
 
 /// A single reverse-reachable set: the advertiser it was generated for, the
 /// random root, and the member nodes (root included).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RrSet {
     /// Advertiser whose edge probabilities were used.
     pub ad: AdId,

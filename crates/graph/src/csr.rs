@@ -1,7 +1,6 @@
 //! Compressed-sparse-row directed graph with forward and reverse adjacency.
 
 use rmsa_store::Column;
-use serde::{Deserialize, Serialize};
 
 /// Dense node identifier in `0..n`.
 pub type NodeId = u32;
@@ -21,7 +20,7 @@ pub type EdgeId = u32;
 /// memory owns its arrays, while one loaded from an `mmap`'d v2
 /// snapshot borrows them zero-copy from the file mapping (see
 /// `rmsa_store::mapping`). Every accessor works identically on both.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DirectedGraph {
     pub(crate) num_nodes: usize,
     /// Forward CSR offsets, length `n + 1`.

@@ -1,10 +1,9 @@
 //! Degree statistics and dataset summaries (Table 1 of the paper).
 
 use crate::csr::DirectedGraph;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a graph's degree distribution.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DegreeStats {
     /// Number of nodes.
     pub num_nodes: usize,

@@ -119,8 +119,8 @@ pub fn lint_source(
 
 /// Enumerate the workspace's own sources under `root`: the root crate's
 /// `src/` plus every `crates/*/src/` tree. Vendored dependency shims,
-/// `target/`, integration-test dirs, benches, examples and the per-figure
-/// `src/bin/` wrappers are not library surface and are skipped.
+/// `target/`, integration-test dirs, benches and examples are not library
+/// surface and are skipped.
 fn workspace_sources(root: &Path) -> Result<Vec<PathBuf>, String> {
     let mut roots = vec![root.join("src")];
     let crates_dir = root.join("crates");
@@ -139,10 +139,7 @@ fn workspace_sources(root: &Path) -> Result<Vec<PathBuf>, String> {
     for dir in roots {
         collect_rs(&dir, &mut files)?;
     }
-    files.retain(|p| {
-        !p.components()
-            .any(|c| c.as_os_str() == "bin" || c.as_os_str() == "target")
-    });
+    files.retain(|p| !p.components().any(|c| c.as_os_str() == "target"));
     files.sort();
     Ok(files)
 }

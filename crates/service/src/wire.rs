@@ -304,9 +304,12 @@ pub enum Request {
     },
 }
 
-/// True when `version` is a schema this build speaks.
-pub fn version_supported(version: u32) -> bool {
-    (WIRE_MIN_SCHEMA_VERSION..=WIRE_SCHEMA_VERSION).contains(&version)
+/// A raw `schema_version` field as a schema this build speaks. Values
+/// outside `u32` are unsupported, never truncated into range.
+fn supported_version(raw: i64) -> Option<u32> {
+    u32::try_from(raw)
+        .ok()
+        .filter(|v| (WIRE_MIN_SCHEMA_VERSION..=WIRE_SCHEMA_VERSION).contains(v))
 }
 
 impl Request {
@@ -427,10 +430,9 @@ impl Request {
         // Answer-version: the request's own when supported; otherwise the
         // newest we speak (an unsupported-schema client at least gets a
         // self-describing v2 error).
-        let version = match raw_version {
-            Some(v) if version_supported(v.max(0) as u32) => v as u32,
-            _ => WIRE_SCHEMA_VERSION,
-        };
+        let version = raw_version
+            .and_then(supported_version)
+            .unwrap_or(WIRE_SCHEMA_VERSION);
         let fail = |error: WireError| ParseFailure { version, id, error };
         let bad = |message: String| ParseFailure {
             version,
@@ -440,7 +442,7 @@ impl Request {
         let Some(raw) = raw_version else {
             return Err(bad("request is missing schema_version".to_string()));
         };
-        if !version_supported(raw.max(0) as u32) {
+        if supported_version(raw).is_none() {
             return Err(fail(WireError::new(
                 ErrorCode::UnsupportedSchema,
                 format!("unsupported wire schema {raw}"),
@@ -629,15 +631,8 @@ impl SolveResponse {
         doc
     }
 
-    /// The response line up to (but excluding) the timing object and the
-    /// closing brace — the part whose rendering cost `serialize_secs`
-    /// measures. Concatenating with
-    /// [`render_timing_tail_for`](Self::render_timing_tail_for) yields
-    /// exactly [`Response::render_for`]'s bytes: the full render is
-    /// implemented through this split, so the server can time the head
-    /// and still seal the measured duration *inside* the line (timing is
-    /// the last key of a solve response).
-    pub fn render_head_for(&self, version: u32) -> String {
+    /// The solve response document without its timing object.
+    fn head_json_for(&self, version: u32) -> Json {
         let mut doc = Json::obj();
         doc.set("schema_version", Json::Int(version as i64))
             .set("op", Json::Str("solve".into()))
@@ -645,30 +640,31 @@ impl SolveResponse {
             .set("ok", Json::Bool(true))
             .set("session", Json::Str(self.session.clone()))
             .set("result", result_to_json(&self.result));
-        let mut head = doc.render_compact();
-        head.pop(); // drop the closing '}'; the timing tail restores it
-        head
+        doc
     }
 
-    /// The `,"timing":{...}}` tail completing
-    /// [`render_head_for`](Self::render_head_for)'s line.
-    pub fn render_timing_tail_for(&self, version: u32) -> String {
-        self.timing.render_tail_for(version)
+    /// The response line up to (but excluding) the timing object and the
+    /// closing brace — the part whose rendering cost `serialize_secs`
+    /// measures. Concatenating with [`SolveTiming::render_tail_for`]
+    /// yields exactly [`Response::render_for`]'s bytes: the full render is
+    /// implemented through this split, so the server can time the head
+    /// and still seal the measured duration *inside* the line (timing is
+    /// the last key of a solve response).
+    pub fn render_head_for(&self, version: u32) -> String {
+        let mut head = self.head_json_for(version).render_compact();
+        head.pop(); // drop the closing '}'; the timing tail restores it
+        head
     }
 }
 
 impl SolveTiming {
-    /// The `,"timing":{...}}` tail completing a solve response head. A
-    /// method on the (Copy) timing so the server can patch
-    /// `serialize_secs`/`flush_secs` after timing the head render
-    /// without cloning the result payload.
-    pub fn render_tail_for(&self, version: u32) -> String {
-        let v1 = version <= WIRE_MIN_SCHEMA_VERSION;
+    /// The timing object in the given schema version.
+    pub fn to_json_for(&self, version: u32) -> Json {
         let mut t = Json::obj();
         t.set("queue_secs", Json::Num(self.queue_secs))
             .set("solve_secs", Json::Num(self.solve_secs))
             .set("batch_size", Json::Int(self.batch_size as i64));
-        if !v1 {
+        if version > WIRE_MIN_SCHEMA_VERSION {
             // Additive v2 fields; the v1 timing object stays
             // byte-identical to the pre-obs wire.
             t.set("batch_wait_secs", Json::Num(self.batch_wait_secs))
@@ -677,7 +673,18 @@ impl SolveTiming {
                 .set("flush_secs", Json::Num(self.flush_secs))
                 .set("trace", Json::Int(self.trace as i64));
         }
-        format!(",\"timing\":{}}}", t.render_compact())
+        t
+    }
+
+    /// The `,"timing":{...}}` tail completing a solve response head. A
+    /// method on the (Copy) timing so the server can patch
+    /// `serialize_secs`/`flush_secs` after timing the head render
+    /// without cloning the result payload.
+    pub fn render_tail_for(&self, version: u32) -> String {
+        format!(
+            ",\"timing\":{}}}",
+            self.to_json_for(version).render_compact()
+        )
     }
 }
 
@@ -893,24 +900,8 @@ impl Response {
         doc.set("schema_version", Json::Int(version as i64));
         match self {
             Response::Solve(r) => {
-                doc.set("op", Json::Str("solve".into()))
-                    .set("id", Json::Int(r.id as i64))
-                    .set("ok", Json::Bool(true))
-                    .set("session", Json::Str(r.session.clone()))
-                    .set("result", result_to_json(&r.result));
-                let mut t = Json::obj();
-                t.set("queue_secs", Json::Num(r.timing.queue_secs))
-                    .set("solve_secs", Json::Num(r.timing.solve_secs))
-                    .set("batch_size", Json::Int(r.timing.batch_size as i64));
-                if !v1 {
-                    // Additive v2 fields; v1 timing stays byte-identical.
-                    t.set("batch_wait_secs", Json::Num(r.timing.batch_wait_secs))
-                        .set("warm_secs", Json::Num(r.timing.warm_secs))
-                        .set("serialize_secs", Json::Num(r.timing.serialize_secs))
-                        .set("flush_secs", Json::Num(r.timing.flush_secs))
-                        .set("trace", Json::Int(r.timing.trace as i64));
-                }
-                doc.set("timing", t);
+                doc = r.head_json_for(version);
+                doc.set("timing", r.timing.to_json_for(version));
             }
             Response::Warm(r) => {
                 doc.set("op", Json::Str("warm".into()))
@@ -1018,7 +1009,7 @@ impl Response {
     pub fn render_for(&self, version: u32) -> String {
         if let Response::Solve(r) = self {
             let mut line = r.render_head_for(version);
-            line.push_str(&r.render_timing_tail_for(version));
+            line.push_str(&r.timing.render_tail_for(version));
             return line;
         }
         self.to_json_for(version).render_compact()
@@ -1036,7 +1027,7 @@ impl Response {
             .get("schema_version")
             .and_then(|v| v.as_i64())
             .ok_or("response is missing schema_version")?;
-        if !version_supported(version.max(0) as u32) {
+        if supported_version(version).is_none() {
             return Err(format!("unsupported wire schema {version}"));
         }
         let id = doc.get("id").and_then(|v| v.as_i64()).unwrap_or(0) as u64;
@@ -2077,12 +2068,13 @@ mod tests {
             let split = format!(
                 "{}{}",
                 inner.render_head_for(version),
-                inner.render_timing_tail_for(version)
+                inner.timing.render_tail_for(version)
             );
+            assert_eq!(split, response.render_for(version));
             assert_eq!(
                 split,
-                response.render_for(version),
-                "split render is byte-identical to the full v{version} render"
+                response.to_json_for(version).render_compact(),
+                "split render is byte-identical to the full v{version} document"
             );
         }
     }
@@ -2156,5 +2148,26 @@ mod tests {
         // dumps and trace statuses, so position changes are breaking.
         assert_eq!(ErrorCode::BadRequest.code_point(), 1);
         assert_eq!(ErrorCode::SolveFailed.code_point(), 10);
+    }
+
+    #[test]
+    fn schema_versions_outside_u32_are_unsupported_not_truncated() {
+        // 2^32 + 1 and 2^32 + 2 truncate to the supported v1 and v2.
+        for raw in [4_294_967_297i64, 4_294_967_298, -1, 0, 3] {
+            let response = format!(r#"{{"schema_version":{raw},"id":1,"op":"ping","ok":true}}"#);
+            assert_eq!(
+                Response::parse(&response),
+                Err(format!("unsupported wire schema {raw}"))
+            );
+            let request = format!(r#"{{"schema_version":{raw},"id":1,"op":"ping"}}"#);
+            let failure = Request::parse_versioned(&request).unwrap_err();
+            assert_eq!(failure.error.code, ErrorCode::UnsupportedSchema);
+            assert_eq!(failure.version, WIRE_SCHEMA_VERSION);
+        }
+        for version in [1, 2] {
+            let response =
+                format!(r#"{{"schema_version":{version},"id":1,"op":"ping","ok":true}}"#);
+            assert_eq!(Response::parse(&response), Ok(Response::Pong { id: 1 }));
+        }
     }
 }

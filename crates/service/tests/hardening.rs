@@ -6,7 +6,7 @@
 
 use rmsa_datasets::{DatasetKind, IncentiveModel};
 use rmsa_diffusion::RrStrategy;
-use rmsa_service::wire::{Algorithm, Request, Response, SolveRequest, SolveResult};
+use rmsa_service::wire::{Algorithm, ErrorCode, Request, Response, SolveRequest, SolveResult};
 use rmsa_service::{server, ServerConfig, SessionKey, SessionRegistry};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -59,7 +59,6 @@ fn no_wire_request_can_kill_the_single_worker() {
     let hostile = [
         "this is not json",
         "{}",
-        r#"{"schema_version":9,"id":1,"op":"ping"}"#,
         r#"{"schema_version":1,"id":2,"op":"warp"}"#,
         r#"{"schema_version":1,"id":3,"op":"solve","dataset":"nope","algorithm":"rma","alpha":0.1}"#,
         r#"{"schema_version":1,"id":4,"op":"solve","dataset":"lastfm-syn","algorithm":"rma","alpha":-0.5}"#,
@@ -75,6 +74,25 @@ fn no_wire_request_can_kill_the_single_worker() {
         assert!(
             matches!(response, Response::Error { .. }),
             "{line} must get a typed error, got {response:?}"
+        );
+    }
+    // Hostile schema versions, including 2^32 + 1 and 2^32 + 2, which
+    // must not truncate into v1 / v2.
+    for line in [
+        r#"{"schema_version":9,"id":1,"op":"ping"}"#,
+        r#"{"schema_version":4294967297,"id":1,"op":"ping"}"#,
+        r#"{"schema_version":4294967298,"id":1,"op":"ping"}"#,
+    ] {
+        let response = call(line);
+        assert!(
+            matches!(
+                response,
+                Response::Error {
+                    code: ErrorCode::UnsupportedSchema,
+                    ..
+                }
+            ),
+            "{line} must get an unsupported-schema error, got {response:?}"
         );
     }
 

@@ -72,7 +72,6 @@ mod tests {
         wb.register(Rma::new(RmaConfig {
             epsilon: 0.1,
             max_rr_per_collection: 5_000,
-            num_threads: 1,
             ..RmaConfig::default()
         }));
         let instance = RmInstance::try_new(

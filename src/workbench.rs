@@ -162,7 +162,6 @@ pub struct SweepPoint<K> {
 /// wb.register(Rma::new(RmaConfig {
 ///     epsilon: 0.1,
 ///     max_rr_per_collection: 5_000,
-///     num_threads: 1,
 ///     ..RmaConfig::default()
 /// }));
 /// let instance = RmInstance::try_new(
@@ -363,7 +362,6 @@ mod tests {
             epsilon: 0.1,
             delta: 0.1,
             rho: 0.2,
-            num_threads: 1,
             max_rr_per_collection: 20_000,
             ..RmaConfig::default()
         }

@@ -34,7 +34,6 @@ fn rma_config() -> RmaConfig {
     RmaConfig {
         epsilon: 0.1, // < λ(3, 0.1) ≈ 0.114
         rho: 0.1,
-        num_threads: 1,
         max_rr_per_collection: 50_000,
         ..RmaConfig::default()
     }

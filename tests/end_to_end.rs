@@ -30,9 +30,7 @@ fn rma_config() -> RmaConfig {
         delta: 0.05,
         rho: 0.1,
         tau: 0.1,
-        num_threads: 2,
         max_rr_per_collection: 60_000,
-        ..RmaConfig::default()
     }
 }
 

@@ -12,7 +12,6 @@ fn rma_config() -> RmaConfig {
     RmaConfig {
         epsilon: 0.1, // < λ(3, 0.1) ≈ 0.114
         rho: 0.15,
-        num_threads: 1,
         max_rr_per_collection: 30_000,
         ..RmaConfig::default()
     }

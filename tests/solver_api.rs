@@ -66,7 +66,6 @@ fn sampling_solvers_respect_per_ad_costs() {
     let cfg = RmaConfig {
         epsilon: 0.1,
         rho: 0.2,
-        num_threads: 1,
         max_rr_per_collection: 30_000,
         ..RmaConfig::default()
     };
