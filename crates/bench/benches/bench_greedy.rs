@@ -1,5 +1,5 @@
 //! Micro-benchmark: the Section-3 oracle algorithms running on an RR-set
-//! estimator (Greedy, ThresholdGreedy, and the full Search driver).
+//! estimator (Greedy, ThresholdGreedy, Fill, and the full Search solve).
 //!
 //! Set `RMSA_BENCH_QUICK=1` to shrink the workload for CI smoke runs.
 
@@ -7,8 +7,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
 use rmsa_core::{
-    greedy_single, rm_with_oracle, threshold_greedy, Advertiser, RmInstance, RrRevenueEstimator,
-    SeedCosts,
+    fill, greedy_single, rm_with_oracle, threshold_greedy, Advertiser, RmInstance,
+    RrRevenueEstimator, SeedCosts,
 };
 use rmsa_diffusion::{RrArena, RrStrategy, UniformIc, UniformRrSampler};
 use rmsa_graph::generators::barabasi_albert;
@@ -59,6 +59,16 @@ fn bench_greedy(c: &mut Criterion) {
     let (instance, estimator) = setup(10, num_nodes, theta);
     group.bench_function("rm_with_oracle_h10", |b| {
         b.iter(|| rm_with_oracle(&instance, &estimator, 0.1).revenue);
+    });
+    // Fill from a non-empty allocation, as every Search probe runs it: the
+    // first half of each advertiser's seeds in the h = 10 solution.
+    let mut start = rm_with_oracle(&instance, &estimator, 0.1).allocation;
+    for seeds in &mut start.seed_sets {
+        seeds.truncate(seeds.len().div_ceil(2));
+    }
+    assert!(start.total_seeds() > 0, "Fill must start from seeds");
+    group.bench_function("fill_h10", |b| {
+        b.iter(|| fill(&instance, &estimator, start.clone()).total_seeds());
     });
     group.finish();
 }

@@ -7,7 +7,7 @@
 //! violating node as the singleton `D_i`. The better of `S_i` and `D_i` is
 //! returned. Selection uses CELF-style lazy evaluation, which is sound
 //! because both the marginal gain and the marginal rate are non-increasing
-//! as `S_i` grows.
+//! as `S_i` grows; a gain is evaluated only to refresh a stale key.
 
 use crate::oracle::{marginal_rate, RevenueOracle, SeedState};
 use crate::problem::RmInstance;
@@ -77,6 +77,8 @@ pub fn greedy_single<O: RevenueOracle>(
     let mut cost_sum = 0.0f64;
     let mut stopple: Option<NodeId> = None;
     let mut stopple_revenue = 0.0;
+    // The exact gain behind each refreshed key, by node.
+    let mut gains = vec![0.0f64; instance.num_nodes];
 
     while let Some(entry) = queue.pop() {
         if stopple.is_some() {
@@ -85,15 +87,22 @@ pub fn greedy_single<O: RevenueOracle>(
         if state.contains(entry.node) {
             continue;
         }
-        let gain = oracle.marginal_gain(&state, entry.node);
         let cost = instance.cost(ad, entry.node);
-        let rate = marginal_rate(gain, cost);
         if entry.version != version {
             // Stale key: re-insert with the fresh value (lazy greedy).
-            queue.push(rate, entry.node, ad, version);
+            let gain = oracle.marginal_gain(&state, entry.node);
+            gains[entry.node as usize] = gain;
+            queue.push(marginal_rate(gain, cost), entry.node, ad, version);
             continue;
         }
-        // Fresh maximum-rate element: Lines 5–6.
+        // Fresh maximum-rate element: Lines 5–6. Its gain is already
+        // known: the singleton revenue before the first commit, the stored
+        // refresh after it.
+        let gain = if version == 0 {
+            oracle.singleton_revenue(ad, entry.node)
+        } else {
+            gains[entry.node as usize]
+        };
         if cost_sum + cost + state.revenue() + gain <= budget {
             oracle.add_seed(&mut state, entry.node);
             cost_sum += cost;

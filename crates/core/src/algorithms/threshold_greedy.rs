@@ -12,6 +12,15 @@
 //! single-advertiser `Greedy` run over the unassigned nodes provides the
 //! fallback set `A_i` needed by the analysis. Finally `Fill` spends any
 //! remaining budget greedily by marginal rate.
+//!
+//! Both loops are CELF-lazy and evaluate a marginal gain only when a
+//! decision needs it. A queue key bounds the current gain (or rate) from
+//! above, and it is exact while its version is current. So the main loop
+//! checks the threshold on the key, and both loops take a fresh key's gain
+//! as exact instead of evaluating it again. `Fill` also drops a pair for
+//! good once it cannot fit the budget, and it starts from a rate-keyed
+//! singleton run scanned once per solve. The selections are those of the
+//! eager loops, bit for bit; the tests keep the eager loops as a reference.
 
 use crate::algorithms::greedy::greedy_single;
 use crate::oracle::{marginal_rate, RevenueOracle, SeedState};
@@ -20,12 +29,14 @@ use crate::util::{LazyEntry, LazyQueue, SortedRun};
 use rmsa_diffusion::AdId;
 use rmsa_graph::NodeId;
 
-/// `ThresholdGreedy`'s line-1 candidates: every singleton-feasible
-/// `(node, ad)` pair keyed by its singleton revenue, sorted once. They do
-/// not depend on γ, so `Search` scans them once per solve and every probe
-/// borrows them.
+/// Every singleton-feasible `(node, ad)` pair, sorted once in two orders:
+/// by singleton revenue for `ThresholdGreedy`'s line 1 and by singleton
+/// rate for `Fill`'s line 1. Neither order depends on γ or on a probe's
+/// allocation, so `Search` scans the pairs once per solve and every probe
+/// borrows both runs.
 pub(crate) struct SingletonCandidates {
-    run: SortedRun,
+    by_gain: SortedRun,
+    by_rate: SortedRun,
     /// `γ_max` (Eq. 6), taken from the same pass over the singletons.
     pub(crate) gamma_max: f64,
 }
@@ -34,26 +45,31 @@ impl SingletonCandidates {
     /// One pass over all `n·h` singleton revenues.
     pub(crate) fn scan<O: RevenueOracle>(instance: &RmInstance, oracle: &O) -> Self {
         let (h, n) = (instance.num_ads(), instance.num_nodes);
-        let mut entries = Vec::with_capacity(n * h);
+        let mut by_gain = Vec::with_capacity(n * h);
+        let mut by_rate = Vec::with_capacity(n * h);
         let mut gamma_max = 0.0f64;
         for ad in 0..h {
             let budget = instance.budget(ad);
             for v in 0..n as NodeId {
                 let rev = oracle.singleton_revenue(ad, v);
                 let cost = instance.cost(ad, v);
-                gamma_max = gamma_max.max(budget * marginal_rate(rev, cost));
+                let rate = marginal_rate(rev, cost);
+                gamma_max = gamma_max.max(budget * rate);
                 if cost + rev <= budget {
-                    entries.push(LazyEntry {
+                    let entry = LazyEntry {
                         key: rev,
                         node: v,
                         ad,
                         version: 0,
-                    });
+                    };
+                    by_gain.push(entry);
+                    by_rate.push(LazyEntry { key: rate, ..entry });
                 }
             }
         }
         SingletonCandidates {
-            run: SortedRun::new(entries),
+            by_gain: SortedRun::new(by_gain),
+            by_rate: SortedRun::new(by_rate),
             gamma_max,
         }
     }
@@ -87,8 +103,25 @@ pub(crate) fn threshold_greedy_over<O: RevenueOracle>(
     gamma: f64,
     candidates: &SingletonCandidates,
 ) -> ThresholdGreedyOutcome {
+    let (states, stopples) = main_loop(instance, oracle, gamma, candidates);
+    let (chosen, depleted) = best_of(instance, oracle, &states, &stopples);
+    // Line 12: spend remaining budget.
+    ThresholdGreedyOutcome {
+        allocation: fill_over(instance, oracle, chosen, candidates),
+        b: depleted.len(),
+        depleted,
+    }
+}
+
+/// Lines 1–8: the thresholded greedy main loop. Returns every
+/// advertiser's seed state `S_j` and stopple node `D_j`.
+fn main_loop<O: RevenueOracle>(
+    instance: &RmInstance,
+    oracle: &O,
+    gamma: f64,
+    candidates: &SingletonCandidates,
+) -> (Vec<O::State>, Vec<Option<NodeId>>) {
     let h = instance.num_ads();
-    let n = instance.num_nodes;
     assert_eq!(oracle.num_ads(), h);
     assert!(gamma >= 0.0, "threshold must be non-negative");
 
@@ -96,66 +129,78 @@ pub(crate) fn threshold_greedy_over<O: RevenueOracle>(
     let mut versions = vec![0u32; h];
     let mut cost_sums = vec![0.0f64; h];
     let mut stopples: Vec<Option<NodeId>> = vec![None; h];
-    let mut assigned = vec![false; n];
+    let mut assigned = vec![false; instance.num_nodes];
     let mut depleted_count = 0usize;
 
     // Line 1: M holds every singleton-feasible (node, ad) pair, keyed by the
     // marginal gain π_j(v | S_j), initially the singleton revenue.
-    let mut queue = LazyQueue::borrowing(&candidates.run);
+    let mut queue = LazyQueue::borrowing(&candidates.by_gain);
 
     // Lines 3–8: greedy main loop over marginal gains with the rate
     // threshold, the partition constraint, and the budget check.
     while depleted_count < h {
         let Some(entry) = queue.pop() else { break };
-        let ad = entry.ad;
+        let (node, ad) = (entry.node, entry.ad);
         if stopples[ad].is_some() {
             // Line 5, second clause: this advertiser's budget is depleted.
             continue;
         }
-        if assigned[entry.node as usize] {
+        if assigned[node as usize] {
             // Line 6: node already endorses some ad.
             continue;
         }
-        let gain = oracle.marginal_gain(&states[ad], entry.node);
+        let cost = instance.cost(ad, node);
+        let budget = instance.budget(ad);
+        if marginal_rate(entry.key, cost) < gamma / budget {
+            // Line 5, first clause, decided on the key: it bounds the gain
+            // from above, so the pair's rate stays below the threshold.
+            continue;
+        }
         if entry.version != versions[ad] {
             // Stale upper bound: refresh and re-queue (CELF).
-            queue.push(gain, entry.node, ad, versions[ad]);
+            let gain = oracle.marginal_gain(&states[ad], node);
+            queue.push(gain, node, ad, versions[ad]);
             continue;
         }
-        let cost = instance.cost(ad, entry.node);
-        let rate = marginal_rate(gain, cost);
-        if rate < gamma / instance.budget(ad) {
-            // Line 5, first clause: marginal rate below the threshold.
-            continue;
-        }
-        let budget = instance.budget(ad);
+        // A fresh key is the exact gain: the singleton revenue at version
+        // 0, a refresh against the current S_j after that.
+        let gain = entry.key;
         if cost_sums[ad] + cost + states[ad].revenue() + gain <= budget {
             // Line 7: feasible — commit.
-            oracle.add_seed(&mut states[ad], entry.node);
+            oracle.add_seed(&mut states[ad], node);
             cost_sums[ad] += cost;
             versions[ad] += 1;
-            assigned[entry.node as usize] = true;
+            assigned[node as usize] = true;
         } else {
             // Line 8: stopple node; the advertiser's budget is depleted.
-            stopples[ad] = Some(entry.node);
-            assigned[entry.node as usize] = true;
+            stopples[ad] = Some(node);
+            assigned[node as usize] = true;
             depleted_count += 1;
         }
     }
-    // Free the refresh heap before the fallback and `Fill` build queues.
-    drop(queue);
+    (states, stopples)
+}
 
+/// Lines 9–11: per advertiser, the best of `S_j`, the stopple singleton
+/// `D_j` and, when exactly one budget was depleted, the fallback `A_j`.
+/// Also returns the depleted advertisers `I`.
+fn best_of<O: RevenueOracle>(
+    instance: &RmInstance,
+    oracle: &O,
+    states: &[O::State],
+    stopples: &[Option<NodeId>],
+) -> (Allocation, Vec<AdId>) {
+    let h = instance.num_ads();
+    let n = instance.num_nodes;
     let depleted: Vec<AdId> = (0..h).filter(|&i| stopples[i].is_some()).collect();
-    let b = depleted.len();
 
     // Lines 9–10: if exactly one advertiser depleted its budget, run the
     // single-advertiser Greedy over the nodes not claimed by any S_j.
     let mut fallback: Vec<Vec<NodeId>> = vec![Vec::new(); h];
     let mut fallback_revenue = vec![0.0f64; h];
-    if b == 1 {
-        let ad = depleted[0];
+    if let [ad] = depleted[..] {
         let mut in_some_s = vec![false; n];
-        for st in &states {
+        for st in states {
             for &u in st.seeds() {
                 in_some_s[u as usize] = true;
             }
@@ -191,15 +236,7 @@ pub(crate) fn threshold_greedy_over<O: RevenueOracle>(
     // the revenue of the better of the candidates, so deduplication can only
     // be applied to the lower-value duplicates.
     dedup_allocation(oracle, &mut chosen);
-
-    // Line 12: spend remaining budget.
-    let allocation = fill(instance, oracle, chosen);
-
-    ThresholdGreedyOutcome {
-        allocation,
-        depleted,
-        b,
-    }
+    (chosen, depleted)
 }
 
 /// Remove duplicate node assignments across advertisers, keeping each node
@@ -235,6 +272,17 @@ pub fn fill<O: RevenueOracle>(
     oracle: &O,
     allocation: Allocation,
 ) -> Allocation {
+    let candidates = SingletonCandidates::scan(instance, oracle);
+    fill_over(instance, oracle, allocation, &candidates)
+}
+
+/// [`fill`] over singleton candidates scanned beforehand.
+fn fill_over<O: RevenueOracle>(
+    instance: &RmInstance,
+    oracle: &O,
+    allocation: Allocation,
+    candidates: &SingletonCandidates,
+) -> Allocation {
     let h = instance.num_ads();
     let n = instance.num_nodes;
     let mut states: Vec<O::State> = (0..h).map(|i| oracle.new_state(i)).collect();
@@ -247,50 +295,51 @@ pub fn fill<O: RevenueOracle>(
             assigned[u as usize] = true;
         }
     }
-    let mut versions = vec![0u32; h];
+    // An advertiser that enters with seeds starts at version 1: the run's
+    // singleton keys are then stale upper bounds, exact only for an
+    // advertiser that starts empty.
+    let mut versions: Vec<u32> = states
+        .iter()
+        .map(|s| u32::from(!s.seeds().is_empty()))
+        .collect();
+    // The exact gain behind each refreshed key, at `ad·n + node`.
+    let mut gains = vec![0.0f64; n * h];
 
-    // Line 1: all singleton-feasible pairs, keyed by marginal rate.
-    let mut entries = Vec::with_capacity(n * h);
-    for ad in 0..h {
-        let budget = instance.budget(ad);
-        for v in 0..n as NodeId {
-            if assigned[v as usize] {
-                continue;
-            }
-            let rev = oracle.singleton_revenue(ad, v);
-            let cost = instance.cost(ad, v);
-            if cost + rev <= budget {
-                // Key by the rate w.r.t. the current S_j (upper-bounded by
-                // the singleton rate).
-                let gain = oracle.marginal_gain(&states[ad], v);
-                entries.push(LazyEntry {
-                    key: marginal_rate(gain, cost),
-                    node: v,
-                    ad,
-                    version: versions[ad],
-                });
-            }
-        }
-    }
-    let mut queue = LazyQueue::from_entries(entries);
-
+    // Line 1: all singleton-feasible pairs, keyed by marginal rate. A pair
+    // that does not fit is dropped for good, since π(S ∪ {v}) + c(S ∪ {v})
+    // only grows with S: without evaluating its gain once the spend alone
+    // overflows, and right after its refresh otherwise.
+    let mut queue = LazyQueue::borrowing(&candidates.by_rate);
     while let Some(entry) = queue.pop() {
-        let ad = entry.ad;
-        if assigned[entry.node as usize] {
+        let (node, ad) = (entry.node, entry.ad);
+        if assigned[node as usize] {
             continue;
         }
-        let gain = oracle.marginal_gain(&states[ad], entry.node);
-        let cost = instance.cost(ad, entry.node);
-        let rate = marginal_rate(gain, cost);
+        let cost = instance.cost(ad, node);
+        let budget = instance.budget(ad);
+        let spent = cost_sums[ad] + cost + states[ad].revenue();
+        if spent > budget {
+            continue;
+        }
+        let slot = ad * n + node as usize;
         if entry.version != versions[ad] {
-            queue.push(rate, entry.node, ad, versions[ad]);
+            let gain = oracle.marginal_gain(&states[ad], node);
+            if spent + gain <= budget {
+                gains[slot] = gain;
+                queue.push(marginal_rate(gain, cost), node, ad, versions[ad]);
+            }
             continue;
         }
-        if cost_sums[ad] + cost + states[ad].revenue() + gain <= instance.budget(ad) {
-            oracle.add_seed(&mut states[ad], entry.node);
+        let gain = if entry.version == 0 {
+            oracle.singleton_revenue(ad, node)
+        } else {
+            gains[slot]
+        };
+        if spent + gain <= budget {
+            oracle.add_seed(&mut states[ad], node);
             cost_sums[ad] += cost;
             versions[ad] += 1;
-            assigned[entry.node as usize] = true;
+            assigned[node as usize] = true;
         }
     }
 
@@ -304,8 +353,13 @@ mod tests {
     use super::*;
     use crate::oracle::ExactRevenueOracle;
     use crate::problem::{Advertiser, SeedCosts};
-    use rmsa_diffusion::UniformIc;
+    use crate::sampling::RrRevenueEstimator;
+    use rand::SeedableRng;
+    use rand_pcg::Pcg64Mcg;
+    use rmsa_diffusion::{RrArena, RrStrategy, UniformIc, UniformRrSampler};
+    use rmsa_graph::generators::barabasi_albert;
     use rmsa_graph::{graph_from_edges, DirectedGraph};
+    use std::cell::Cell;
 
     /// Two disjoint stars: hub 0 over nodes 2..=5 (spread 5), hub 1 over
     /// nodes 6..=8 (spread 4); nodes 9..11 isolated.
@@ -444,5 +498,286 @@ mod tests {
             assert!(!out.allocation.seeds(ad).is_empty());
         }
         assert!(out.allocation.is_disjoint());
+    }
+
+    /// The eager loops the lazy ones replaced: every pop evaluates its
+    /// marginal gain, and `Fill` re-keys all `n·h` pairs against the
+    /// current allocation before its first pop. Kept as the reference the
+    /// lazy loops must match bit for bit.
+    mod eager {
+        use super::*;
+
+        pub fn threshold_greedy<O: RevenueOracle>(
+            instance: &RmInstance,
+            oracle: &O,
+            gamma: f64,
+        ) -> ThresholdGreedyOutcome {
+            let candidates = SingletonCandidates::scan(instance, oracle);
+            let (states, stopples) = main_loop(instance, oracle, gamma, &candidates);
+            let (chosen, depleted) = best_of(instance, oracle, &states, &stopples);
+            ThresholdGreedyOutcome {
+                allocation: fill(instance, oracle, chosen),
+                b: depleted.len(),
+                depleted,
+            }
+        }
+
+        fn main_loop<O: RevenueOracle>(
+            instance: &RmInstance,
+            oracle: &O,
+            gamma: f64,
+            candidates: &SingletonCandidates,
+        ) -> (Vec<O::State>, Vec<Option<NodeId>>) {
+            let h = instance.num_ads();
+            let mut states: Vec<O::State> = (0..h).map(|i| oracle.new_state(i)).collect();
+            let mut versions = vec![0u32; h];
+            let mut cost_sums = vec![0.0f64; h];
+            let mut stopples: Vec<Option<NodeId>> = vec![None; h];
+            let mut assigned = vec![false; instance.num_nodes];
+            let mut depleted_count = 0usize;
+            let mut queue = LazyQueue::borrowing(&candidates.by_gain);
+            while depleted_count < h {
+                let Some(entry) = queue.pop() else { break };
+                let ad = entry.ad;
+                if stopples[ad].is_some() || assigned[entry.node as usize] {
+                    continue;
+                }
+                let gain = oracle.marginal_gain(&states[ad], entry.node);
+                if entry.version != versions[ad] {
+                    queue.push(gain, entry.node, ad, versions[ad]);
+                    continue;
+                }
+                let cost = instance.cost(ad, entry.node);
+                if marginal_rate(gain, cost) < gamma / instance.budget(ad) {
+                    continue;
+                }
+                let budget = instance.budget(ad);
+                if cost_sums[ad] + cost + states[ad].revenue() + gain <= budget {
+                    oracle.add_seed(&mut states[ad], entry.node);
+                    cost_sums[ad] += cost;
+                    versions[ad] += 1;
+                    assigned[entry.node as usize] = true;
+                } else {
+                    stopples[ad] = Some(entry.node);
+                    assigned[entry.node as usize] = true;
+                    depleted_count += 1;
+                }
+            }
+            (states, stopples)
+        }
+
+        pub fn fill<O: RevenueOracle>(
+            instance: &RmInstance,
+            oracle: &O,
+            allocation: Allocation,
+        ) -> Allocation {
+            let h = instance.num_ads();
+            let n = instance.num_nodes;
+            let mut states: Vec<O::State> = (0..h).map(|i| oracle.new_state(i)).collect();
+            let mut cost_sums = vec![0.0f64; h];
+            let mut assigned = vec![false; n];
+            for (ad, seeds) in allocation.seed_sets.iter().enumerate() {
+                for &u in seeds {
+                    oracle.add_seed(&mut states[ad], u);
+                    cost_sums[ad] += instance.cost(ad, u);
+                    assigned[u as usize] = true;
+                }
+            }
+            let mut versions = vec![0u32; h];
+            let mut entries = Vec::with_capacity(n * h);
+            for ad in 0..h {
+                let budget = instance.budget(ad);
+                for v in 0..n as NodeId {
+                    if assigned[v as usize] {
+                        continue;
+                    }
+                    let rev = oracle.singleton_revenue(ad, v);
+                    let cost = instance.cost(ad, v);
+                    if cost + rev <= budget {
+                        let gain = oracle.marginal_gain(&states[ad], v);
+                        entries.push(LazyEntry {
+                            key: marginal_rate(gain, cost),
+                            node: v,
+                            ad,
+                            version: versions[ad],
+                        });
+                    }
+                }
+            }
+            let mut queue = LazyQueue::from_entries(entries);
+            while let Some(entry) = queue.pop() {
+                let ad = entry.ad;
+                if assigned[entry.node as usize] {
+                    continue;
+                }
+                let gain = oracle.marginal_gain(&states[ad], entry.node);
+                let cost = instance.cost(ad, entry.node);
+                let rate = marginal_rate(gain, cost);
+                if entry.version != versions[ad] {
+                    queue.push(rate, entry.node, ad, versions[ad]);
+                    continue;
+                }
+                if cost_sums[ad] + cost + states[ad].revenue() + gain <= instance.budget(ad) {
+                    oracle.add_seed(&mut states[ad], entry.node);
+                    cost_sums[ad] += cost;
+                    versions[ad] += 1;
+                    assigned[entry.node as usize] = true;
+                }
+            }
+            Allocation {
+                seed_sets: states.iter().map(|s| s.seeds().to_vec()).collect(),
+            }
+        }
+    }
+
+    /// Forwards every call and counts `marginal_gain` evaluations.
+    struct CountingGains<'a, O> {
+        inner: &'a O,
+        gains: Cell<u64>,
+    }
+
+    impl<'a, O: RevenueOracle> CountingGains<'a, O> {
+        fn new(inner: &'a O) -> Self {
+            CountingGains {
+                inner,
+                gains: Cell::new(0),
+            }
+        }
+
+        /// Gains evaluated since the last call.
+        fn take(&self) -> u64 {
+            self.gains.replace(0)
+        }
+    }
+
+    impl<O: RevenueOracle> RevenueOracle for CountingGains<'_, O> {
+        type State = O::State;
+
+        fn num_ads(&self) -> usize {
+            self.inner.num_ads()
+        }
+        fn num_nodes(&self) -> usize {
+            self.inner.num_nodes()
+        }
+        fn revenue(&self, ad: AdId, seeds: &[NodeId]) -> f64 {
+            self.inner.revenue(ad, seeds)
+        }
+        fn singleton_revenue(&self, ad: AdId, u: NodeId) -> f64 {
+            self.inner.singleton_revenue(ad, u)
+        }
+        fn new_state(&self, ad: AdId) -> O::State {
+            self.inner.new_state(ad)
+        }
+        fn marginal_gain(&self, state: &O::State, u: NodeId) -> f64 {
+            self.gains.set(self.gains.get() + 1);
+            self.inner.marginal_gain(state, u)
+        }
+        fn add_seed(&self, state: &mut O::State, u: NodeId) {
+            self.inner.add_seed(state, u)
+        }
+    }
+
+    /// Seeded RR-set estimator over a preferential-attachment graph with
+    /// `h` advertisers of unequal CPEs and budgets.
+    fn rr_instance(h: usize, seed: u64) -> (RrRevenueEstimator, RmInstance) {
+        let mut rng = Pcg64Mcg::seed_from_u64(seed);
+        let graph = barabasi_albert(120, 3, &mut rng);
+        let n = graph.num_nodes();
+        let model = UniformIc::new(h, 0.15);
+        let cpes: Vec<f64> = (0..h).map(|i| 1.0 + i as f64 * 0.25).collect();
+        let sampler = UniformRrSampler::new(&cpes);
+        let mut arena = RrArena::new(n, RrStrategy::Standard);
+        arena.generate(&graph, &model, &sampler, 20_000, &mut rng);
+        let estimator = RrRevenueEstimator::new(&arena, h, sampler.gamma());
+        let advertisers = (0..h)
+            .map(|i| Advertiser::try_new(10.0 + 4.0 * (i % 3) as f64, cpes[i]).unwrap())
+            .collect();
+        let costs = SeedCosts::Shared((0..n).map(|u| 0.5 + (u % 3) as f64).collect());
+        (
+            estimator,
+            RmInstance::try_new(n, advertisers, costs).unwrap(),
+        )
+    }
+
+    /// Lazy against eager `ThresholdGreedy` at every γ of the dyadic grid
+    /// over `[0, (1+τ)·γ_max]` that `Search`'s bisection probes (τ = 0.1),
+    /// then lazy against eager `Fill` from an empty allocation and from
+    /// the first half of each probe's seed sets. Returns the gain
+    /// evaluations of the lazy and the eager runs.
+    fn assert_lazy_matches_eager<O: RevenueOracle>(
+        instance: &RmInstance,
+        oracle: &O,
+        label: &str,
+    ) -> (u64, u64) {
+        let counting = CountingGains::new(oracle);
+        let (mut lazy_gains, mut eager_gains) = (0, 0);
+        let gamma_top = 1.1 * SingletonCandidates::scan(instance, oracle).gamma_max;
+        let mut starts = vec![Allocation::empty(instance.num_ads())];
+        for k in 0..=32 {
+            let gamma = gamma_top * f64::from(k) / 32.0;
+            let lazy = threshold_greedy(instance, &counting, gamma);
+            lazy_gains += counting.take();
+            let eager = eager::threshold_greedy(instance, &counting, gamma);
+            eager_gains += counting.take();
+            assert_eq!(lazy.allocation, eager.allocation, "{label}, γ = {gamma}");
+            assert_eq!(lazy.depleted, eager.depleted, "{label}, γ = {gamma}");
+            assert_eq!(
+                oracle
+                    .allocation_revenue(&lazy.allocation.seed_sets)
+                    .to_bits(),
+                oracle
+                    .allocation_revenue(&eager.allocation.seed_sets)
+                    .to_bits(),
+                "{label}, γ = {gamma}"
+            );
+            let mut partial = lazy.allocation;
+            for seeds in &mut partial.seed_sets {
+                seeds.truncate(seeds.len() / 2);
+            }
+            starts.push(partial);
+        }
+        assert!(starts.iter().any(|s| s.total_seeds() > 0), "{label}");
+        for start in starts {
+            let lazy = fill(instance, &counting, start.clone());
+            lazy_gains += counting.take();
+            let eager = eager::fill(instance, &counting, start.clone());
+            eager_gains += counting.take();
+            assert_eq!(lazy, eager, "{label}, Fill from {start:?}");
+        }
+        (lazy_gains, eager_gains)
+    }
+
+    #[test]
+    fn lazy_loops_match_the_eager_reference_on_rr_estimators() {
+        for h in [2, 3, 10] {
+            for seed in 1..=3 {
+                let (estimator, inst) = rr_instance(h, seed);
+                let label = format!("h = {h}, seed = {seed}");
+                let (lazy, eager) = assert_lazy_matches_eager(&inst, &estimator, &label);
+                assert!(lazy < eager, "{label}: {lazy} lazy vs {eager} eager gains");
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_loops_match_the_eager_reference_on_the_exact_oracle() {
+        let g = graph_from_edges(
+            10,
+            &[(0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (7, 8), (8, 9)],
+        );
+        let m = UniformIc::new(3, 0.5);
+        let inst = RmInstance::try_new(
+            10,
+            vec![
+                Advertiser::try_new(6.0, 1.0).unwrap(),
+                Advertiser::try_new(5.0, 1.5).unwrap(),
+                Advertiser::try_new(7.0, 0.8).unwrap(),
+            ],
+            SeedCosts::Shared((0..10).map(|u| 0.5 + (u % 3) as f64 * 0.5).collect()),
+        )
+        .unwrap();
+        let o = ExactRevenueOracle::new(&g, &m, &inst);
+        let (lazy, eager) = assert_lazy_matches_eager(&inst, &o, "exact oracle");
+        assert!(lazy < eager, "{lazy} lazy vs {eager} eager gains");
     }
 }

@@ -35,6 +35,21 @@ pub trait SeedState: Clone {
 
 /// An oracle able to evaluate (estimates of) the revenue function
 /// `π_i(·) = cpe(i) · σ_i(·)`.
+///
+/// The lazy greedy loops rely on two properties of an implementation:
+///
+/// * `singleton_revenue(ad, u)` equals `marginal_gain(&new_state(ad), u)`
+///   bit for bit, so a fresh singleton key is used as the exact gain
+///   without evaluating it;
+/// * `marginal_gain` is deterministic, never negative, and never grows as
+///   the state gains seeds (monotonicity and submodularity, exactly in
+///   `f64`), so a stale key bounds the current gain from above and a pair
+///   that overflows a budget never fits it again.
+///
+/// The RR-set estimator meets both exactly, as does the exact oracle on
+/// graphs whose revenues are exact in `f64`. A Monte-Carlo oracle meets
+/// the first only; over it the greedy loops stay budget-feasible, but
+/// their selections may differ from an eager evaluation's.
 pub trait RevenueOracle {
     /// Incremental per-advertiser state.
     type State: SeedState;
@@ -46,6 +61,7 @@ pub trait RevenueOracle {
     /// Revenue of an explicit seed set, evaluated from scratch.
     fn revenue(&self, ad: AdId, seeds: &[NodeId]) -> f64;
     /// Revenue of a single node; hot path for initialising greedy heaps.
+    /// Must equal `marginal_gain(&new_state(ad), u)` bit for bit.
     fn singleton_revenue(&self, ad: AdId, u: NodeId) -> f64 {
         self.revenue(ad, &[u])
     }
@@ -308,6 +324,33 @@ mod tests {
         let b = mc.revenue(0, &[0]);
         assert_eq!(a, b, "repeated queries must agree");
         assert!((a - exact.revenue(0, &[0])).abs() < 0.05);
+    }
+
+    #[test]
+    fn singleton_revenue_is_the_empty_state_marginal_gain_bit_for_bit() {
+        fn check<O: RevenueOracle>(o: &O, label: &str) {
+            for ad in 0..o.num_ads() {
+                let empty = o.new_state(ad);
+                for u in 0..o.num_nodes() as NodeId {
+                    assert_eq!(
+                        o.singleton_revenue(ad, u).to_bits(),
+                        o.marginal_gain(&empty, u).to_bits(),
+                        "{label}: ad {ad}, node {u}"
+                    );
+                }
+            }
+        }
+        let (g, m, inst) = chain_instance();
+        check(&ExactRevenueOracle::new(&g, &m, &inst), "exact");
+        check(&McRevenueOracle::new(&g, &m, &inst, 200, 7), "monte carlo");
+        let g = rmsa_graph::generators::celebrity_graph(4, 6);
+        let m = UniformIc::new(2, 0.3);
+        let sampler = rmsa_diffusion::UniformRrSampler::new(&[1.0, 2.0]);
+        let mut arena =
+            rmsa_diffusion::RrArena::new(g.num_nodes(), rmsa_diffusion::RrStrategy::Standard);
+        arena.generate(&g, &m, &sampler, 5_000, &mut Pcg64Mcg::seed_from_u64(3));
+        let est = crate::sampling::RrRevenueEstimator::new(&arena, 2, sampler.gamma());
+        check(&est, "rr estimator");
     }
 
     #[test]
