@@ -17,15 +17,18 @@
 //! decision needs it. A queue key bounds the current gain (or rate) from
 //! above, and it is exact while its version is current. So the main loop
 //! checks the threshold on the key, and both loops take a fresh key's gain
-//! as exact instead of evaluating it again. `Fill` also drops a pair for
-//! good once it cannot fit the budget, and it starts from a rate-keyed
-//! singleton run scanned once per solve. The selections are those of the
-//! eager loops, bit for bit; the tests keep the eager loops as a reference.
+//! as exact instead of evaluating it again. Both start from singleton runs
+//! scanned once per solve: the main loop from the revenue-keyed run, whose
+//! order the RR estimator caches per coverage view, stepping past every
+//! pair whose singleton rate already fails the probe's threshold; `Fill`
+//! from the rate-keyed run, dropping a pair for good once it cannot fit the
+//! budget. The selections are those of the eager loops, bit for bit; the
+//! tests keep the eager loops as a reference.
 
 use crate::algorithms::greedy::greedy_single;
 use crate::oracle::{marginal_rate, RevenueOracle, SeedState};
 use crate::problem::{Allocation, RmInstance};
-use crate::util::{LazyEntry, LazyQueue, SortedRun};
+use crate::util::{pack, LazyQueue, SortedRun};
 use rmsa_diffusion::AdId;
 use rmsa_graph::NodeId;
 
@@ -33,43 +36,78 @@ use rmsa_graph::NodeId;
 /// by singleton revenue for `ThresholdGreedy`'s line 1 and by singleton
 /// rate for `Fill`'s line 1. Neither order depends on γ or on a probe's
 /// allocation, so `Search` scans the pairs once per solve and every probe
-/// borrows both runs.
+/// starts from both runs.
+#[derive(Debug, PartialEq)]
 pub(crate) struct SingletonCandidates {
     by_gain: SortedRun,
+    /// The singleton rate of each `by_gain` entry, by position: what a
+    /// probe's threshold is tested against.
+    gain_rates: Vec<f64>,
     by_rate: SortedRun,
     /// `γ_max` (Eq. 6), taken from the same pass over the singletons.
     pub(crate) gamma_max: f64,
 }
 
 impl SingletonCandidates {
-    /// One pass over all `n·h` singleton revenues.
+    /// One pass over all `n·h` singleton revenues, then one sort by rate.
+    /// The revenue order is the oracle's cached
+    /// [`RevenueOracle::singleton_order`] filtered to the feasible pairs,
+    /// or a second sort when the oracle caches none.
     pub(crate) fn scan<O: RevenueOracle>(instance: &RmInstance, oracle: &O) -> Self {
         let (h, n) = (instance.num_ads(), instance.num_nodes);
-        let mut by_gain = Vec::with_capacity(n * h);
+        let order = oracle.singleton_order();
+        // A pair's singleton revenue and rate, and whether it fits its
+        // budget on its own.
+        let single = |ad: AdId, v: NodeId| {
+            let rev = oracle.singleton_revenue(ad, v);
+            let cost = instance.cost(ad, v);
+            let fits = cost + rev <= instance.budget(ad);
+            (rev, marginal_rate(rev, cost), fits)
+        };
         let mut by_rate = Vec::with_capacity(n * h);
+        let mut by_gain = Vec::with_capacity(if order.is_some() { 0 } else { n * h });
         let mut gamma_max = 0.0f64;
         for ad in 0..h {
             let budget = instance.budget(ad);
             for v in 0..n as NodeId {
-                let rev = oracle.singleton_revenue(ad, v);
-                let cost = instance.cost(ad, v);
-                let rate = marginal_rate(rev, cost);
+                let (rev, rate, fits) = single(ad, v);
                 gamma_max = gamma_max.max(budget * rate);
-                if cost + rev <= budget {
-                    let entry = LazyEntry {
-                        key: rev,
-                        node: v,
-                        ad,
-                        version: 0,
-                    };
-                    by_gain.push(entry);
-                    by_rate.push(LazyEntry { key: rate, ..entry });
+                if fits {
+                    by_rate.push(pack(rate, v, ad));
+                    if order.is_none() {
+                        by_gain.push(pack(rev, v, ad));
+                    }
                 }
             }
         }
+        let mut gain_rates = Vec::with_capacity(by_rate.len());
+        let by_gain = match order {
+            Some(order) => {
+                by_gain.reserve_exact(by_rate.len());
+                for &group in order {
+                    let (ad, v) = (group as usize / n, group % n as u32);
+                    let (rev, rate, fits) = single(ad, v);
+                    if fits {
+                        by_gain.push(pack(rev, v, ad));
+                        gain_rates.push(rate);
+                    }
+                }
+                SortedRun::from_sorted(by_gain)
+            }
+            None => {
+                let by_gain = SortedRun::from_packed(by_gain);
+                gain_rates.extend(
+                    by_gain
+                        .entries()
+                        .map(|e| marginal_rate(e.key, instance.cost(e.ad, e.node))),
+                );
+                by_gain
+            }
+        };
         SingletonCandidates {
-            by_gain: SortedRun::new(by_gain),
-            by_rate: SortedRun::new(by_rate),
+            by_gain,
+            gain_rates,
+            by_rate: SortedRun::from_packed(by_rate),
             gamma_max,
         }
     }
@@ -132,14 +170,23 @@ fn main_loop<O: RevenueOracle>(
     let mut assigned = vec![false; instance.num_nodes];
     let mut depleted_count = 0usize;
 
+    // Line 5's rate threshold γ / B_j, per advertiser.
+    let thresholds: Vec<f64> = (0..h).map(|ad| gamma / instance.budget(ad)).collect();
+
     // Line 1: M holds every singleton-feasible (node, ad) pair, keyed by the
-    // marginal gain π_j(v | S_j), initially the singleton revenue.
+    // marginal gain π_j(v | S_j), initially the singleton revenue. The
+    // queue steps past a pair whose singleton rate is below its threshold
+    // without popping it: its key only falls, so line 5 would reject it at
+    // every pop.
     let mut queue = LazyQueue::borrowing(&candidates.by_gain);
+    let live = |i: usize, ad: AdId| candidates.gain_rates[i] >= thresholds[ad];
 
     // Lines 3–8: greedy main loop over marginal gains with the rate
     // threshold, the partition constraint, and the budget check.
     while depleted_count < h {
-        let Some(entry) = queue.pop() else { break };
+        let Some(entry) = queue.pop_live(live) else {
+            break;
+        };
         let (node, ad) = (entry.node, entry.ad);
         if stopples[ad].is_some() {
             // Line 5, second clause: this advertiser's budget is depleted.
@@ -151,9 +198,10 @@ fn main_loop<O: RevenueOracle>(
         }
         let cost = instance.cost(ad, node);
         let budget = instance.budget(ad);
-        if marginal_rate(entry.key, cost) < gamma / budget {
-            // Line 5, first clause, decided on the key: it bounds the gain
-            // from above, so the pair's rate stays below the threshold.
+        if entry.version > 0 && marginal_rate(entry.key, cost) < thresholds[ad] {
+            // Line 5, first clause, decided on a refreshed key (run keys
+            // passed it in `pop_live`): the key bounds the gain from above,
+            // so the pair's rate stays below the threshold.
             continue;
         }
         if entry.version != versions[ad] {
@@ -235,33 +283,28 @@ fn best_of<O: RevenueOracle>(
     // that gains more from it — the guarantee of Theorem 3.2 is stated for
     // the revenue of the better of the candidates, so deduplication can only
     // be applied to the lower-value duplicates.
-    dedup_allocation(oracle, &mut chosen);
+    dedup_allocation(oracle, &mut chosen, n);
     (chosen, depleted)
 }
 
 /// Remove duplicate node assignments across advertisers, keeping each node
 /// for the advertiser with the larger singleton revenue.
-fn dedup_allocation<O: RevenueOracle>(oracle: &O, allocation: &mut Allocation) {
-    use std::collections::HashMap;
-    let mut owner: HashMap<NodeId, AdId> = HashMap::new();
-    for ad in 0..allocation.num_ads() {
-        for &u in &allocation.seed_sets[ad] {
-            match owner.get(&u) {
-                None => {
-                    owner.insert(u, ad);
-                }
-                Some(&other) => {
-                    let keep_new =
-                        oracle.singleton_revenue(ad, u) > oracle.singleton_revenue(other, u);
-                    if keep_new {
-                        owner.insert(u, ad);
-                    }
-                }
+fn dedup_allocation<O: RevenueOracle>(oracle: &O, allocation: &mut Allocation, n: usize) {
+    let mut owner: Vec<Option<AdId>> = vec![None; n];
+    for (ad, seeds) in allocation.seed_sets.iter().enumerate() {
+        for &u in seeds {
+            let slot = &mut owner[u as usize];
+            let keep_new = match *slot {
+                None => true,
+                Some(other) => oracle.singleton_revenue(ad, u) > oracle.singleton_revenue(other, u),
+            };
+            if keep_new {
+                *slot = Some(ad);
             }
         }
     }
-    for ad in 0..allocation.num_ads() {
-        allocation.seed_sets[ad].retain(|&u| owner.get(&u) == Some(&ad));
+    for (ad, seeds) in allocation.seed_sets.iter_mut().enumerate() {
+        seeds.retain(|&u| owner[u as usize] == Some(ad));
     }
 }
 
@@ -506,14 +549,14 @@ mod tests {
     /// lazy loops must match bit for bit.
     mod eager {
         use super::*;
+        use crate::util::LazyEntry;
 
         pub fn threshold_greedy<O: RevenueOracle>(
             instance: &RmInstance,
             oracle: &O,
             gamma: f64,
         ) -> ThresholdGreedyOutcome {
-            let candidates = SingletonCandidates::scan(instance, oracle);
-            let (states, stopples) = main_loop(instance, oracle, gamma, &candidates);
+            let (states, stopples) = main_loop(instance, oracle, gamma);
             let (chosen, depleted) = best_of(instance, oracle, &states, &stopples);
             ThresholdGreedyOutcome {
                 allocation: fill(instance, oracle, chosen),
@@ -522,11 +565,47 @@ mod tests {
             }
         }
 
+        /// Every singleton-feasible pair not in `assigned`, keyed by its
+        /// marginal gain against `states` (the singleton revenue when they
+        /// are empty), or by the rate of that gain.
+        fn rekeyed<O: RevenueOracle>(
+            instance: &RmInstance,
+            oracle: &O,
+            states: &[O::State],
+            assigned: &[bool],
+            by_rate: bool,
+        ) -> Vec<LazyEntry> {
+            let mut entries = Vec::new();
+            for (ad, state) in states.iter().enumerate() {
+                let budget = instance.budget(ad);
+                for v in 0..instance.num_nodes as NodeId {
+                    if assigned[v as usize] {
+                        continue;
+                    }
+                    let rev = oracle.singleton_revenue(ad, v);
+                    let cost = instance.cost(ad, v);
+                    if cost + rev <= budget {
+                        let gain = oracle.marginal_gain(state, v);
+                        entries.push(LazyEntry {
+                            key: if by_rate {
+                                marginal_rate(gain, cost)
+                            } else {
+                                gain
+                            },
+                            node: v,
+                            ad,
+                            version: 0,
+                        });
+                    }
+                }
+            }
+            entries
+        }
+
         fn main_loop<O: RevenueOracle>(
             instance: &RmInstance,
             oracle: &O,
             gamma: f64,
-            candidates: &SingletonCandidates,
         ) -> (Vec<O::State>, Vec<Option<NodeId>>) {
             let h = instance.num_ads();
             let mut states: Vec<O::State> = (0..h).map(|i| oracle.new_state(i)).collect();
@@ -535,7 +614,8 @@ mod tests {
             let mut stopples: Vec<Option<NodeId>> = vec![None; h];
             let mut assigned = vec![false; instance.num_nodes];
             let mut depleted_count = 0usize;
-            let mut queue = LazyQueue::borrowing(&candidates.by_gain);
+            let mut queue =
+                LazyQueue::from_entries(rekeyed(instance, oracle, &states, &assigned, false));
             while depleted_count < h {
                 let Some(entry) = queue.pop() else { break };
                 let ad = entry.ad;
@@ -584,26 +664,7 @@ mod tests {
                 }
             }
             let mut versions = vec![0u32; h];
-            let mut entries = Vec::with_capacity(n * h);
-            for ad in 0..h {
-                let budget = instance.budget(ad);
-                for v in 0..n as NodeId {
-                    if assigned[v as usize] {
-                        continue;
-                    }
-                    let rev = oracle.singleton_revenue(ad, v);
-                    let cost = instance.cost(ad, v);
-                    if cost + rev <= budget {
-                        let gain = oracle.marginal_gain(&states[ad], v);
-                        entries.push(LazyEntry {
-                            key: marginal_rate(gain, cost),
-                            node: v,
-                            ad,
-                            version: versions[ad],
-                        });
-                    }
-                }
-            }
+            let entries = rekeyed(instance, oracle, &states, &assigned, true);
             let mut queue = LazyQueue::from_entries(entries);
             while let Some(entry) = queue.pop() {
                 let ad = entry.ad;
@@ -634,6 +695,9 @@ mod tests {
     struct CountingGains<'a, O> {
         inner: &'a O,
         gains: Cell<u64>,
+        /// Whether `singleton_order` is forwarded too; without it, every
+        /// scan takes the sorting fallback.
+        forward_order: bool,
     }
 
     impl<'a, O: RevenueOracle> CountingGains<'a, O> {
@@ -641,6 +705,14 @@ mod tests {
             CountingGains {
                 inner,
                 gains: Cell::new(0),
+                forward_order: true,
+            }
+        }
+
+        fn without_order(inner: &'a O) -> Self {
+            CountingGains {
+                forward_order: false,
+                ..CountingGains::new(inner)
             }
         }
 
@@ -664,6 +736,9 @@ mod tests {
         }
         fn singleton_revenue(&self, ad: AdId, u: NodeId) -> f64 {
             self.inner.singleton_revenue(ad, u)
+        }
+        fn singleton_order(&self) -> Option<&[u32]> {
+            self.inner.singleton_order().filter(|_| self.forward_order)
         }
         fn new_state(&self, ad: AdId) -> O::State {
             self.inner.new_state(ad)
@@ -702,14 +777,20 @@ mod tests {
     /// Lazy against eager `ThresholdGreedy` at every γ of the dyadic grid
     /// over `[0, (1+τ)·γ_max]` that `Search`'s bisection probes (τ = 0.1),
     /// then lazy against eager `Fill` from an empty allocation and from
-    /// the first half of each probe's seed sets. Returns the gain
-    /// evaluations of the lazy and the eager runs.
+    /// the first half of each probe's seed sets. The lazy loops see the
+    /// oracle's cached singleton order only when `forward_order` is set.
+    /// Returns the gain evaluations of the lazy and the eager runs.
     fn assert_lazy_matches_eager<O: RevenueOracle>(
         instance: &RmInstance,
         oracle: &O,
+        forward_order: bool,
         label: &str,
     ) -> (u64, u64) {
-        let counting = CountingGains::new(oracle);
+        let counting = if forward_order {
+            CountingGains::new(oracle)
+        } else {
+            CountingGains::without_order(oracle)
+        };
         let (mut lazy_gains, mut eager_gains) = (0, 0);
         let gamma_top = 1.1 * SingletonCandidates::scan(instance, oracle).gamma_max;
         let mut starts = vec![Allocation::empty(instance.num_ads())];
@@ -752,8 +833,11 @@ mod tests {
         for h in [2, 3, 10] {
             for seed in 1..=3 {
                 let (estimator, inst) = rr_instance(h, seed);
-                let label = format!("h = {h}, seed = {seed}");
-                let (lazy, eager) = assert_lazy_matches_eager(&inst, &estimator, &label);
+                // One case keeps the sorting fallback.
+                let forward_order = (h, seed) != (3, 1);
+                let label = format!("h = {h}, seed = {seed}, cached order {forward_order}");
+                let (lazy, eager) =
+                    assert_lazy_matches_eager(&inst, &estimator, forward_order, &label);
                 assert!(lazy < eager, "{label}: {lazy} lazy vs {eager} eager gains");
             }
         }
@@ -777,7 +861,35 @@ mod tests {
         )
         .unwrap();
         let o = ExactRevenueOracle::new(&g, &m, &inst);
-        let (lazy, eager) = assert_lazy_matches_eager(&inst, &o, "exact oracle");
+        let (lazy, eager) = assert_lazy_matches_eager(&inst, &o, true, "exact oracle");
         assert!(lazy < eager, "{lazy} lazy vs {eager} eager gains");
+    }
+
+    /// The scan over the estimator's cached singleton order builds exactly
+    /// the candidates of the scan that sorts them per request.
+    #[test]
+    fn cached_order_scan_matches_the_sorting_scan() {
+        for h in [2, 3, 10] {
+            for seed in 1..=3 {
+                let (estimator, inst) = rr_instance(h, seed);
+                assert!(estimator.singleton_order().is_some());
+                let cached = SingletonCandidates::scan(&inst, &estimator);
+                let sorted =
+                    SingletonCandidates::scan(&inst, &CountingGains::without_order(&estimator));
+                assert_eq!(cached, sorted, "h = {h}, seed = {seed}");
+                assert!(cached.by_gain.entries().count() > 0);
+            }
+        }
+        // Over no RR-set the scale is 0, every singleton revenue ties at
+        // 0, and the estimator offers no order: the scan sorts instead.
+        let empty = RrRevenueEstimator::new(&RrArena::new(12, RrStrategy::Standard), 2, 3.0);
+        assert!(empty.singleton_order().is_none());
+        let inst = instance(&[5.0, 5.0]);
+        let fallback = SingletonCandidates::scan(&inst, &empty);
+        assert_eq!(fallback.gamma_max, 0.0);
+        let nodes: Vec<(NodeId, AdId)> =
+            fallback.by_gain.entries().map(|e| (e.node, e.ad)).collect();
+        let expected: Vec<(NodeId, AdId)> = (0..12).rev().flat_map(|u| [(u, 1), (u, 0)]).collect();
+        assert_eq!(nodes, expected);
     }
 }

@@ -65,6 +65,15 @@ pub trait RevenueOracle {
     fn singleton_revenue(&self, ad: AdId, u: NodeId) -> f64 {
         self.revenue(ad, &[u])
     }
+    /// Every `(node, ad)` pair as its group `ad · num_nodes + u`, sorted by
+    /// descending `singleton_revenue(ad, u)` with ties broken by descending
+    /// node and then descending advertiser: the greedy queue's order of the
+    /// singleton keys. An oracle that keeps this order cached lets a solve
+    /// filter it instead of sorting all `n·h` pairs; `None`, the default,
+    /// makes the solve sort.
+    fn singleton_order(&self) -> Option<&[u32]> {
+        None
+    }
     /// Fresh empty state for advertiser `ad`.
     fn new_state(&self, ad: AdId) -> Self::State;
     /// Marginal gain `π_i(u | state.seeds)`.

@@ -12,7 +12,9 @@
 //! snapshot of a shared, incrementally extended coverage index — so
 //! constructing an estimator over a cached stream costs a few `Arc` bumps
 //! instead of an index rebuild, and the per-`(ad, node)` singleton counts
-//! are maintained once per index extension, never per estimator. The
+//! are maintained once per index extension, never per estimator (as is
+//! their sorted order, which `ThresholdGreedy` filters instead of sorting
+//! the pairs per request). The
 //! incremental state keeps a packed `u64` covered-bitmap over the RR-sets
 //! so a marginal-gain query for advertiser `i` costs
 //! `O(#RR-sets of i containing u)`: the index groups postings by
@@ -149,6 +151,13 @@ impl RevenueOracle for RrRevenueEstimator {
 
     fn singleton_revenue(&self, ad: AdId, u: NodeId) -> f64 {
         self.scale * self.view.singleton_count(ad, u) as f64
+    }
+
+    fn singleton_order(&self) -> Option<&[u32]> {
+        // The view's count order is the order of `scale · count` when the
+        // scale is normal and positive: counts are below 2³², so distinct
+        // counts stay distinct revenues. With no RR-set the scale is 0.
+        self.scale.is_normal().then(|| self.view.singleton_order())
     }
 
     fn new_state(&self, ad: AdId) -> RrSeedState {

@@ -3,7 +3,7 @@
 use rmsa_diffusion::AdId;
 use rmsa_graph::NodeId;
 use std::borrow::Cow;
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// A `(key, node, ad)` queue entry with a per-advertiser version stamp
@@ -25,21 +25,49 @@ pub struct LazyEntry {
 
 impl LazyEntry {
     /// The entry's position in [`LazyEntry::cmp`] order packed into one
-    /// integer: the `f64::total_cmp` bits of the key, then the node, then
-    /// the advertiser (advertiser ids are below 2³²).
+    /// integer: see [`pack`].
     fn packed(&self) -> u128 {
-        let bits = self.key.to_bits();
-        // Negative floats order by reversed magnitude: flipping every bit
-        // of a negative and only the sign bit of a non-negative makes the
-        // unsigned order agree with `total_cmp`.
-        let ordered = if bits >> 63 == 1 {
-            !bits
-        } else {
-            bits | 1 << 63
-        };
-        debug_assert!(u32::try_from(self.ad).is_ok(), "advertiser id overflows");
-        (u128::from(ordered) << 64) | (u128::from(self.node) << 32) | self.ad as u128
+        pack(self.key, self.node, self.ad)
     }
+
+    /// The version-0 entry behind a [`pack`]ed key.
+    fn unpack(packed: u128) -> LazyEntry {
+        let ordered = (packed >> 64) as u64;
+        // Undo `pack`'s bit flips: a set top bit marks a non-negative key.
+        let bits = if ordered >> 63 == 1 {
+            ordered & !(1 << 63)
+        } else {
+            !ordered
+        };
+        LazyEntry {
+            key: f64::from_bits(bits),
+            node: (packed >> 32) as NodeId,
+            ad: packed_ad(packed),
+            version: 0,
+        }
+    }
+}
+
+/// A `(key, node, ad)` triple packed into one integer whose unsigned order
+/// is [`LazyEntry::cmp`]'s: the `f64::total_cmp` bits of the key, then the
+/// node, then the advertiser (advertiser ids are below 2³²).
+pub fn pack(key: f64, node: NodeId, ad: AdId) -> u128 {
+    let bits = key.to_bits();
+    // Negative floats order by reversed magnitude: flipping every bit
+    // of a negative and only the sign bit of a non-negative makes the
+    // unsigned order agree with `total_cmp`.
+    let ordered = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    debug_assert!(u32::try_from(ad).is_ok(), "advertiser id overflows");
+    (u128::from(ordered) << 64) | (u128::from(node) << 32) | ad as u128
+}
+
+/// The advertiser of a [`pack`]ed key.
+fn packed_ad(packed: u128) -> AdId {
+    (packed as u32) as AdId
 }
 
 impl PartialEq for LazyEntry {
@@ -67,34 +95,56 @@ impl Ord for LazyEntry {
     }
 }
 
-/// Queue entries sorted once into descending [`LazyEntry::cmp`] order, so
-/// several queues can start from the same candidates without re-sorting.
-#[derive(Clone, Debug)]
-pub struct SortedRun(Vec<LazyEntry>);
+/// Version-0 queue entries as [`pack`]ed keys, sorted once into
+/// descending [`LazyEntry::cmp`] order, so several queues can start from
+/// the same candidates without re-sorting. A packed key is 16 bytes
+/// against an entry's 24 and compares as one integer.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SortedRun(Vec<u128>);
 
 impl SortedRun {
-    /// Sort `entries` with one `sort_unstable` on the packed key.
-    pub fn new(mut entries: Vec<LazyEntry>) -> Self {
+    /// Sort version-0 `entries` with one `sort_unstable` on the packed key.
+    pub fn new(entries: Vec<LazyEntry>) -> Self {
         debug_assert!(
-            entries.iter().all(|e| !e.key.is_nan()),
-            "queue keys must not be NaN"
+            entries.iter().all(|e| !e.key.is_nan() && e.version == 0),
+            "run entries must be version 0 with non-NaN keys"
         );
-        entries.sort_unstable_by_key(|e| Reverse(e.packed()));
-        SortedRun(entries)
+        SortedRun::from_packed(entries.iter().map(LazyEntry::packed).collect())
+    }
+
+    /// Sort [`pack`]ed keys.
+    pub fn from_packed(mut keys: Vec<u128>) -> Self {
+        keys.sort_unstable_by(|a, b| b.cmp(a));
+        SortedRun(keys)
+    }
+
+    /// Wrap [`pack`]ed keys that are already in strictly descending order.
+    pub fn from_sorted(keys: Vec<u128>) -> Self {
+        debug_assert!(
+            keys.windows(2).all(|w| w[0] > w[1]),
+            "keys must be strictly descending"
+        );
+        SortedRun(keys)
+    }
+
+    /// The entries, in order.
+    pub fn entries(&self) -> impl Iterator<Item = LazyEntry> + '_ {
+        self.0.iter().map(|&p| LazyEntry::unpack(p))
     }
 }
 
 /// A CELF lazy-greedy priority queue over `(node, advertiser)` candidates.
 ///
-/// The initial candidates live in a [`SortedRun`] read through a cursor;
-/// only CELF re-pushes go into a binary heap, which stays small. `pop`
-/// returns the larger of the run head and the heap top. Callers keep at
-/// most one live entry per `(node, ad)` pair and the order is total, so no
-/// two live entries compare equal and the pop sequence is exactly that of
-/// one max-heap holding every entry.
+/// The initial candidates live in a [`SortedRun`] read through a cursor
+/// and unpacked on pop, always at version 0; only CELF re-pushes go into a
+/// binary heap, which stays small. `pop` returns the larger of the run
+/// head and the heap top. Callers keep at most one live entry per
+/// `(node, ad)` pair and the order is total, so no two live entries
+/// compare equal and the pop sequence is exactly that of one max-heap
+/// holding every entry.
 #[derive(Clone, Debug)]
 pub struct LazyQueue<'a> {
-    run: Cow<'a, [LazyEntry]>,
+    run: Cow<'a, [u128]>,
     next: usize,
     refresh: BinaryHeap<LazyEntry>,
 }
@@ -112,7 +162,7 @@ impl<'a> LazyQueue<'a> {
         LazyQueue::from_run(Cow::Borrowed(&run.0))
     }
 
-    fn from_run(run: Cow<'a, [LazyEntry]>) -> Self {
+    fn from_run(run: Cow<'a, [u128]>) -> Self {
         LazyQueue {
             run,
             next: 0,
@@ -137,13 +187,25 @@ impl<'a> LazyQueue<'a> {
         });
     }
 
+    /// [`Self::pop`] after stepping the run's cursor past every entry for
+    /// which `live(position, ad)` is false.
+    pub fn pop_live(&mut self, mut live: impl FnMut(usize, AdId) -> bool) -> Option<LazyEntry> {
+        while let Some(&head) = self.run.get(self.next) {
+            if live(self.next, packed_ad(head)) {
+                break;
+            }
+            self.next += 1;
+        }
+        self.pop()
+    }
+
     /// Pop the entry with the largest cached key.
     pub fn pop(&mut self) -> Option<LazyEntry> {
         match (self.run.get(self.next), self.refresh.peek()) {
-            (Some(head), Some(top)) if top > head => self.refresh.pop(),
+            (Some(&head), Some(top)) if top.packed() > head => self.refresh.pop(),
             (Some(&head), _) => {
                 self.next += 1;
-                Some(head)
+                Some(LazyEntry::unpack(head))
             }
             (None, _) => self.refresh.pop(),
         }
@@ -227,6 +289,13 @@ mod tests {
             for b in &entries {
                 assert_eq!(a.packed().cmp(&b.packed()), a.cmp(b), "{a:?} vs {b:?}");
             }
+            // Unpacking restores the entry bit for bit, at version 0.
+            let back = LazyEntry::unpack(a.packed());
+            assert_eq!(
+                (back.key.to_bits(), back.node, back.ad, back.version),
+                (a.key.to_bits(), a.node, a.ad, 0),
+                "{a:?}"
+            );
         }
         // -0.0 sorts strictly below +0.0, as under total_cmp.
         assert!(entry(-0.0, 5, 5).packed() < entry(0.0, 0, 0).packed());
@@ -282,5 +351,26 @@ mod tests {
         let second = drain(&mut LazyQueue::borrowing(&run));
         assert_eq!(first, second);
         assert_eq!(first, vec![(4.0, 1, 1), (2.0, 2, 0), (1.0, 0, 0)]);
+    }
+
+    #[test]
+    fn pop_live_steps_past_dead_run_entries_only() {
+        let run = SortedRun::new(vec![
+            entry(1.0, 0, 0),
+            entry(4.0, 1, 1),
+            entry(2.0, 2, 0),
+            entry(3.0, 3, 1),
+        ]);
+        let mut q = LazyQueue::borrowing(&run);
+        // Positions count along the sorted run: 4.0, 3.0, 2.0, 1.0.
+        let live = |i: usize, ad: AdId| ad == 1 || i == 3;
+        let first = q.pop_live(live).unwrap();
+        assert_eq!((first.key, first.node), (4.0, 1));
+        // A re-pushed entry is never filtered, and still wins on its key.
+        q.push(3.5, 1, 1, 1);
+        let got: Vec<(f64, NodeId)> = std::iter::from_fn(|| q.pop_live(live))
+            .map(|e| (e.key, e.node))
+            .collect();
+        assert_eq!(got, vec![(3.5, 1), (3.0, 3), (1.0, 0)]);
     }
 }

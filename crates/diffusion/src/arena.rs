@@ -46,7 +46,7 @@ use rand_pcg::Pcg64Mcg;
 use rmsa_graph::{DirectedGraph, NodeId};
 use rmsa_store::Column;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// RR-sets per generation chunk. Each chunk owns an RNG derived from
 /// `(seed, chunk_index)`, making parallel generation a deterministic
@@ -616,6 +616,10 @@ pub struct CoverageIndex {
     /// `singleton[ad * num_nodes + u]` = #indexed RR-sets of `ad`
     /// containing `u`.
     pub(crate) singleton: Arc<Column<u32>>,
+    /// [`CoverageView::singleton_order`] of the current counts, built by
+    /// the first view that asks and shared with every view taken before
+    /// the next extension. Derived data: snapshots do not store it.
+    pub(crate) order: Arc<OnceLock<Vec<u32>>>,
 }
 
 impl CoverageIndex {
@@ -629,6 +633,7 @@ impl CoverageIndex {
             num_rr: 0,
             segments: Vec::new(),
             singleton: Arc::new(vec![0u32; num_ads * num_nodes].into()),
+            order: Arc::default(),
         }
     }
 
@@ -729,6 +734,9 @@ impl CoverageIndex {
             entries: entries.into(),
         }));
         self.num_rr = to;
+        // The counts changed: later views sort afresh, while older views
+        // keep the order of their own counts.
+        self.order = Arc::default();
         to - from
     }
 
@@ -740,6 +748,7 @@ impl CoverageIndex {
             num_rr: self.num_rr,
             segments: self.segments.clone(),
             singleton: Arc::clone(&self.singleton),
+            order: Arc::clone(&self.order),
         }
     }
 
@@ -781,6 +790,7 @@ pub struct CoverageView {
     num_rr: usize,
     segments: Vec<Arc<CoverageSegment>>,
     singleton: Arc<Column<u32>>,
+    order: Arc<OnceLock<Vec<u32>>>,
 }
 
 impl CoverageView {
@@ -808,6 +818,19 @@ impl CoverageView {
     /// per index extension, not recomputed per estimator).
     pub fn singleton_count(&self, ad: AdId, u: NodeId) -> u32 {
         self.singleton[ad * self.num_nodes + u as usize]
+    }
+
+    /// Every posting group `ad · num_nodes + u`, by descending
+    /// [`Self::singleton_count`], then descending node, then descending
+    /// advertiser. For any `scale > 0` this is the greedy queue's order of
+    /// the singleton revenues `scale · count` with their `(node, ad)`
+    /// tie-break, so a solve can filter it instead of sorting.
+    ///
+    /// Sorted once, by the first caller, and shared by every view of the
+    /// same extension; concurrent first callers get one identical order.
+    pub fn singleton_order(&self) -> &[u32] {
+        self.order
+            .get_or_init(|| order_by_count(&self.singleton, self.num_nodes, self.num_ads))
     }
 
     /// Visit, in ascending order, the id of every RR-set generated for
@@ -863,6 +886,30 @@ impl CoverageView {
     pub fn mapped_bytes(&self) -> usize {
         index_mapped_bytes(&self.segments, &self.singleton)
     }
+}
+
+/// The groups of `singleton` sorted as [`CoverageView::singleton_order`]
+/// states. One `u64` key per group: the count above the pair index
+/// `node · num_ads + ad`, which orders pairs by node and then advertiser.
+fn order_by_count(singleton: &[u32], num_nodes: usize, num_ads: usize) -> Vec<u32> {
+    let groups = singleton.len();
+    assert!(
+        u32::try_from(groups).is_ok(),
+        "posting group ids must fit in u32"
+    );
+    let mut keys: Vec<u64> = Vec::with_capacity(groups);
+    for (ad, counts) in singleton.chunks_exact(num_nodes.max(1)).enumerate() {
+        for (u, &count) in counts.iter().enumerate() {
+            keys.push(u64::from(count) << 32 | (u * num_ads + ad) as u64);
+        }
+    }
+    keys.sort_unstable_by(|a, b| b.cmp(a));
+    keys.into_iter()
+        .map(|key| {
+            let pair = (key & u64::from(u32::MAX)) as usize;
+            ((pair % num_ads) * num_nodes + pair / num_ads) as u32
+        })
+        .collect()
 }
 
 /// Dense bitset over RR-set ids: 64 covered-flags per word instead of the
@@ -1107,6 +1154,13 @@ mod tests {
                 let mapped =
                     load(&MappedSnapshot::open(&path, rmsa_store::VerifyMode::Lazy).unwrap());
 
+                // The derived singleton order is rebuilt, not stored, and a
+                // loaded index sorts to the built one's.
+                let built_order = index.view().singleton_order().to_vec();
+                assert_eq!(built_order, expected_order(&index.view()));
+                assert_eq!(owned.view().singleton_order(), built_order);
+                assert_eq!(mapped.view().singleton_order(), built_order);
+
                 let n = graph.num_nodes();
                 let mut expected = vec![Vec::new(); num_ads * n];
                 for rr in 0..arena.len() {
@@ -1346,5 +1400,94 @@ mod tests {
         assert!(bits.test(129));
         assert_eq!(bits.count_ones(), 3);
         assert!(bits.memory_bytes() >= 3 * 8);
+    }
+
+    /// The groups of `view` sorted the slow way: by count, node and
+    /// advertiser, each descending.
+    fn expected_order(view: &CoverageView) -> Vec<u32> {
+        let (n, h) = (view.num_nodes(), view.num_ads());
+        let mut pairs: Vec<(u32, NodeId, AdId)> = (0..h)
+            .flat_map(|ad| (0..n as NodeId).map(move |u| (view.singleton_count(ad, u), u, ad)))
+            .collect();
+        pairs.sort_by(|a, b| b.cmp(a));
+        pairs
+            .into_iter()
+            .map(|(_, u, ad)| (ad * n + u as usize) as u32)
+            .collect()
+    }
+
+    /// Few RR-sets over many nodes: most counts are 0 or 1, so the order
+    /// is decided by the node and advertiser tie-breaks.
+    fn tie_heavy_index(seed: u64, sets: usize) -> CoverageIndex {
+        let mut index = CoverageIndex::new(200, 3);
+        index.extend_from(&tie_heavy_arena(seed, sets));
+        index
+    }
+
+    fn tie_heavy_arena(seed: u64, sets: usize) -> RrArena {
+        let g = barabasi_albert(200, 2, &mut Pcg64Mcg::seed_from_u64(seed));
+        let m = UniformIc::new(3, 0.1);
+        let sampler = UniformRrSampler::new(&[1.0, 2.0, 1.5]);
+        let mut arena = RrArena::new(g.num_nodes(), RrStrategy::Standard);
+        arena.generate(&g, &m, &sampler, sets, &mut Pcg64Mcg::seed_from_u64(seed));
+        arena
+    }
+
+    #[test]
+    fn singleton_order_sorts_by_count_then_node_then_advertiser() {
+        for seed in 1..=3 {
+            let index = tie_heavy_index(seed, 150);
+            let view = index.view();
+            let order = view.singleton_order();
+            assert_eq!(order, expected_order(&view), "seed {seed}");
+            let zeros = order
+                .iter()
+                .filter(|&&g| view.singleton[g as usize] == 0)
+                .count();
+            assert!(zeros > order.len() / 2, "seed {seed}: too few ties");
+        }
+    }
+
+    #[test]
+    fn singleton_order_belongs_to_the_view_it_was_taken_from() {
+        let mut index = tie_heavy_index(5, 150);
+        let early = index.view();
+        let early_order = early.singleton_order().to_vec();
+        // A second segment over fresh sets: the counts change.
+        let mut arena = tie_heavy_arena(5, 150);
+        arena.append_arena(&tie_heavy_arena(6, 400));
+        index.extend_from(&arena);
+        let late = index.view();
+        // The early view keeps its own order; the late one is sorted anew.
+        assert_eq!(early.singleton_order(), early_order);
+        assert_eq!(late.singleton_order(), expected_order(&late));
+        assert_ne!(late.singleton_order(), early_order);
+        // Views of one extension share one sort.
+        assert!(std::ptr::eq(
+            late.singleton_order().as_ptr(),
+            index.view().singleton_order().as_ptr()
+        ));
+    }
+
+    #[test]
+    fn concurrent_first_callers_get_one_identical_order() {
+        let index = tie_heavy_index(7, 300);
+        let view = index.view();
+        let barrier = std::sync::Barrier::new(2);
+        let results: Vec<(usize, Vec<u32>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    let (view, barrier) = (view.clone(), &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let order = view.singleton_order();
+                        (order.as_ptr() as usize, order.to_vec())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(results[0], results[1]);
+        assert_eq!(results[0].1, expected_order(&view));
     }
 }

@@ -602,6 +602,17 @@ fn handle_request(shared: &Shared, conn: &mut Conn, token: u64, line: &str) {
             );
         }
         Request::Warm(warm) => {
+            // A client may warm up to the serving θ, not grow the RR cache
+            // (and every later solve's posting walks) without bound.
+            let cap = shared.registry.ctx().rma_max_rr;
+            if let Some(target) = warm.target_rr.filter(|&target| target > cap) {
+                let error = WireError::new(
+                    ErrorCode::InvalidParameter,
+                    format!("target_rr {target} exceeds the serving cap of {cap} RR-sets"),
+                );
+                conn.finish(seq, Response::error(warm.id, error).render_for(version));
+                return;
+            }
             let key = SessionKey::from(&warm);
             submit(
                 shared,

@@ -254,7 +254,7 @@ pub struct WarmRequest {
     /// RR-set strategy of the target session.
     pub strategy: RrStrategy,
     /// Target RR-sets per solver stream; `None` warms to the server's
-    /// default serving θ.
+    /// default serving θ, and the server rejects a target above it.
     pub target_rr: Option<usize>,
 }
 
@@ -495,7 +495,9 @@ impl Request {
                 target_rr: doc
                     .get("target_rr")
                     .and_then(|v| v.as_i64())
-                    .map(|t| t.max(0) as usize),
+                    .map(parse_target_rr)
+                    .transpose()
+                    .map_err(&fail)?,
             }),
             "stats" => Request::Stats { id },
             "ping" => Request::Ping { id },
@@ -1457,6 +1459,18 @@ pub fn parse_alpha(alpha: f64) -> Result<f64, WireError> {
     }
 }
 
+/// Validate a warm request's `target_rr`: a count of RR-sets, so never
+/// negative. The upper bound is the server's serving θ, checked on
+/// admission.
+pub fn parse_target_rr(target_rr: i64) -> Result<usize, WireError> {
+    usize::try_from(target_rr).map_err(|_| {
+        WireError::new(
+            ErrorCode::InvalidParameter,
+            format!("target_rr must be >= 0, got {target_rr}"),
+        )
+    })
+}
+
 /// Parse an incentive-model wire name.
 pub fn parse_incentive(name: &str) -> Result<IncentiveModel, WireError> {
     IncentiveModel::all()
@@ -1710,6 +1724,12 @@ mod tests {
                 ErrorCode::UnknownAlgorithm,
                 2,
                 2,
+            ),
+            (
+                r#"{"schema_version":1,"id":3,"op":"warm","dataset":"lastfm-syn","target_rr":-1}"#,
+                ErrorCode::InvalidParameter,
+                3,
+                1,
             ),
         ] {
             let failure = Request::parse_versioned(line).unwrap_err();

@@ -64,6 +64,8 @@ fn no_wire_request_can_kill_the_single_worker() {
         r#"{"schema_version":1,"id":4,"op":"solve","dataset":"lastfm-syn","algorithm":"rma","alpha":-0.5}"#,
         r#"{"schema_version":1,"id":5,"op":"solve","dataset":"lastfm-syn","algorithm":"sorcery","alpha":0.1}"#,
         r#"{"schema_version":1,"id":6,"op":"solve","dataset":"lastfm-syn","algorithm":"rma","alpha":0.1,"incentive":"bribes"}"#,
+        r#"{"schema_version":1,"id":7,"op":"warm","dataset":"lastfm-syn","target_rr":-1}"#,
+        r#"{"schema_version":1,"id":8,"op":"warm","dataset":"lastfm-syn","target_rr":5001}"#,
         // v2 shapes: missing id, missing alpha, unknown op.
         r#"{"schema_version":2,"op":"ping"}"#,
         r#"{"schema_version":2,"id":10,"op":"solve","dataset":"lastfm-syn","algorithm":"rma"}"#,
@@ -93,6 +95,28 @@ fn no_wire_request_can_kill_the_single_worker() {
                 }
             ),
             "{line} must get an unsupported-schema error, got {response:?}"
+        );
+    }
+
+    // Warm targets below zero or above the serving θ (5,000 RR-sets in
+    // the tiny context) are invalid parameters, not clamps or unbounded
+    // cache growth. (A v1 error carries no code; v1 shapes are above.)
+    for line in [
+        r#"{"schema_version":2,"id":12,"op":"warm","dataset":"lastfm-syn","target_rr":-1}"#,
+        r#"{"schema_version":2,"id":13,"op":"warm","dataset":"lastfm-syn","target_rr":-9223372036854775808}"#,
+        r#"{"schema_version":2,"id":14,"op":"warm","dataset":"lastfm-syn","target_rr":5001}"#,
+        r#"{"schema_version":2,"id":15,"op":"warm","dataset":"lastfm-syn","target_rr":9223372036854775807}"#,
+    ] {
+        let response = call(line);
+        assert!(
+            matches!(
+                response,
+                Response::Error {
+                    code: ErrorCode::InvalidParameter,
+                    ..
+                }
+            ),
+            "{line} must get an invalid-parameter error, got {response:?}"
         );
     }
 
