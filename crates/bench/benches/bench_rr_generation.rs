@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
-use rmsa_diffusion::{RrGenerator, RrStrategy, WeightedCascade};
+use rmsa_diffusion::{RrArena, RrStrategy, WeightedCascade};
 use rmsa_graph::generators::barabasi_albert;
 
 fn bench_rr_generation(c: &mut Criterion) {
@@ -18,14 +18,11 @@ fn bench_rr_generation(c: &mut Criterion) {
             BenchmarkId::new("weighted_cascade", format!("{strategy:?}")),
             &strategy,
             |b, &strategy| {
-                let mut gen = RrGenerator::new(graph.num_nodes(), strategy);
                 let mut rng = Pcg64Mcg::seed_from_u64(2);
                 b.iter(|| {
-                    let mut total = 0usize;
-                    for _ in 0..200 {
-                        total += gen.generate(&graph, &model, 0, &mut rng).len();
-                    }
-                    total
+                    let mut arena = RrArena::new(graph.num_nodes(), strategy);
+                    arena.generate_for(&graph, &model, 0, 200, &mut rng);
+                    arena.total_entries()
                 });
             },
         );

@@ -20,8 +20,10 @@ use crate::problem::{Allocation, RmInstance};
 use crate::util::{LazyEntry, LazyQueue};
 use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
-use rmsa_diffusion::{PropagationModel, RrGenerator, RrSet, RrStrategy};
+use rmsa_diffusion::{AdId, CoverBitset, CoverageIndex, PropagationModel, RrArena, RrStrategy};
 use rmsa_graph::{DirectedGraph, NodeId};
+use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Which selection rule the TI baseline uses.
@@ -99,69 +101,73 @@ pub struct TiResult {
     /// Whether any advertiser's TIM-style sample size was clipped by
     /// `max_rr_per_ad`.
     pub capped: bool,
-    /// Approximate memory footprint of the per-ad collections in bytes.
+    /// Approximate memory footprint in bytes of the per-ad collections:
+    /// their arena plus its coverage index, as RMA's streams are counted.
     pub memory_bytes: usize,
     /// Wall-clock time of the run.
     pub elapsed: Duration,
 }
 
-/// Per-advertiser RR-set coverage state (TI baselines do not use the uniform
-/// advertiser-proportional sampler; each advertiser has its own collection
-/// and its own `n / |R_i|` scaling).
-struct PerAdSample {
-    node_to_rr: Vec<Vec<u32>>,
-    covered: Vec<bool>,
-}
-
-impl PerAdSample {
-    fn build(num_nodes: usize, sets: &[RrSet]) -> Self {
-        let mut node_to_rr: Vec<Vec<u32>> = vec![Vec::new(); num_nodes];
-        for (id, rr) in sets.iter().enumerate() {
-            for &u in &rr.nodes {
-                node_to_rr[u as usize].push(id as u32);
-            }
-        }
-        PerAdSample {
-            node_to_rr,
-            covered: vec![false; sets.len()],
+/// Greedy top-`k` coverage on the pilot sets `pilot` of `arena`, returning
+/// the covered count — the pilot lower bound on `OPT_i`'s coverage.
+///
+/// CELF-lazy over a node → local-set-id CSR of the pilot range: a popped
+/// `(count, node)` key is recounted and committed only when its count is
+/// still current. Counts only fall, so that key is the largest current
+/// `(count, node)` — the node the eager scan's `max()` picks.
+fn pilot_greedy_coverage(arena: &RrArena, pilot: Range<usize>, k: usize) -> usize {
+    let n = arena.num_nodes();
+    let mut offsets = vec![0usize; n + 1];
+    for &u in arena.nodes_of_range(pilot.start, pilot.end) {
+        offsets[u as usize + 1] += 1;
+    }
+    for u in 0..n {
+        offsets[u + 1] += offsets[u];
+    }
+    let mut cursor = offsets.clone();
+    let mut sets = vec![0u32; offsets[n]];
+    for (local, i) in pilot.clone().enumerate() {
+        for &u in arena.nodes_of(i) {
+            sets[cursor[u as usize]] = local as u32;
+            cursor[u as usize] += 1;
         }
     }
+    let sets_of = |u: NodeId| &sets[offsets[u as usize]..offsets[u as usize + 1]];
 
-    fn marginal_count(&self, u: NodeId) -> usize {
-        self.node_to_rr[u as usize]
-            .iter()
-            .filter(|&&rr| !self.covered[rr as usize])
-            .count()
-    }
-
-    fn commit(&mut self, u: NodeId) -> usize {
-        let mut newly = 0;
-        for &rr in &self.node_to_rr[u as usize] {
-            if !self.covered[rr as usize] {
-                self.covered[rr as usize] = true;
-                newly += 1;
-            }
+    let mut covered = CoverBitset::new(pilot.len());
+    let mut heap: BinaryHeap<(usize, NodeId)> =
+        (0..n as NodeId).map(|u| (sets_of(u).len(), u)).collect();
+    let (mut total, mut picked) = (0usize, 0usize);
+    while picked < k {
+        let Some((count, u)) = heap.pop() else { break };
+        let fresh = sets_of(u).iter().filter(|&&rr| !covered.test(rr)).count();
+        if fresh != count {
+            heap.push((fresh, u));
+            continue;
         }
-        newly
-    }
-}
-
-/// Greedy top-`k` coverage on a pilot sample, returning the covered count —
-/// the pilot lower bound on `OPT_i`'s coverage.
-fn pilot_greedy_coverage(num_nodes: usize, sets: &[RrSet], k: usize) -> usize {
-    let mut sample = PerAdSample::build(num_nodes, sets);
-    let mut total = 0usize;
-    for _ in 0..k {
-        let best = (0..num_nodes as NodeId)
-            .map(|u| (sample.marginal_count(u), u))
-            .max()
-            .unwrap_or((0, 0));
-        if best.0 == 0 {
+        if fresh == 0 {
             break;
         }
-        total += sample.commit(best.1);
+        for &rr in sets_of(u) {
+            covered.set(rr);
+        }
+        total += fresh;
+        picked += 1;
     }
     total
+}
+
+/// Fail before the coverage index's `u32` caps would: `count` (of `what`)
+/// may not exceed `u32::MAX`; `name` is the configuration field at fault.
+fn check_u32_cap(name: &'static str, count: usize, what: &str) -> Result<(), RmError> {
+    if count > u32::MAX as usize {
+        return Err(RmError::invalid_parameter(
+            name,
+            count as f64,
+            format!("at most {} {what}", u32::MAX),
+        ));
+    }
+    Ok(())
 }
 
 /// Run TI-CARM (`rule = CostAgnostic`) or TI-CSRM (`rule = CostSensitive`).
@@ -169,7 +175,8 @@ fn pilot_greedy_coverage(num_nodes: usize, sets: &[RrSet], k: usize) -> usize {
 /// The TI baselines keep one RR-set collection *per advertiser* with TIM's
 /// per-ad scaling, so they do not share the uniform-sampler [`rmsa_diffusion::RrCache`]
 /// used by RMA; their sampling cost is part of what the paper measures
-/// against.
+/// against. Advertiser `i`'s collection is one contiguous range of a
+/// private [`RrArena`], indexed once by a private [`CoverageIndex`].
 pub fn ti_baseline<M: PropagationModel + ?Sized>(
     graph: &DirectedGraph,
     model: &M,
@@ -189,56 +196,55 @@ pub fn ti_baseline<M: PropagationModel + ?Sized>(
     }
     config.validate()?;
     let mut rng = Pcg64Mcg::seed_from_u64(config.seed);
-    let mut gen = RrGenerator::new(n, config.strategy);
 
     // Phase 1: per-advertiser sample-size estimation and RR generation.
-    let mut per_ad_sets: Vec<Vec<RrSet>> = Vec::with_capacity(h);
-    let mut total_rr = 0usize;
-    let mut memory = 0usize;
+    let mut arena = RrArena::new(n, config.strategy);
+    let mut sets_per_ad = Vec::with_capacity(h);
     let mut capped = false;
     // The upper-bound slack used in the conservative feasibility check.
     let q = (n as f64 * h as f64 / config.delta).ln();
     for ad in 0..h {
+        let first = arena.len();
         // Latent seed-set size: the largest set the budget could buy.
         let k_i = instance.max_seeds_within(ad, instance.budget(ad));
         // Pilot sample to lower-bound OPT_i.
-        let pilot: Vec<RrSet> = (0..config.pilot_sets.min(config.max_rr_per_ad))
-            .map(|_| gen.generate(graph, &model, ad, &mut rng))
-            .collect();
-        let pilot_cov = pilot_greedy_coverage(n, &pilot, k_i).max(1);
-        let opt_lb = (n as f64 * pilot_cov as f64 / pilot.len().max(1) as f64).max(1.0);
+        let pilot_len = config.pilot_sets.min(config.max_rr_per_ad);
+        check_u32_cap("pilot_sets", first + pilot_len, "RR-sets")?;
+        arena.generate_for(graph, model, ad, pilot_len, &mut rng);
+        let pilot_cov = pilot_greedy_coverage(&arena, first..arena.len(), k_i).max(1);
+        let opt_lb = (n as f64 * pilot_cov as f64 / pilot_len.max(1) as f64).max(1.0);
         // TIM-style sample size with ln C(n, k) ≤ k ln n.
         let theta = (8.0 + 2.0 * config.epsilon)
             * n as f64
             * ((2.0 * h as f64 / config.delta).ln() + k_i as f64 * (n as f64).ln())
             / (config.epsilon * config.epsilon * opt_lb);
-        let theta_raw = (theta.ceil() as usize).max(pilot.len());
+        let theta_raw = (theta.ceil() as usize).max(pilot_len);
         let theta = theta_raw.min(config.max_rr_per_ad);
         capped |= theta < theta_raw;
-        let mut sets = pilot;
-        while sets.len() < theta {
-            sets.push(gen.generate(graph, &model, ad, &mut rng));
-        }
-        total_rr += sets.len();
-        memory += sets.iter().map(|s| s.memory_bytes()).sum::<usize>();
-        per_ad_sets.push(sets);
+        check_u32_cap("max_rr_per_ad", first + theta, "RR-sets")?;
+        arena.generate_for(graph, model, ad, theta - pilot_len, &mut rng);
+        sets_per_ad.push(theta);
     }
+    check_u32_cap("max_rr_per_ad", arena.total_entries(), "member entries")?;
 
     // Phase 2: greedy selection with conservative (upper-bounded) budget
-    // feasibility, mirroring CA-/CS-Greedy.
-    let mut samples: Vec<PerAdSample> = per_ad_sets
-        .iter()
-        .map(|sets| PerAdSample::build(n, sets))
-        .collect();
+    // feasibility, mirroring CA-/CS-Greedy. Postings group `ad · n + u` is
+    // advertiser `ad`'s node → sets list; every set belongs to one
+    // advertiser, so one bitset holds every advertiser's covered sets.
+    let mut index = CoverageIndex::new(n, h);
+    index.extend_from(&arena);
+    let memory = arena.memory_bytes() + index.memory_bytes();
+    let total_rr = arena.len();
+    drop(arena);
+    let view = index.view();
+    let mut covered = CoverBitset::new(total_rr);
+    let marginal_count = |covered: &CoverBitset, ad: AdId, u: NodeId| {
+        let mut count = 0usize;
+        view.for_each_rr_of(ad, u, |rr| count += usize::from(!covered.test(rr)));
+        count
+    };
     let scale: Vec<f64> = (0..h)
-        .map(|ad| {
-            let r = per_ad_sets[ad].len();
-            if r == 0 {
-                0.0
-            } else {
-                instance.cpe(ad) * n as f64 / r as f64
-            }
-        })
+        .map(|ad| instance.cpe(ad) * n as f64 / sets_per_ad[ad] as f64)
         .collect();
 
     let mut versions = vec![0u32; h];
@@ -249,9 +255,9 @@ pub fn ti_baseline<M: PropagationModel + ?Sized>(
     let mut seed_sets: Vec<Vec<NodeId>> = vec![Vec::new(); h];
 
     let mut entries = Vec::with_capacity(n * h);
-    for ad in 0..h {
+    for (ad, &ad_scale) in scale.iter().enumerate() {
         for v in 0..n as NodeId {
-            let gain = samples[ad].marginal_count(v) as f64 * scale[ad];
+            let gain = view.singleton_count(ad, v) as f64 * ad_scale;
             let cost = instance.cost(ad, v);
             if cost + gain > instance.budget(ad) {
                 continue;
@@ -275,7 +281,7 @@ pub fn ti_baseline<M: PropagationModel + ?Sized>(
         if saturated[ad] || assigned[entry.node as usize] {
             continue;
         }
-        let marg_count = samples[ad].marginal_count(entry.node) as f64;
+        let marg_count = marginal_count(&covered, ad, entry.node) as f64;
         let gain = marg_count * scale[ad];
         let cost = instance.cost(ad, entry.node);
         let key = match rule {
@@ -293,7 +299,9 @@ pub fn ti_baseline<M: PropagationModel + ?Sized>(
         let ub_revenue =
             (new_cov + (2.0 * q * new_cov).sqrt() + q) * scale[ad].max(f64::MIN_POSITIVE);
         if cost_sums[ad] + cost + ub_revenue <= instance.budget(ad) {
-            covered_counts[ad] += samples[ad].commit(entry.node);
+            view.for_each_rr_of(ad, entry.node, |rr| {
+                covered_counts[ad] += usize::from(covered.set(rr));
+            });
             cost_sums[ad] += cost;
             versions[ad] += 1;
             assigned[entry.node as usize] = true;
@@ -402,18 +410,134 @@ mod tests {
         }
     }
 
+    /// A pilot of `sets` RR-sets for advertiser 0, generated as `ti_baseline`
+    /// generates one.
+    fn pilot(g: &DirectedGraph, m: &UniformIc, sets: usize, seed: u64) -> RrArena {
+        let mut arena = RrArena::new(g.num_nodes(), RrStrategy::Standard);
+        arena.generate_for(g, m, 0, sets, &mut Pcg64Mcg::seed_from_u64(seed));
+        arena
+    }
+
     #[test]
     fn pilot_greedy_coverage_is_monotone_in_k() {
         let (g, m, _) = setup(1);
-        let mut rng = Pcg64Mcg::seed_from_u64(1);
-        let mut gen = RrGenerator::new(g.num_nodes(), RrStrategy::Standard);
-        let sets: Vec<RrSet> = (0..500)
-            .map(|_| gen.generate(&g, &m, 0, &mut rng))
-            .collect();
-        let c1 = pilot_greedy_coverage(g.num_nodes(), &sets, 1);
-        let c3 = pilot_greedy_coverage(g.num_nodes(), &sets, 3);
-        let c10 = pilot_greedy_coverage(g.num_nodes(), &sets, 10);
+        let arena = pilot(&g, &m, 500, 1);
+        let c1 = pilot_greedy_coverage(&arena, 0..500, 1);
+        let c3 = pilot_greedy_coverage(&arena, 0..500, 3);
+        let c10 = pilot_greedy_coverage(&arena, 0..500, 10);
         assert!(c1 <= c3 && c3 <= c10);
         assert!(c10 <= 500);
+    }
+
+    /// The eager pilot greedy the lazy one replaced: every step rescans all
+    /// `n` nodes for the largest `(count, node)`.
+    mod eager {
+        use super::*;
+
+        pub fn pilot_greedy_coverage(arena: &RrArena, pilot: Range<usize>, k: usize) -> usize {
+            let n = arena.num_nodes();
+            let mut node_to_rr: Vec<Vec<usize>> = vec![Vec::new(); n];
+            for i in pilot.clone() {
+                for &u in arena.nodes_of(i) {
+                    node_to_rr[u as usize].push(i - pilot.start);
+                }
+            }
+            let mut covered = vec![false; pilot.len()];
+            let marginal = |covered: &[bool], u: NodeId| {
+                node_to_rr[u as usize]
+                    .iter()
+                    .filter(|&&rr| !covered[rr])
+                    .count()
+            };
+            let mut total = 0usize;
+            for _ in 0..k {
+                let best = (0..n as NodeId)
+                    .map(|u| (marginal(&covered, u), u))
+                    .max()
+                    .unwrap_or((0, 0));
+                if best.0 == 0 {
+                    break;
+                }
+                for &rr in &node_to_rr[best.1 as usize] {
+                    if !covered[rr] {
+                        covered[rr] = true;
+                        total += 1;
+                    }
+                }
+            }
+            total
+        }
+    }
+
+    #[test]
+    fn lazy_pilot_greedy_matches_the_eager_scan_for_every_k() {
+        // High edge probabilities on a small graph: large, overlapping sets
+        // and many tied counts, so the tie-break decides most picks.
+        let g = celebrity_graph(4, 5);
+        let n = g.num_nodes();
+        for (p, seed) in [(0.9, 1), (0.6, 2), (0.3, 3)] {
+            let m = UniformIc::new(1, p);
+            // The pilot sits behind another advertiser's range, as it does
+            // for every advertiser but the first.
+            let mut arena = pilot(&g, &m, 37, seed);
+            let from = arena.len();
+            arena.generate_for(&g, &m, 0, 300, &mut Pcg64Mcg::seed_from_u64(seed + 10));
+            let range = from..arena.len();
+            for k in 1..=n + 1 {
+                assert_eq!(
+                    pilot_greedy_coverage(&arena, range.clone(), k),
+                    eager::pilot_greedy_coverage(&arena, range.clone(), k),
+                    "p = {p}, seed = {seed}, k = {k}"
+                );
+            }
+        }
+        let empty = RrArena::new(n, RrStrategy::Standard);
+        for k in 0..=n + 1 {
+            assert_eq!(pilot_greedy_coverage(&empty, 0..0, k), 0);
+            assert_eq!(eager::pilot_greedy_coverage(&empty, 0..0, k), 0);
+        }
+    }
+
+    #[test]
+    fn sample_sizes_past_the_index_cap_are_typed_errors() {
+        let (g, m, inst) = setup(2);
+        let mut cfg = quick_config();
+        cfg.epsilon = 1e-6;
+        cfg.pilot_sets = 64;
+        cfg.max_rr_per_ad = u32::MAX as usize + 1;
+        let err = ti_baseline(&g, &m, &inst, &cfg, TiRule::CostSensitive).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RmError::InvalidParameter {
+                    name: "max_rr_per_ad",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        cfg.epsilon = 0.3;
+        cfg.pilot_sets = u32::MAX as usize + 1;
+        let err = ti_baseline(&g, &m, &inst, &cfg, TiRule::CostSensitive).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RmError::InvalidParameter {
+                    name: "pilot_sets",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn memory_counts_the_arena_and_its_index() {
+        let (g, m, inst) = setup(2);
+        let res = ti_baseline(&g, &m, &inst, &quick_config(), TiRule::CostAgnostic).unwrap();
+        // Every set holds at least its root: one u32 member, one usize
+        // offset, one u32 advertiser and one u32 posting.
+        let per_set = 3 * std::mem::size_of::<u32>() + std::mem::size_of::<usize>();
+        assert!(res.memory_bytes >= res.total_rr_sets * per_set);
     }
 }

@@ -461,9 +461,9 @@ fn ti_report(
             used: result.total_rr_sets,
             generated: result.total_rr_sets,
             reused: 0,
-            // The TI baselines build private per-advertiser TIM indexes —
-            // nothing goes through the shared coverage index, so there is
-            // no shared-index work to report.
+            // The TI baselines index a private arena — nothing goes
+            // through the shared cache, so there is no shared-index work
+            // to report.
             index_extended: 0,
             index_reused: 0,
         },

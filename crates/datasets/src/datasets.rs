@@ -15,7 +15,7 @@
 
 use crate::incentives::{seed_costs_from_spreads, IncentiveModel};
 use crate::topics::random_tic_model;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64Mcg;
 use rmsa_core::problem::{Advertiser, RmInstance, SeedCosts};
 use rmsa_diffusion::{
@@ -196,14 +196,17 @@ impl Dataset {
         let n = self.graph.num_nodes();
         let mut rng = Pcg64Mcg::seed_from_u64(seed);
         let mut gen = RrGenerator::new(n, RrStrategy::Standard);
+        let mut set = Vec::new();
         let shared_across_ads = matches!(self.model, DatasetModel::WeightedCascade(_));
         let ads_to_sample = if shared_across_ads { 1 } else { self.num_ads };
         let mut spreads: Vec<Vec<f64>> = Vec::with_capacity(self.num_ads);
         for ad in 0..ads_to_sample {
             let mut counts = vec![0u32; n];
             for _ in 0..rr_per_ad {
-                let rr = gen.generate(&self.graph, &self.model, ad, &mut rng);
-                for &u in &rr.nodes {
+                set.clear();
+                let root = rng.gen_range(0..n as NodeId);
+                gen.generate_rooted_into(&self.graph, &self.model, ad, root, &mut rng, &mut set);
+                for &u in &set {
                     counts[u as usize] += 1;
                 }
             }

@@ -1,11 +1,9 @@
 //! Columnar RR-set storage and the incrementally extendable coverage index.
 //!
-//! The old representation boxed every RR-set in its own `Vec<NodeId>` and
-//! rebuilt a `Vec<Vec<u32>>` inverted index from scratch for every
-//! estimator. Both are pointer-chasing structures: generation pays one
-//! allocation per RR-set, and every coverage query hops through a
-//! heap-scattered jagged array. This module replaces them with two flat,
-//! cache-friendly structures:
+//! Every RR-set collection in the workspace — the shared cache's streams,
+//! the TI baselines' per-advertiser collections and the tests' fixtures —
+//! lives in these two flat, cache-friendly structures; no set is boxed in
+//! its own `Vec` and no index is a jagged `Vec<Vec<u32>>`:
 //!
 //! * [`RrArena`] — a columnar store: one `nodes` buffer holding every
 //!   member of every RR-set back to back, CSR-style `offsets` delimiting
@@ -143,8 +141,7 @@ impl RrArena {
     /// owned heap plus file-mapped bytes.
     ///
     /// O(1): the columnar layout makes the footprint a closed form of the
-    /// three column sizes, so polling this per sweep point costs nothing
-    /// (the old per-set representation walked every boxed set).
+    /// three column sizes, so polling this per sweep point costs nothing.
     pub fn memory_bytes(&self) -> usize {
         self.resident_bytes() + self.mapped_bytes()
     }
@@ -192,7 +189,8 @@ impl RrArena {
 
     /// Append one RR-set with explicit members (`members[0]` must be the
     /// root). Test/tooling escape hatch; generation goes through
-    /// [`RrArena::generate`] / [`RrArena::generate_parallel`].
+    /// [`RrArena::generate`] / [`RrArena::generate_parallel`] /
+    /// [`RrArena::generate_for`].
     pub fn push_set(&mut self, ad: AdId, members: &[NodeId]) {
         assert!(!members.is_empty(), "an RR-set always contains its root");
         assert!(
@@ -218,7 +216,27 @@ impl RrArena {
         let mut gen = RrGenerator::new(graph.num_nodes(), self.strategy);
         self.reserve_for(count);
         for _ in 0..count {
-            self.emit_one(graph, model, sampler, &mut gen, rng);
+            let ad = sampler.sample_ad(rng);
+            self.emit_for(graph, model, ad, &mut gen, rng);
+        }
+    }
+
+    /// Append `count` RR-sets for the fixed advertiser `ad`, drawing each
+    /// root and then its reverse BFS from the caller's `rng`. This is the
+    /// per-advertiser collection of the TI baselines: the sets of one
+    /// advertiser occupy one contiguous id range.
+    pub fn generate_for<M: PropagationModel + ?Sized, R: Rng>(
+        &mut self,
+        graph: &DirectedGraph,
+        model: &M,
+        ad: AdId,
+        count: usize,
+        rng: &mut R,
+    ) {
+        let mut gen = RrGenerator::new(graph.num_nodes(), self.strategy);
+        self.reserve_for(count);
+        for _ in 0..count {
+            self.emit_for(graph, model, ad, &mut gen, rng);
         }
     }
 
@@ -289,7 +307,8 @@ impl RrArena {
             for k in chunk_from..chunk_to {
                 let mut rng = chunk_rng(seed, k);
                 for _ in 0..chunk_len(k) {
-                    self.emit_one(graph, model, sampler, &mut gen, &mut rng);
+                    let ad = sampler.sample_ad(&mut rng);
+                    self.emit_for(graph, model, ad, &mut gen, &mut rng);
                 }
             }
             return;
@@ -330,19 +349,18 @@ impl RrArena {
         self.offsets.to_mut().reserve(count);
     }
 
-    fn emit_one<M: PropagationModel + ?Sized, R: Rng>(
+    fn emit_for<M: PropagationModel + ?Sized, R: Rng>(
         &mut self,
         graph: &DirectedGraph,
         model: &M,
-        sampler: &UniformRrSampler,
+        ad: AdId,
         gen: &mut RrGenerator,
         rng: &mut R,
     ) {
-        let ad = sampler.sample_ad(rng);
         let root = rng.gen_range(0..graph.num_nodes() as NodeId);
         gen.generate_rooted_into(graph, model, ad, root, rng, self.nodes.to_mut());
         self.offsets.push(self.nodes.len());
-        // Sampled ads are `< num_ads`, far below u32::MAX.
+        // Ads are `< num_ads`, far below u32::MAX.
         self.ads.push(ad as u32);
     }
 
@@ -966,6 +984,32 @@ mod tests {
 
     fn collect_sets(arena: &RrArena) -> Vec<(AdId, Vec<NodeId>)> {
         arena.iter().map(|s| (s.ad, s.nodes.to_vec())).collect()
+    }
+
+    #[test]
+    fn generate_for_draws_each_root_then_its_set_from_the_callers_rng() {
+        let g = barabasi_albert(60, 3, &mut rng());
+        let m = UniformIc::new(3, 0.4);
+        let mut arena = RrArena::new(g.num_nodes(), RrStrategy::Standard);
+        arena.push_set(0, &[5]);
+        let mut r = rng();
+        arena.generate_for(&g, &m, 2, 40, &mut r);
+        assert_eq!(arena.len(), 41);
+
+        let mut expected = rng();
+        let mut gen = RrGenerator::new(g.num_nodes(), RrStrategy::Standard);
+        for i in 1..41 {
+            let root = expected.gen_range(0..g.num_nodes() as NodeId);
+            let mut members = Vec::new();
+            gen.generate_rooted_into(&g, &m, 2, root, &mut expected, &mut members);
+            assert_eq!(arena.set(i).ad, 2);
+            assert_eq!(arena.nodes_of(i), &members[..]);
+        }
+        // Both RNGs end in the same state.
+        assert_eq!(
+            rand::RngCore::next_u64(&mut r),
+            rand::RngCore::next_u64(&mut expected)
+        );
     }
 
     #[test]

@@ -30,35 +30,6 @@ pub enum RrStrategy {
     Subsim,
 }
 
-/// A single reverse-reachable set: the advertiser it was generated for, the
-/// random root, and the member nodes (root included).
-#[derive(Clone, Debug)]
-pub struct RrSet {
-    /// Advertiser whose edge probabilities were used.
-    pub ad: AdId,
-    /// The uniformly random root node.
-    pub root: NodeId,
-    /// Nodes that reverse-reach the root in the sampled world.
-    pub nodes: Vec<NodeId>,
-}
-
-impl RrSet {
-    /// Number of member nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when the RR-set contains only its root.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Approximate heap footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<NodeId>() + std::mem::size_of::<Self>()
-    }
-}
-
 /// Reusable RR-set generator holding scratch buffers.
 ///
 /// Keeping the `visited` bitmap across calls avoids an `O(n)` allocation per
@@ -84,20 +55,6 @@ impl RrGenerator {
     /// The configured generation strategy.
     pub fn strategy(&self) -> RrStrategy {
         self.strategy
-    }
-
-    /// Generate one RR-set for `ad` rooted at `root`.
-    pub fn generate_rooted<M: PropagationModel, R: Rng>(
-        &mut self,
-        graph: &DirectedGraph,
-        model: &M,
-        ad: AdId,
-        root: NodeId,
-        rng: &mut R,
-    ) -> RrSet {
-        let mut nodes = Vec::new();
-        self.generate_rooted_into(graph, model, ad, root, rng, &mut nodes);
-        RrSet { ad, root, nodes }
     }
 
     /// Generate one RR-set for `ad` rooted at `root`, appending the member
@@ -172,18 +129,6 @@ impl RrGenerator {
         nodes.len() - start
     }
 
-    /// Generate one RR-set for `ad` with a uniformly random root.
-    pub fn generate<M: PropagationModel, R: Rng>(
-        &mut self,
-        graph: &DirectedGraph,
-        model: &M,
-        ad: AdId,
-        rng: &mut R,
-    ) -> RrSet {
-        let root = rng.gen_range(0..graph.num_nodes() as NodeId);
-        self.generate_rooted(graph, model, ad, root, rng)
-    }
-
     #[inline]
     fn try_visit(&mut self, u: NodeId, nodes: &mut Vec<NodeId>) {
         if !self.visited[u as usize] {
@@ -216,10 +161,13 @@ pub fn rr_spread_estimate<M: PropagationModel, R: Rng>(
         is_seed[s as usize] = true;
     }
     let mut gen = RrGenerator::new(graph.num_nodes(), strategy);
+    let mut members = Vec::new();
     let mut covered = 0usize;
     for _ in 0..num_sets {
-        let rr = gen.generate(graph, model, ad, rng);
-        if rr.nodes.iter().any(|&u| is_seed[u as usize]) {
+        members.clear();
+        let root = rng.gen_range(0..graph.num_nodes() as NodeId);
+        gen.generate_rooted_into(graph, model, ad, root, rng, &mut members);
+        if members.iter().any(|&u| is_seed[u as usize]) {
             covered += 1;
         }
     }
@@ -240,17 +188,29 @@ mod tests {
         Pcg64Mcg::seed_from_u64(2024)
     }
 
+    /// Members of one RR-set for advertiser 0 rooted at `root`, root first.
+    fn rooted<M: PropagationModel>(
+        gen: &mut RrGenerator,
+        g: &DirectedGraph,
+        m: &M,
+        root: NodeId,
+    ) -> Vec<NodeId> {
+        let mut members = Vec::new();
+        let len = gen.generate_rooted_into(g, m, 0, root, &mut rng(), &mut members);
+        assert_eq!(len, members.len());
+        members
+    }
+
     #[test]
     fn rr_set_contains_root_and_only_reverse_reachable_nodes() {
         let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let m = UniformIc::new(1, 1.0);
         let mut gen = RrGenerator::new(4, RrStrategy::Standard);
-        let rr = gen.generate_rooted(&g, &m, 0, 3, &mut rng());
-        let mut nodes = rr.nodes.clone();
+        let mut nodes = rooted(&mut gen, &g, &m, 3);
+        assert_eq!(nodes[0], 3);
         nodes.sort_unstable();
         assert_eq!(nodes, vec![0, 1, 2, 3]);
-        let rr0 = gen.generate_rooted(&g, &m, 0, 0, &mut rng());
-        assert_eq!(rr0.nodes, vec![0]);
+        assert_eq!(rooted(&mut gen, &g, &m, 0), vec![0]);
     }
 
     #[test]
@@ -259,8 +219,7 @@ mod tests {
         let m = UniformIc::new(1, 0.0);
         let mut gen = RrGenerator::new(4, RrStrategy::Standard);
         for root in 0..4u32 {
-            let rr = gen.generate_rooted(&g, &m, 0, root, &mut rng());
-            assert_eq!(rr.nodes, vec![root]);
+            assert_eq!(rooted(&mut gen, &g, &m, root), vec![root]);
         }
     }
 
@@ -302,8 +261,7 @@ mod tests {
         let g = graph_from_edges(3, &[(0, 2), (1, 2)]);
         let m = NoFastPath(UniformIc::new(1, 1.0));
         let mut gen = RrGenerator::new(3, RrStrategy::Subsim);
-        let rr = gen.generate_rooted(&g, &m, 0, 2, &mut rng());
-        assert_eq!(rr.len(), 3);
+        assert_eq!(rooted(&mut gen, &g, &m, 2).len(), 3);
     }
 
     #[test]
@@ -311,19 +269,14 @@ mod tests {
         let g = graph_from_edges(3, &[(0, 1), (1, 2)]);
         let m = UniformIc::new(1, 1.0);
         let mut gen = RrGenerator::new(3, RrStrategy::Standard);
-        let first = gen.generate_rooted(&g, &m, 0, 2, &mut rng());
-        assert_eq!(first.len(), 3);
-        let second = gen.generate_rooted(&g, &m, 0, 0, &mut rng());
-        assert_eq!(second.nodes, vec![0]);
-    }
-
-    #[test]
-    fn memory_bytes_scales_with_members() {
-        let rr = RrSet {
-            ad: 0,
-            root: 0,
-            nodes: vec![0, 1, 2, 3],
-        };
-        assert!(rr.memory_bytes() >= 4 * std::mem::size_of::<NodeId>());
+        assert_eq!(rooted(&mut gen, &g, &m, 2).len(), 3);
+        assert_eq!(rooted(&mut gen, &g, &m, 0), vec![0]);
+        // Appending to a non-empty buffer reports only the new members.
+        let mut out = vec![7];
+        assert_eq!(
+            gen.generate_rooted_into(&g, &m, 0, 1, &mut rng(), &mut out),
+            2
+        );
+        assert_eq!(out[..2], [7, 1]);
     }
 }

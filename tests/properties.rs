@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64Mcg;
 use rmsa::prelude::*;
 use rmsa_core::{greedy_single, rm_with_oracle, threshold_greedy, ExactRevenueOracle};
-use rmsa_diffusion::{RrArena, RrGenerator, UniformRrSampler};
+use rmsa_diffusion::{RrArena, UniformRrSampler};
 use rmsa_graph::{graph_from_edges, traversal};
 
 /// Number of sampled cases per property.
@@ -52,22 +52,23 @@ fn rr_sets_only_contain_reverse_reachable_nodes() {
         let (n, edges) = small_graph(&mut rng);
         let g = graph_from_edges(n, &edges);
         let m = UniformIc::new(1, 0.7);
-        let mut gen = RrGenerator::new(n, RrStrategy::Standard);
-        let rr = gen.generate(&g, &m, 0, &mut rng);
+        let mut arena = RrArena::new(n, RrStrategy::Standard);
+        arena.generate_for(&g, &m, 0, 1, &mut rng);
+        let rr = arena.set(0);
         // Every member must reverse-reach the root in the *deterministic*
         // graph (a superset of any sampled world).
-        let reachable = traversal::reverse_reachable(&g, rr.root);
-        for u in &rr.nodes {
+        let reachable = traversal::reverse_reachable(&g, rr.root());
+        for u in rr.nodes {
             assert!(
                 reachable.contains(u),
                 "node {} not reverse-reachable from {}",
                 u,
-                rr.root
+                rr.root()
             );
         }
-        assert!(rr.nodes.contains(&rr.root));
+        assert!(rr.nodes.contains(&rr.root()));
         // No duplicates.
-        let mut sorted = rr.nodes.clone();
+        let mut sorted = rr.nodes.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), rr.nodes.len());
