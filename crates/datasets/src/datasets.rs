@@ -19,7 +19,8 @@ use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64Mcg;
 use rmsa_core::problem::{Advertiser, RmInstance, SeedCosts};
 use rmsa_diffusion::{
-    AdId, MaterializedModel, PropagationModel, RrGenerator, RrStrategy, WeightedCascade,
+    AdId, MaterializedModel, PropagationModel, ResolvedModel, RrGenerator, RrStrategy,
+    WeightedCascade,
 };
 use rmsa_graph::{generators, stats::DegreeStats, DirectedGraph, EdgeId, GraphBuilder, NodeId};
 
@@ -124,6 +125,13 @@ impl PropagationModel for DatasetModel {
             DatasetModel::WeightedCascade(m) => m.uniform_in_prob(ad, node),
         }
     }
+
+    fn probability_row(&self, ad: AdId) -> Option<&[f32]> {
+        match self {
+            DatasetModel::Tic(m) => m.probability_row(ad),
+            DatasetModel::WeightedCascade(m) => m.probability_row(ad),
+        }
+    }
 }
 
 /// A fully built synthetic dataset: graph plus propagation model.
@@ -201,11 +209,18 @@ impl Dataset {
         let ads_to_sample = if shared_across_ads { 1 } else { self.num_ads };
         let mut spreads: Vec<Vec<f64>> = Vec::with_capacity(self.num_ads);
         for ad in 0..ads_to_sample {
+            let source = ResolvedModel::new(
+                &self.graph,
+                &self.model,
+                RrStrategy::Standard,
+                [ad],
+                rr_per_ad,
+            );
             let mut counts = vec![0u32; n];
             for _ in 0..rr_per_ad {
                 set.clear();
                 let root = rng.gen_range(0..n as NodeId);
-                gen.generate_rooted_into(&self.graph, &self.model, ad, root, &mut rng, &mut set);
+                gen.generate_rooted_into(&source, ad, root, &mut rng, &mut set);
                 for &u in &set {
                     counts[u as usize] += 1;
                 }
@@ -297,6 +312,18 @@ mod tests {
                 g.out_neighbors(v).contains(&u),
                 "edge {u}->{v} lacks its reverse"
             );
+        }
+    }
+
+    #[test]
+    fn dataset_models_lend_their_probability_rows() {
+        for kind in [DatasetKind::LastfmSyn, DatasetKind::DblpSyn] {
+            let d = Dataset::build(kind, 2, 0.002, 1);
+            for ad in 0..2 {
+                let row = d.model.probability_row(ad).expect("stored rows");
+                assert_eq!(row.len(), d.graph.num_edges());
+                assert_eq!(f64::from(row[0]), d.model.edge_prob(ad, 0));
+            }
         }
     }
 

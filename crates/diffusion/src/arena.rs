@@ -37,12 +37,13 @@
 //! snapshot mapping.
 
 use crate::models::{AdId, PropagationModel};
-use crate::rr::{RrGenerator, RrStrategy};
+use crate::rr::{ResolvedModel, RrGenerator, RrStrategy};
 use crate::sampler::UniformRrSampler;
 use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64Mcg;
 use rmsa_graph::{DirectedGraph, NodeId};
 use rmsa_store::Column;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -213,11 +214,12 @@ impl RrArena {
         count: usize,
         rng: &mut R,
     ) {
+        let source = ResolvedModel::new(graph, model, self.strategy, 0..sampler.num_ads(), count);
         let mut gen = RrGenerator::new(graph.num_nodes(), self.strategy);
         self.reserve_for(count);
         for _ in 0..count {
             let ad = sampler.sample_ad(rng);
-            self.emit_for(graph, model, ad, &mut gen, rng);
+            self.emit_for(&source, ad, &mut gen, rng);
         }
     }
 
@@ -233,10 +235,11 @@ impl RrArena {
         count: usize,
         rng: &mut R,
     ) {
+        let source = ResolvedModel::new(graph, model, self.strategy, [ad], count);
         let mut gen = RrGenerator::new(graph.num_nodes(), self.strategy);
         self.reserve_for(count);
         for _ in 0..count {
-            self.emit_for(graph, model, ad, &mut gen, rng);
+            self.emit_for(&source, ad, &mut gen, rng);
         }
     }
 
@@ -259,38 +262,30 @@ impl RrArena {
         if count == 0 {
             return;
         }
-        let num_chunks = count.div_ceil(GENERATION_CHUNK);
-        self.generate_chunks(
-            graph,
-            model,
-            sampler,
-            count,
-            0,
-            num_chunks,
-            num_threads,
-            seed,
-        );
+        let source = ResolvedModel::new(graph, model, self.strategy, 0..sampler.num_ads(), count);
+        let chunks = 0..count.div_ceil(GENERATION_CHUNK);
+        self.generate_chunks(&source, sampler, count, chunks, num_threads, seed);
     }
 
-    /// Generate chunks `[chunk_from, chunk_to)` of a `total`-set batch.
-    /// Chunk `k` always draws from `chunk_rng(seed, k)` with `k` a *global*
-    /// chunk index, so disjoint chunk ranges generated into separate arenas
-    /// and concatenated in order are bit-identical to one full-range pass.
-    #[allow(clippy::too_many_arguments)]
+    /// Generate `chunks` of a `total`-set batch; every worker borrows the
+    /// caller's `source`. Chunk `k` always draws from `chunk_rng(seed, k)`
+    /// with `k` a *global* chunk index, so disjoint chunk ranges generated
+    /// into separate arenas and concatenated in order are bit-identical to
+    /// one full-range pass.
     fn generate_chunks<M: PropagationModel + ?Sized>(
         &mut self,
-        graph: &DirectedGraph,
-        model: &M,
+        source: &ResolvedModel<'_, M>,
         sampler: &UniformRrSampler,
         total: usize,
-        chunk_from: usize,
-        chunk_to: usize,
+        chunks: Range<usize>,
         num_threads: usize,
         seed: u64,
     ) {
+        let (chunk_from, chunk_to) = (chunks.start, chunks.end);
         if chunk_to <= chunk_from {
             return;
         }
+        let graph = source.graph();
         let num_chunks = total.div_ceil(GENERATION_CHUNK);
         let chunk_len = |k: usize| {
             if k + 1 == num_chunks {
@@ -308,7 +303,7 @@ impl RrArena {
                 let mut rng = chunk_rng(seed, k);
                 for _ in 0..chunk_len(k) {
                     let ad = sampler.sample_ad(&mut rng);
-                    self.emit_for(graph, model, ad, &mut gen, &mut rng);
+                    self.emit_for(source, ad, &mut gen, &mut rng);
                 }
             }
             return;
@@ -330,7 +325,7 @@ impl RrArena {
                         let mut chunk = Chunk::with_capacity(chunk_len(k));
                         let mut rng = chunk_rng(seed, k);
                         for _ in 0..chunk_len(k) {
-                            chunk.emit_one(graph, model, sampler, &mut gen, &mut rng);
+                            chunk.emit_one(source, sampler, &mut gen, &mut rng);
                         }
                         produced.lock().push((k, chunk));
                     }
@@ -351,14 +346,13 @@ impl RrArena {
 
     fn emit_for<M: PropagationModel + ?Sized, R: Rng>(
         &mut self,
-        graph: &DirectedGraph,
-        model: &M,
+        source: &ResolvedModel<'_, M>,
         ad: AdId,
         gen: &mut RrGenerator,
         rng: &mut R,
     ) {
-        let root = rng.gen_range(0..graph.num_nodes() as NodeId);
-        gen.generate_rooted_into(graph, model, ad, root, rng, self.nodes.to_mut());
+        let root = rng.gen_range(0..source.graph().num_nodes() as NodeId);
+        gen.generate_rooted_into(source, ad, root, rng, self.nodes.to_mut());
         self.offsets.push(self.nodes.len());
         // Ads are `< num_ads`, far below u32::MAX.
         self.ads.push(ad as u32);
@@ -414,12 +408,10 @@ impl RrArena {
     ) -> RrArena {
         let mut shard = RrArena::new(graph.num_nodes(), strategy);
         shard.generate_chunks(
-            graph,
-            model,
+            &ResolvedModel::new(graph, model, strategy, 0..sampler.num_ads(), span.len()),
             sampler,
             count,
-            span.chunk_from,
-            span.chunk_to,
+            span.chunk_from..span.chunk_to,
             num_threads,
             seed,
         );
@@ -449,21 +441,22 @@ impl RrArena {
         if count > 0 {
             let strategy = self.strategy;
             let per_shard_threads = (num_threads.max(1) / spans.len().max(1)).max(1);
+            let source = &ResolvedModel::new(graph, model, strategy, 0..sampler.num_ads(), count);
             let shards: Vec<RrArena> = std::thread::scope(|scope| {
                 let handles: Vec<_> = spans
                     .iter()
                     .map(|&span| {
                         scope.spawn(move || {
-                            RrArena::generate_shard(
-                                graph,
-                                model,
+                            let mut shard = RrArena::new(graph.num_nodes(), strategy);
+                            shard.generate_chunks(
+                                source,
                                 sampler,
-                                strategy,
                                 count,
-                                span,
+                                span.chunk_from..span.chunk_to,
                                 per_shard_threads,
                                 seed,
-                            )
+                            );
+                            shard
                         })
                     })
                     .collect();
@@ -552,15 +545,14 @@ impl Chunk {
 
     fn emit_one<M: PropagationModel + ?Sized, R: Rng>(
         &mut self,
-        graph: &DirectedGraph,
-        model: &M,
+        source: &ResolvedModel<'_, M>,
         sampler: &UniformRrSampler,
         gen: &mut RrGenerator,
         rng: &mut R,
     ) {
         let ad = sampler.sample_ad(rng);
-        let root = rng.gen_range(0..graph.num_nodes() as NodeId);
-        gen.generate_rooted_into(graph, model, ad, root, rng, &mut self.nodes);
+        let root = rng.gen_range(0..source.graph().num_nodes() as NodeId);
+        gen.generate_rooted_into(source, ad, root, rng, &mut self.nodes);
         self.ends.push(self.nodes.len());
         // Sampled ads are `< num_ads`, far below u32::MAX.
         self.ads.push(ad as u32);
@@ -997,11 +989,12 @@ mod tests {
         assert_eq!(arena.len(), 41);
 
         let mut expected = rng();
+        let source = ResolvedModel::new(&g, &m, RrStrategy::Standard, [2], 40);
         let mut gen = RrGenerator::new(g.num_nodes(), RrStrategy::Standard);
         for i in 1..41 {
             let root = expected.gen_range(0..g.num_nodes() as NodeId);
             let mut members = Vec::new();
-            gen.generate_rooted_into(&g, &m, 2, root, &mut expected, &mut members);
+            gen.generate_rooted_into(&source, 2, root, &mut expected, &mut members);
             assert_eq!(arena.set(i).ad, 2);
             assert_eq!(arena.nodes_of(i), &members[..]);
         }

@@ -47,7 +47,7 @@ pub use cache::{
 // API, so downstream callers don't need a direct `rmsa-store` edge.
 pub use models::{AdId, MaterializedModel, PropagationModel, TicModel, UniformIc, WeightedCascade};
 pub use rmsa_store::{MappedSnapshot, VerifyMode, ZERO_COPY_TARGET};
-pub use rr::{RrGenerator, RrStrategy};
+pub use rr::{ResolvedModel, RrGenerator, RrStrategy};
 pub use sampler::UniformRrSampler;
 pub use simulate::{estimate_spread, simulate_once};
 pub use snapshot::ModelSnapshot;

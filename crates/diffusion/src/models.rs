@@ -15,10 +15,16 @@ pub type AdId = usize;
 /// Per-ad, per-edge activation probabilities.
 ///
 /// Implementations must be cheap to query in the hot RR-generation loop.
-/// `uniform_in_prob` is an optional fast path: when every incoming edge of a
-/// node has the same probability under an ad (true for Weighted-Cascade and
-/// uniform IC), SUBSIM-style geometric skipping can be used instead of
-/// per-edge coin flips.
+/// Two optional fast paths exist:
+///
+/// * `uniform_in_prob` — when every incoming edge of a node has the same
+///   probability under an ad (true for Weighted-Cascade and uniform IC),
+///   SUBSIM-style geometric skipping can be used instead of per-edge coin
+///   flips.
+/// * `probability_row` — a model that stores an ad's probabilities as one
+///   forward-ordered array lends it out; RR generation then regroups it
+///   into in-edge order once per call and flips its coins over contiguous
+///   slices instead of one `edge_prob` call per edge.
 pub trait PropagationModel: Send + Sync {
     /// Number of advertisers `h` this model is parameterised for.
     fn num_ads(&self) -> usize;
@@ -29,6 +35,14 @@ pub trait PropagationModel: Send + Sync {
     /// If all incoming edges of `node` share one probability under `ad`,
     /// return it; otherwise `None`.
     fn uniform_in_prob(&self, _ad: AdId, _node: NodeId) -> Option<f64> {
+        None
+    }
+
+    /// The stored probability row of `ad`, indexed by forward edge id, if
+    /// the model keeps one. Contract: `row[e] as f64 == edge_prob(ad, e)`
+    /// for every edge, and the row has one entry per graph edge. Models
+    /// that compute probabilities on the fly return `None` (the default).
+    fn probability_row(&self, _ad: AdId) -> Option<&[f32]> {
         None
     }
 }
@@ -49,6 +63,10 @@ impl<M: PropagationModel + ?Sized> PropagationModel for &M {
     fn uniform_in_prob(&self, ad: AdId, node: NodeId) -> Option<f64> {
         (**self).uniform_in_prob(ad, node)
     }
+
+    fn probability_row(&self, ad: AdId) -> Option<&[f32]> {
+        (**self).probability_row(ad)
+    }
 }
 
 impl<M: PropagationModel + ?Sized> PropagationModel for Box<M> {
@@ -62,6 +80,10 @@ impl<M: PropagationModel + ?Sized> PropagationModel for Box<M> {
 
     fn uniform_in_prob(&self, ad: AdId, node: NodeId) -> Option<f64> {
         (**self).uniform_in_prob(ad, node)
+    }
+
+    fn probability_row(&self, ad: AdId) -> Option<&[f32]> {
+        (**self).probability_row(ad)
     }
 }
 
@@ -220,6 +242,10 @@ impl PropagationModel for MaterializedModel {
     fn edge_prob(&self, ad: AdId, edge: EdgeId) -> f64 {
         self.per_ad[ad][edge as usize] as f64
     }
+
+    fn probability_row(&self, ad: AdId) -> Option<&[f32]> {
+        Some(&self.per_ad[ad])
+    }
 }
 
 /// The Weighted-Cascade model: `p^i_{u,v} = 1 / indeg(v)` for every ad
@@ -271,6 +297,11 @@ impl PropagationModel for WeightedCascade {
     #[inline]
     fn uniform_in_prob(&self, _ad: AdId, node: NodeId) -> Option<f64> {
         Some(self.node_probs[node as usize] as f64)
+    }
+
+    /// Every ad shares the one row, so RR generation resolves it once.
+    fn probability_row(&self, _ad: AdId) -> Option<&[f32]> {
+        Some(&self.edge_probs)
     }
 }
 
@@ -365,6 +396,24 @@ mod tests {
         }
         assert_eq!(wc.uniform_in_prob(0, 2), Some(0.5));
         assert_eq!(wc.uniform_in_prob(0, 0), Some(0.0));
+    }
+
+    #[test]
+    fn probability_rows_agree_with_edge_prob() {
+        let g = graph_from_edges(3, &[(0, 2), (1, 2), (0, 1)]);
+        let wc = WeightedCascade::new(&g, 2);
+        let mat = tiny_tic().materialize();
+        for ad in 0..2 {
+            for e in 0..3u32 {
+                let wc_row = wc.probability_row(ad).unwrap();
+                assert_eq!(f64::from(wc_row[e as usize]), wc.edge_prob(ad, e));
+                let mat_row = mat.probability_row(ad).unwrap();
+                assert_eq!(f64::from(mat_row[e as usize]), mat.edge_prob(ad, e));
+            }
+        }
+        // Lazily mixed and constant models keep no rows.
+        assert!(tiny_tic().probability_row(0).is_none());
+        assert!(UniformIc::new(1, 0.5).probability_row(0).is_none());
     }
 
     #[test]

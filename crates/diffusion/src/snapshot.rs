@@ -16,6 +16,7 @@
 use crate::arena::{CoverageIndex, CoverageSegment, RrArena};
 use crate::models::{MaterializedModel, UniformIc, WeightedCascade};
 use crate::rr::RrStrategy;
+use rmsa_graph::DirectedGraph;
 use rmsa_store::{Cursor, SectionBuf, StoreError};
 use std::sync::Arc;
 
@@ -248,6 +249,50 @@ pub enum ModelSnapshot {
     UniformIc(UniformIc),
 }
 
+impl ModelSnapshot {
+    /// Check a loaded model against the graph and advertiser count it is
+    /// paired with: one probability row per advertiser, one entry per edge
+    /// in every row (Weighted-Cascade: one per edge and one per node). A
+    /// mismatch is [`StoreError::Corrupt`]; unchecked, it would surface as
+    /// an out-of-bounds panic at the first probe or RR set.
+    pub fn check_dimensions(
+        &self,
+        graph: &DirectedGraph,
+        num_ads: usize,
+    ) -> Result<(), StoreError> {
+        let corrupt = |why: String| Err(StoreError::Corrupt(format!("model section: {why}")));
+        let (m, n) = (graph.num_edges(), graph.num_nodes());
+        let model_ads = match self {
+            ModelSnapshot::Materialized(model) => {
+                if let Some(row) = model.per_ad.iter().find(|row| row.len() != m) {
+                    return corrupt(format!(
+                        "a probability row has {} entries but the graph has {m} edges",
+                        row.len()
+                    ));
+                }
+                model.per_ad.len()
+            }
+            ModelSnapshot::WeightedCascade(model) => {
+                if model.edge_probs.len() != m || model.node_probs.len() != n {
+                    return corrupt(format!(
+                        "{} edge and {} node probabilities for a graph of {m} edges and {n} nodes",
+                        model.edge_probs.len(),
+                        model.node_probs.len()
+                    ));
+                }
+                model.num_ads
+            }
+            ModelSnapshot::UniformIc(model) => model.num_ads,
+        };
+        if model_ads != num_ads {
+            return corrupt(format!(
+                "the model covers {model_ads} advertisers, expected {num_ads}"
+            ));
+        }
+        Ok(())
+    }
+}
+
 const MODEL_MATERIALIZED: u8 = 1;
 const MODEL_WC: u8 = 2;
 const MODEL_UNIFORM: u8 = 3;
@@ -340,6 +385,7 @@ mod tests {
     use crate::models::PropagationModel;
     use crate::sampler::UniformRrSampler;
     use rmsa_graph::generators::barabasi_albert;
+    use rmsa_graph::graph_from_edges;
     use rmsa_store::{section, SnapshotReader, SnapshotWriter};
 
     fn sample_arena(strategy: RrStrategy, count: usize) -> (rmsa_graph::DirectedGraph, RrArena) {
@@ -733,6 +779,37 @@ mod tests {
             .map(|_| ())
             .unwrap_err();
         assert!(matches!(err, StoreError::Truncated { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn models_that_do_not_fit_the_graph_are_corrupt() {
+        let g = graph_from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
+        let fits = |model: ModelSnapshot, num_ads: usize| model.check_dimensions(&g, num_ads);
+        let rows = |widths: &[usize]| {
+            ModelSnapshot::Materialized(MaterializedModel {
+                per_ad: widths.iter().map(|&w| vec![0.5; w]).collect(),
+            })
+        };
+        assert!(fits(rows(&[3, 3]), 2).is_ok());
+        let wc = WeightedCascade::new(&g, 2);
+        assert!(fits(ModelSnapshot::WeightedCascade(wc.clone()), 2).is_ok());
+        assert!(fits(ModelSnapshot::UniformIc(UniformIc::new(2, 0.5)), 2).is_ok());
+
+        let mut short_nodes = wc.clone();
+        short_nodes.node_probs.pop();
+        let mut short_edges = wc;
+        short_edges.edge_probs.pop();
+        for (model, num_ads) in [
+            (rows(&[2, 2]), 2),
+            (rows(&[3, 2]), 2),
+            (rows(&[3, 3]), 3),
+            (ModelSnapshot::WeightedCascade(short_nodes), 2),
+            (ModelSnapshot::WeightedCascade(short_edges), 2),
+            (ModelSnapshot::UniformIc(UniformIc::new(2, 0.5)), 1),
+        ] {
+            let err = fits(model, num_ads).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+        }
     }
 
     #[test]

@@ -247,7 +247,9 @@ pub fn session_from_source<S: SectionSource>(
     }
 
     let graph = rmsa_graph::snapshot::read_graph(&mut r.require(section::GRAPH)?)?;
-    let model = match rmsa_diffusion::snapshot::read_model(&mut r.require(section::MODEL)?)? {
+    let model = rmsa_diffusion::snapshot::read_model(&mut r.require(section::MODEL)?)?;
+    model.check_dimensions(&graph, ctx.num_ads)?;
+    let model = match model {
         ModelSnapshot::Materialized(m) => DatasetModel::Tic(m),
         ModelSnapshot::WeightedCascade(m) => DatasetModel::WeightedCascade(m),
         ModelSnapshot::UniformIc(_) => {
@@ -518,7 +520,7 @@ mod tests {
     use crate::test_util::tiny_ctx;
     use crate::wire::Algorithm;
     use rmsa_datasets::DatasetKind;
-    use rmsa_diffusion::RrStrategy;
+    use rmsa_diffusion::{MaterializedModel, RrStrategy};
 
     fn key() -> SessionKey {
         SessionKey {
@@ -603,6 +605,33 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         assert!(load_session(key(), &ctx, &dir).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checksummed snapshot whose model does not fit its own graph is a
+    /// typed corruption error, not an out-of-bounds panic in the
+    /// fingerprint probe or at the first RR set. Every row is one entry
+    /// short, so the rows agree with each other and pass the codec's own
+    /// width check.
+    #[test]
+    fn snapshots_with_short_model_rows_are_rejected_as_corrupt() {
+        let ctx = tiny_ctx();
+        let dir = temp_dir("short_rows");
+        let mut session = Session::build(key(), &ctx);
+        let DatasetModel::Tic(model) = &session.dataset.model else {
+            panic!("lastfm-syn runs the TIC model");
+        };
+        let rows = (0..ctx.num_ads)
+            .map(|ad| {
+                let row = model.row(ad);
+                row[..row.len() - 1].to_vec()
+            })
+            .collect();
+        session.dataset.model = DatasetModel::Tic(MaterializedModel::from_rows(rows));
+        save_session(&session, &dir).unwrap();
+        let err = load_session(key(), &ctx, &dir).map(|_| ()).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+        assert!(err.to_string().contains("probability row"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

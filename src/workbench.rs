@@ -79,7 +79,8 @@ impl WorkbenchBuilder {
     }
 
     /// Assemble the workbench; fails when graph or model is missing or
-    /// their dimensions are trivially inconsistent.
+    /// their dimensions are inconsistent (a stored probability row without
+    /// one entry per edge, a preloaded cache for another node count).
     pub fn build(self) -> Result<Workbench, RmError> {
         let graph = self
             .graph
@@ -89,6 +90,15 @@ impl WorkbenchBuilder {
         })?;
         if model.num_ads() == 0 {
             return Err(RmError::NoAdvertisers);
+        }
+        let m = graph.num_edges();
+        for ad in 0..model.num_ads() {
+            if let Some(row) = model.probability_row(ad).filter(|row| row.len() != m) {
+                return Err(RmError::InvalidContext(format!(
+                    "advertiser {ad}'s probability row has {} entries but the graph has {m} edges",
+                    row.len()
+                )));
+            }
         }
         let cache = match self.cache {
             Some(cache) => {
@@ -354,7 +364,7 @@ mod tests {
     use rmsa_core::problem::{Advertiser, SeedCosts};
     use rmsa_core::solver::Rma;
     use rmsa_core::RmaConfig;
-    use rmsa_diffusion::UniformIc;
+    use rmsa_diffusion::{MaterializedModel, UniformIc};
     use rmsa_graph::generators::celebrity_graph;
 
     fn quick_rma() -> RmaConfig {
@@ -396,6 +406,32 @@ mod tests {
             .graph(celebrity_graph(2, 3))
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn builder_rejects_models_that_do_not_fit_the_graph() {
+        let graph = celebrity_graph(2, 3);
+        let m = graph.num_edges();
+        let build = |rows: Vec<Vec<f32>>| {
+            Workbench::builder()
+                .graph(graph.clone())
+                .model(MaterializedModel::from_rows(rows))
+                .build()
+        };
+        assert!(build(vec![vec![0.5; m]; 2]).is_ok());
+        for width in [m - 1, m + 1] {
+            let err = build(vec![vec![0.5; width]; 2]).map(|_| ()).unwrap_err();
+            assert!(matches!(err, RmError::InvalidContext(_)), "{err:?}");
+        }
+        // A Weighted-Cascade model derived from another graph.
+        let other = rmsa_graph::graph_from_edges(graph.num_nodes(), &[(0, 1)]);
+        let err = Workbench::builder()
+            .graph(other)
+            .model(rmsa_diffusion::WeightedCascade::new(&graph, 2))
+            .build()
+            .map(|_| ())
+            .unwrap_err();
+        assert!(matches!(err, RmError::InvalidContext(_)), "{err:?}");
     }
 
     #[test]
