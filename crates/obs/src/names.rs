@@ -74,6 +74,9 @@ pub const QUEUE_DEPTH: &str = "queue_depth";
 pub const INFLIGHT: &str = "inflight";
 /// Bytes buffered in per-connection write buffers.
 pub const WRITE_BUFFER_BYTES: &str = "write_buffer_bytes";
+/// Finished responses parked behind an earlier unfinished request on
+/// their connection, across all connections.
+pub const PARKED_RESPONSES: &str = "parked_responses";
 /// Heap-resident RR arena bytes across all cached sessions.
 pub const ARENA_RESIDENT_BYTES: &str = "arena_resident_bytes";
 /// mmap-backed RR arena bytes across all cached sessions.

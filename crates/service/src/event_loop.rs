@@ -18,10 +18,23 @@
 //! buffer, so they never overtake an earlier solve on the same
 //! connection.
 //!
+//! **Inline memo hits.** A solve is answered inline too when memoization
+//! is on, its session is already resident (never built or waited for
+//! here), warm, and holds a memo entry of the current warm epoch for the
+//! request's class. The line splices the entry's pre-rendered result
+//! bytes with an all-zero timing block (`batch_size: 0`), parks in the
+//! same ordered buffer, and is accounted like a worker response
+//! (`memo_hits`, `responses_total`, `rpc_solve_secs`, trace, SLO checks).
+//! Misses, cold sessions and warm-ups go through the admission queue;
+//! `requests_total` and `inflight` count only those.
+//!
 //! **Backpressure.** A connection pauses reading (its registration is
-//! muted, bytes accumulate in the kernel) while it has `max_inflight`
-//! requests in flight or more than [`WRITE_PAUSE_BYTES`] of unflushed
-//! responses — a slow reader throttles only itself. Solver threads hand
+//! muted, bytes accumulate in the kernel) while `max_inflight` of its
+//! parsed requests have not reached the write buffer — queued jobs and
+//! finished lines parked behind an unfinished one alike — or while more
+//! than [`WRITE_PAUSE_BYTES`] of responses are unflushed. A slow reader
+//! throttles only itself, and a client that floods inline requests
+//! behind a cold solve parks at most the window. Solver threads hand
 //! finished responses back as pre-rendered lines via the poller's wake
 //! pipe; they never block on, or even see, a socket.
 //!
@@ -33,9 +46,11 @@
 
 use crate::lock_unpoisoned;
 use crate::net::{Event, Interest, Poller, WAKE_TOKEN};
-use crate::server::{enqueue, shutting_down_error, Job, JobKind, Reply, Shared};
+use crate::server::{
+    enqueue, render_solve_line, shutting_down_error, Job, JobKind, Reply, Shared, RPC_SOLVE,
+};
 use crate::session::SessionKey;
-use crate::wire::{ErrorCode, Request, Response, WireError, WIRE_MIN_SCHEMA_VERSION};
+use crate::wire::{ErrorCode, Request, Response, SolveTiming, WireError, WIRE_MIN_SCHEMA_VERSION};
 use rmsa_obs::{flight, names, trace, LazyCounter, LazyGauge, Span};
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -52,6 +67,8 @@ static RESPONSES: LazyCounter = LazyCounter::new(names::RESPONSES_TOTAL);
 static INFLIGHT: LazyGauge = LazyGauge::new(names::INFLIGHT);
 /// Unflushed response bytes across all connection write buffers.
 static WBUF_BYTES: LazyGauge = LazyGauge::new(names::WRITE_BUFFER_BYTES);
+/// Finished lines waiting in `Conn::done` for an earlier request.
+static PARKED: LazyGauge = LazyGauge::new(names::PARKED_RESPONSES);
 /// Budget burn rate over the trailing 1 s / 10 s / 60 s windows, in
 /// milli-units (1000 ⇒ consuming the error budget exactly as fast as
 /// the objective sustains).
@@ -141,6 +158,36 @@ impl Conn {
     /// Park a finished response line at its sequence slot.
     fn finish(&mut self, seq: u64, line: String) {
         self.done.insert(seq, line);
+        PARKED.add(1);
+    }
+
+    /// Requests parsed whose answers have not reached the write buffer:
+    /// queued jobs plus finished lines parked behind an unfinished one.
+    fn outstanding(&self) -> usize {
+        (self.next_seq - self.flush_seq) as usize
+    }
+
+    /// Move every finished line whose turn has come to the write buffer.
+    fn stage(&mut self) {
+        let (seq, bytes) = (self.flush_seq, self.wbuf.len());
+        while let Some(line) = self.done.remove(&self.flush_seq) {
+            self.wbuf.extend_from_slice(line.as_bytes());
+            self.wbuf.push(b'\n');
+            self.flush_seq += 1;
+        }
+        if self.flush_seq != seq {
+            PARKED.add(-((self.flush_seq - seq) as i64));
+            WBUF_BYTES.add((self.wbuf.len() - bytes) as i64);
+        }
+    }
+
+    /// Whether the pipelining window admits another request. Every parsed
+    /// request holds a slot until its line reaches the write buffer, so
+    /// inline answers parked behind an unfinished solve count like queued
+    /// jobs and a non-reading client cannot grow `done` without bound.
+    fn window_open(&mut self, max_inflight: usize) -> bool {
+        self.stage();
+        self.outstanding() < max_inflight
     }
 
     /// Nothing left to read, serve, or flush.
@@ -302,7 +349,7 @@ pub(crate) fn run(listener: TcpListener, mut poller: Poller, shared: &Shared) {
                     let index = (token - 1) as usize;
                     if let Some(conn) = slots.get_mut(index).and_then(Option::as_mut) {
                         if event.readable && !conn.dead {
-                            read_ready(shared, conn, token);
+                            read_ready(shared, conn, token, &mut slo);
                         }
                     }
                 }
@@ -317,7 +364,7 @@ pub(crate) fn run(listener: TcpListener, mut poller: Poller, shared: &Shared) {
             let mut close = false;
             if let Some(conn) = slot.as_mut() {
                 if !conn.dead {
-                    process_lines(shared, conn, token);
+                    process_lines(shared, conn, token, &mut slo);
                 }
                 advance_writes(conn);
                 close = conn.dead || (conn.eof && conn.drained());
@@ -331,6 +378,7 @@ pub(crate) fn run(listener: TcpListener, mut poller: Poller, shared: &Shared) {
                     // connection takes to the grave.
                     INFLIGHT.add(-(conn.inflight as i64));
                     WBUF_BYTES.add(-(conn.pending_write() as i64));
+                    PARKED.add(-(conn.done.len() as i64));
                     poller.deregister(fd_of(&conn.stream));
                     flight::record(names::CONN_CLOSE, token, 0);
                     free.push(index);
@@ -398,12 +446,8 @@ fn accept_ready(
 
 /// Hand every pending worker completion to its connection, unless the
 /// connection died (or its slot was reused) while the job was in flight.
-///
-/// This is also where a request's life ends for observability: the
-/// `flush` span closes, the trace finishes (joining its terminal status
-/// and feeding the tail sampler), and anomalies — an error response or
-/// an end-to-end latency past `--slo-ms` — fire flight-recorder events
-/// and (rate-limited) flight dumps.
+/// The `flush` span closes here, and the request's life ends in
+/// [`close_request`].
 fn deliver_completions(shared: &Shared, slots: &mut [Option<Conn>], slo: &mut SloState) {
     let completions = std::mem::take(&mut *lock_unpoisoned(&shared.completions));
     for completion in completions {
@@ -412,7 +456,6 @@ fn deliver_completions(shared: &Shared, slots: &mut [Option<Conn>], slo: &mut Sl
             if conn.generation == completion.reply.generation {
                 conn.inflight = conn.inflight.saturating_sub(1);
                 INFLIGHT.add(-1);
-                RESPONSES.inc();
                 // The flush phase: from the worker finishing the render
                 // to the event loop handing the line to the ordered
                 // write path. Its duration becomes the `flush_secs`
@@ -429,33 +472,49 @@ fn deliver_completions(shared: &Shared, slots: &mut [Option<Conn>], slo: &mut Sl
                     .last_flush_bits
                     .store(flush_wait.as_secs_f64().to_bits(), Ordering::Relaxed);
                 let total_secs = completion.enqueued.elapsed().as_secs_f64();
-                let trace_id = completion.reply.trace;
-                trace::finish_trace(trace_id, total_secs, completion.error_code);
-                if completion.error_code != 0 {
-                    flight::record(names::ANOMALY_ERROR, trace_id, completion.error_code as u64);
-                    slo.dump(
-                        shared,
-                        "error",
-                        trace_id,
-                        completion.error_code as u64,
-                        false,
-                    );
-                } else if total_secs > shared.slo_secs {
-                    let total_us = (total_secs * 1e6) as u64;
-                    flight::record(names::ANOMALY_SLOW, trace_id, total_us);
-                    slo.dump(shared, "slow", trace_id, total_us, false);
-                }
+                close_request(
+                    shared,
+                    slo,
+                    completion.reply.trace,
+                    total_secs,
+                    completion.error_code,
+                );
                 conn.finish(completion.reply.seq, completion.line);
             }
         }
     }
 }
 
+/// Where a session request's life ends for observability, whether a
+/// worker or the inline memo path answered it: the response is counted,
+/// the trace finishes (joining its terminal status and feeding the tail
+/// sampler), and anomalies — an error response or an end-to-end latency
+/// past `--slo-ms` — fire flight-recorder events and (rate-limited)
+/// flight dumps.
+fn close_request(
+    shared: &Shared,
+    slo: &mut SloState,
+    trace_id: u64,
+    total_secs: f64,
+    error_code: u32,
+) {
+    RESPONSES.inc();
+    trace::finish_trace(trace_id, total_secs, error_code);
+    if error_code != 0 {
+        flight::record(names::ANOMALY_ERROR, trace_id, error_code as u64);
+        slo.dump(shared, "error", trace_id, error_code as u64, false);
+    } else if total_secs > shared.slo_secs {
+        let total_us = (total_secs * 1e6) as u64;
+        flight::record(names::ANOMALY_SLOW, trace_id, total_us);
+        slo.dump(shared, "slow", trace_id, total_us, false);
+    }
+}
+
 /// Drain the socket's read half until `WouldBlock`, EOF, or backpressure.
-fn read_ready(shared: &Shared, conn: &mut Conn, token: u64) {
+fn read_ready(shared: &Shared, conn: &mut Conn, token: u64, slo: &mut SloState) {
     let mut chunk = [0u8; 16 * 1024];
     loop {
-        if conn.inflight >= shared.max_inflight || conn.pending_write() >= WRITE_PAUSE_BYTES {
+        if !conn.window_open(shared.max_inflight) || conn.pending_write() >= WRITE_PAUSE_BYTES {
             break;
         }
         match conn.stream.read(&mut chunk) {
@@ -465,7 +524,7 @@ fn read_ready(shared: &Shared, conn: &mut Conn, token: u64) {
             }
             Ok(n) => {
                 conn.rbuf.extend_from_slice(&chunk[..n]);
-                process_lines(shared, conn, token);
+                process_lines(shared, conn, token, slo);
                 if conn.dead || conn.eof {
                     break;
                 }
@@ -483,9 +542,9 @@ fn read_ready(shared: &Shared, conn: &mut Conn, token: u64) {
 /// Parse complete request lines out of the read buffer, stopping at the
 /// pipelining window so a burst larger than `max_inflight` stays
 /// buffered until responses drain (the progress pass resumes it).
-fn process_lines(shared: &Shared, conn: &mut Conn, token: u64) {
+fn process_lines(shared: &Shared, conn: &mut Conn, token: u64, slo: &mut SloState) {
     let mut parsed = 0;
-    while !conn.dead && conn.inflight < shared.max_inflight {
+    while !conn.dead && conn.window_open(shared.max_inflight) {
         let Some(rel) = conn.rbuf[parsed..].iter().position(|&b| b == b'\n') else {
             break;
         };
@@ -498,7 +557,7 @@ fn process_lines(shared: &Shared, conn: &mut Conn, token: u64) {
             // number, exactly like the blocking server ignored them.
             continue;
         }
-        handle_request(shared, conn, token, trimmed);
+        handle_request(shared, conn, token, trimmed, slo);
     }
     conn.rbuf.drain(..parsed);
     if conn.rbuf.len() > MAX_LINE_BYTES && !conn.rbuf.contains(&b'\n') {
@@ -521,8 +580,9 @@ fn process_lines(shared: &Shared, conn: &mut Conn, token: u64) {
 }
 
 /// Dispatch one request line under the next sequence number: control
-/// requests complete inline, session work goes to the admission queue.
-fn handle_request(shared: &Shared, conn: &mut Conn, token: u64, line: &str) {
+/// requests and memo hits complete inline, other session work goes to the
+/// admission queue.
+fn handle_request(shared: &Shared, conn: &mut Conn, token: u64, line: &str, slo: &mut SloState) {
     let seq = conn.next_seq;
     conn.next_seq += 1;
     // The trace is minted here, before parsing, so the parse span itself
@@ -590,6 +650,32 @@ fn handle_request(shared: &Shared, conn: &mut Conn, token: u64, line: &str) {
         }
         Request::Solve(solve) => {
             let key = SessionKey::from(&solve);
+            let admitted = Instant::now();
+            let hit = if shared.memoize {
+                shared
+                    .registry
+                    .resident(key)
+                    .and_then(|session| session.memo_hit(&solve))
+            } else {
+                None
+            };
+            if let Some(hit) = hit {
+                // A warm session's memoized answer: spliced from its
+                // pre-rendered bytes with an all-zero timing block
+                // (`batch_size: 0` marks the inline path), accounted as a
+                // worker response is in `deliver_completions`.
+                let timing = SolveTiming {
+                    trace: trace_id,
+                    ..SolveTiming::default()
+                };
+                let line =
+                    render_solve_line(version, solve.id, &key.label(), &hit.rendered, timing);
+                let total_secs = admitted.elapsed().as_secs_f64();
+                RPC_SOLVE.observe_traced(total_secs, trace_id);
+                close_request(shared, slo, trace_id, total_secs, 0);
+                conn.finish(seq, line);
+                return;
+            }
             submit(
                 shared,
                 conn,
@@ -674,12 +760,8 @@ fn submit(
 /// Append every response whose turn has come to the write buffer, then
 /// push bytes until the socket stops accepting them.
 fn advance_writes(conn: &mut Conn) {
+    conn.stage();
     let before = conn.pending_write() as i64;
-    while let Some(line) = conn.done.remove(&conn.flush_seq) {
-        conn.wbuf.extend_from_slice(line.as_bytes());
-        conn.wbuf.push(b'\n');
-        conn.flush_seq += 1;
-    }
     while conn.wpos < conn.wbuf.len() && !conn.dead {
         match conn.stream.write(&conn.wbuf[conn.wpos..]) {
             Ok(0) => conn.dead = true,
@@ -707,7 +789,7 @@ fn advance_writes(conn: &mut Conn) {
 fn update_interest(poller: &mut Poller, conn: &mut Conn, token: u64, shared: &Shared) {
     let want = Interest {
         readable: !conn.eof
-            && conn.inflight < shared.max_inflight
+            && conn.outstanding() < shared.max_inflight
             && conn.pending_write() < WRITE_PAUSE_BYTES,
         writable: conn.pending_write() > 0,
     };

@@ -4,15 +4,22 @@
 //! One thread runs the [`crate::event_loop`]: it owns the listening
 //! socket and every connection, parses newline-delimited requests out of
 //! per-connection read buffers, answers cheap control requests (`ping`,
-//! `stats`, `shutdown`) inline, and enqueues session work. All
-//! cache-touching work (warm-ups and solves) flows through one admission
+//! `stats`, `shutdown`) and memo hits on warm resident sessions inline,
+//! and enqueues the rest of the session work. All cache-touching work
+//! (warm-ups, and solves that miss the memo) flows through one admission
 //! queue; workers pop it in *fingerprint batches* — the front job plus
 //! every queued job sharing its [`SessionKey`] — warm that session once,
 //! and serve the whole batch, so N concurrent cold-session requests
 //! trigger exactly one RR-cache extension. Finished responses travel
 //! back to the loop as pre-rendered [`Completion`] lines through the
 //! poller's wake pipe: a worker never writes to a socket, so a slow
-//! client can never block a solver.
+//! client can never block a solver. Both paths render a solve line
+//! through [`render_solve_line`] around the result's compact JSON, which
+//! a memo entry holds pre-rendered, so an inline hit and a worker answer
+//! for the same result differ only in their timing blocks. Either way the
+//! answer takes its per-connection sequence slot, and it holds a slot of
+//! the pipelining window until it reaches the write buffer (see
+//! [`crate::event_loop`]).
 //!
 //! Determinism: solves only ever run on a warmed session (see
 //! [`crate::session`]), so the result payload of every response is
@@ -23,9 +30,9 @@
 
 use crate::lock_unpoisoned;
 use crate::net::{Poller, Waker};
-use crate::session::{SessionKey, SessionRegistry};
+use crate::session::{RenderedResult, SessionKey, SessionRegistry};
 use crate::wire::{
-    ErrorCode, Response, SolveRequest, SolveResponse, SolveTiming, WarmRequest, WireError,
+    render_solve_head, ErrorCode, Response, SolveRequest, SolveTiming, WarmRequest, WireError,
 };
 use rmsa_bench::ExperimentContext;
 use rmsa_core::RmError;
@@ -43,8 +50,9 @@ static QUEUE_DEPTH: LazyGauge = LazyGauge::new(names::QUEUE_DEPTH);
 static ERRORS: LazyCounter = LazyCounter::new(names::ERRORS_TOTAL);
 /// Fingerprint-batch sizes popped by workers.
 static BATCH_SIZES: LazyHistogram = LazyHistogram::new(names::BATCH_SIZE);
-/// Enqueue-to-completion solve latency.
-static RPC_SOLVE: LazyHistogram = LazyHistogram::new(names::RPC_SOLVE_SECS);
+/// Enqueue-to-completion solve latency (admission-to-answer for memo hits
+/// the event loop serves inline).
+pub(crate) static RPC_SOLVE: LazyHistogram = LazyHistogram::new(names::RPC_SOLVE_SECS);
 /// Enqueue-to-completion warm latency.
 static RPC_WARM: LazyHistogram = LazyHistogram::new(names::RPC_WARM_SECS);
 /// The latency objective, milliseconds (set once at startup).
@@ -359,16 +367,8 @@ impl Shared {
         self.waker.wake();
     }
 
-    /// Hand a finished response back to the event loop: render it in the
-    /// requester's schema version, stash it, and wake the poller.
-    ///
-    /// Solve responses render through the head/tail split: the head
-    /// (envelope + result payload) is timed under the `serialize` span,
-    /// and the measured duration is sealed into the line's own
-    /// `timing.serialize_secs` — possible because `timing` is the last
-    /// key of a solve response. `flush_secs` is the estimate from the
-    /// most recently completed flush, since this line's flush has not
-    /// happened yet.
+    /// Hand a finished warm or error response back to the event loop,
+    /// rendered in the requester's schema version.
     pub(crate) fn complete(&self, reply: Reply, enqueued: Instant, response: &Response) {
         let error_code = match response {
             Response::Error { code, .. } => code.code_point(),
@@ -377,22 +377,14 @@ impl Shared {
         if error_code != 0 {
             ERRORS.inc();
         }
-        let line = match response {
-            Response::Solve(solve) => {
-                let span = Span::detached(reply.trace, names::SERIALIZE);
-                let head = solve.render_head_for(reply.version);
-                let mut timing = solve.timing;
-                timing.serialize_secs = span.finish().as_secs_f64();
-                timing.flush_secs = f64::from_bits(self.last_flush_bits.load(Ordering::Relaxed));
-                head + &timing.render_tail_for(reply.version)
-            }
-            other => {
-                let span = Span::detached(reply.trace, names::SERIALIZE);
-                let line = other.render_for(reply.version);
-                drop(span);
-                line
-            }
-        };
+        let span = Span::detached(reply.trace, names::SERIALIZE);
+        let line = response.render_for(reply.version);
+        drop(span);
+        self.hand_back(reply, enqueued, line, error_code);
+    }
+
+    /// Stash a rendered line for the event loop and wake its poller.
+    fn hand_back(&self, reply: Reply, enqueued: Instant, line: String, error_code: u32) {
         {
             let mut completions = lock_unpoisoned(&self.completions);
             completions.push(Completion {
@@ -405,6 +397,26 @@ impl Shared {
         }
         self.waker.wake();
     }
+}
+
+/// Render one solve response line around an already rendered `result`
+/// object: the same bytes as [`Response::render_for`]. Every solve line
+/// comes from here — worker completions and the memo hits the event loop
+/// answers inline alike. The head (envelope + result) is timed under the
+/// `serialize` span, and the measured duration is sealed into the line's
+/// own `timing.serialize_secs`, which works because `timing` is the last
+/// key of a solve response.
+pub(crate) fn render_solve_line(
+    version: u32,
+    id: u64,
+    session: &str,
+    result: &str,
+    mut timing: SolveTiming,
+) -> String {
+    let span = Span::detached(timing.trace, names::SERIALIZE);
+    let head = render_solve_head(version, id, session, result);
+    timing.serialize_secs = span.finish().as_secs_f64();
+    head + &timing.render_tail_for(version)
 }
 
 /// A running daemon; dropping the handle does **not** stop it — call
@@ -718,38 +730,52 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>, popped_at: Instant) {
                 // measured duration, traced or not.
                 let solve_span = Span::child(names::SOLVE);
                 let solved = if shared.memoize {
-                    session.solve_memoized(&solve)
+                    session.solve_rendered(&solve)
                 } else {
-                    session.solve(&solve)
+                    session
+                        .solve(&solve)
+                        .map(|r| Arc::new(RenderedResult::new(r)))
                 };
                 let solve_secs = solve_span.finish().as_secs_f64();
-                let response = match solved {
-                    Ok(result) => Response::Solve(SolveResponse {
-                        id: solve.id,
-                        session: key.label(),
-                        result,
-                        timing: SolveTiming {
+                // Observe before handing the response over, so a client that
+                // asks for metrics right after its answer sees this solve.
+                RPC_SOLVE.observe_traced(job.enqueued.elapsed().as_secs_f64(), job.reply.trace);
+                match solved {
+                    Ok(result) => {
+                        let timing = SolveTiming {
                             queue_secs,
                             solve_secs,
                             batch_size,
                             batch_wait_secs,
                             warm_secs,
-                            // Sealed by `Shared::complete`, which times
-                            // the head render and knows the last flush.
+                            // Sealed by `render_solve_line`, which times
+                            // the head render.
                             serialize_secs: 0.0,
-                            flush_secs: 0.0,
+                            // This line's flush has not happened yet: the
+                            // most recently completed one is the estimate.
+                            flush_secs: f64::from_bits(
+                                shared.last_flush_bits.load(Ordering::Relaxed),
+                            ),
                             trace: job.reply.trace,
-                        },
-                    }),
-                    Err(e) => Response::error(
-                        solve.id,
-                        WireError::new(ErrorCode::SolveFailed, e.to_string()),
+                        };
+                        let line = render_solve_line(
+                            job.reply.version,
+                            solve.id,
+                            &key.label(),
+                            &result.rendered,
+                            timing,
+                        );
+                        shared.hand_back(job.reply, job.enqueued, line, 0);
+                    }
+                    Err(e) => shared.complete(
+                        job.reply,
+                        job.enqueued,
+                        &Response::error(
+                            solve.id,
+                            WireError::new(ErrorCode::SolveFailed, e.to_string()),
+                        ),
                     ),
-                };
-                // Observe before handing the response over, so a client that
-                // asks for metrics right after its answer sees this solve.
-                RPC_SOLVE.observe_traced(job.enqueued.elapsed().as_secs_f64(), job.reply.trace);
-                shared.complete(job.reply, job.enqueued, &response);
+                }
             }
         }
     }

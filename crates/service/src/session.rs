@@ -20,7 +20,8 @@
 
 use crate::lock_unpoisoned;
 use crate::wire::{
-    strategy_name, Algorithm, SessionStatsEntry, SolveRequest, SolveResult, WarmRequest,
+    render_result, strategy_name, Algorithm, SessionStatsEntry, SolveRequest, SolveResult,
+    WarmRequest,
 };
 use rmsa::prelude::*;
 use rmsa_bench::{default_rma_config, default_ti_config, ExperimentContext};
@@ -33,7 +34,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Warm-epoch memo hits in [`Session::solve_memoized`].
+/// Warm-epoch memo hits, counted by [`Session::memo_hit`] on both the
+/// inline event-loop path and the worker path.
 static MEMO_HITS: LazyCounter = LazyCounter::new(names::MEMO_HITS);
 /// Warm-epoch memo misses (full solver runs) in
 /// [`Session::solve_memoized`].
@@ -47,16 +49,40 @@ static MEMO_EVICTIONS: LazyCounter = LazyCounter::new(names::MEMO_EVICTIONS);
 /// interchangeable bit-for-bit.
 type SolveClass = (&'static str, &'static str, u64, bool);
 
+fn solve_class(request: &SolveRequest) -> SolveClass {
+    (
+        request.algorithm.name(),
+        request.incentive.label(),
+        request.alpha.to_bits(),
+        request.evaluate,
+    )
+}
+
 /// Most solve classes one session memoizes. Past it the oldest insertion
 /// is evicted, so a client that sends a new α with every request cannot
 /// grow daemon memory, while a small working set of classes stays hot.
 pub(crate) const MEMO_CAPACITY: usize = 256;
 
+/// A solve result together with its compact wire rendering, made once so
+/// every response that repeats the result splices the same bytes.
+pub(crate) struct RenderedResult {
+    pub(crate) result: SolveResult,
+    /// [`render_result`] of `result`.
+    pub(crate) rendered: String,
+}
+
+impl RenderedResult {
+    pub(crate) fn new(result: SolveResult) -> RenderedResult {
+        let rendered = render_result(&result);
+        RenderedResult { result, rendered }
+    }
+}
+
 /// Memoized solve results by [`SolveClass`], each tagged with the warm
 /// epoch it was computed under, holding at most [`MEMO_CAPACITY`] classes.
 #[derive(Default)]
 pub(crate) struct SolveMemo {
-    entries: BTreeMap<SolveClass, (usize, SolveResult)>,
+    entries: BTreeMap<SolveClass, (usize, Arc<RenderedResult>)>,
     /// Classes in insertion order, oldest first.
     order: VecDeque<SolveClass>,
 }
@@ -68,7 +94,7 @@ impl SolveMemo {
     }
 
     /// The result memoized for `class` in warm epoch `epoch`.
-    fn get(&self, class: &SolveClass, epoch: usize) -> Option<&SolveResult> {
+    fn get(&self, class: &SolveClass, epoch: usize) -> Option<&Arc<RenderedResult>> {
         match self.entries.get(class) {
             Some((stored, result)) if *stored == epoch => Some(result),
             _ => None,
@@ -77,7 +103,7 @@ impl SolveMemo {
 
     /// Memoize `result`, evicting the oldest class when over capacity.
     /// Returns whether a class was evicted.
-    fn insert(&mut self, class: SolveClass, epoch: usize, result: SolveResult) -> bool {
+    fn insert(&mut self, class: SolveClass, epoch: usize, result: Arc<RenderedResult>) -> bool {
         if self.entries.insert(class, (epoch, result)).is_some() {
             return false;
         }
@@ -155,8 +181,9 @@ pub struct Session {
     /// doubles as the warm-up critical section, so a batch of concurrent
     /// first requests triggers exactly one cache extension.
     pub(crate) warm_level: Mutex<usize>,
-    /// Lock-free mirror of `warm_level` for the `stats` RPC, so reporting
-    /// never waits behind an in-progress warm-up.
+    /// Lock-free mirror of `warm_level` for the `stats` RPC and
+    /// [`Session::memo_hit`], so neither ever waits behind an in-progress
+    /// warm-up.
     pub(crate) warm_level_hint: AtomicUsize,
     /// Bumped on every cache extension; memoized solve results are valid
     /// only within the epoch they were computed in (the warm invariant
@@ -315,12 +342,15 @@ impl Session {
         let eval_generated = self.workbench.cache_stats().generated - eval_generated_before;
         self.warm_extensions.fetch_add(1, Ordering::Relaxed);
         *level = target;
-        self.warm_level_hint.store(target, Ordering::Relaxed);
         // Release-publish the new epoch while still holding the warm lock:
-        // memoized results from the old history stop being served.
+        // memoized results from the old history stop being served. The
+        // hint follows the epoch, and `memo_hit` reads them in the other
+        // order, so a reader that sees this warm level also sees its
+        // epoch and never pairs it with an entry of the old history.
         let stale = lock_unpoisoned(&self.memo).len();
         flight::record(names::MEMO_INVALIDATE, stale as u64, 0);
         self.warm_epoch.fetch_add(1, Ordering::Release);
+        self.warm_level_hint.store(target, Ordering::Release);
         WarmOutcome {
             target_rr: target,
             generated: stats.generated() + eval_generated,
@@ -378,32 +408,50 @@ impl Session {
     /// warm-up between compute and insert invalidates the entry via the
     /// epoch tag, so a stale-history result is never served.
     pub fn solve_memoized(&self, request: &SolveRequest) -> Result<SolveResult, RmError> {
-        let class: SolveClass = (
-            request.algorithm.name(),
-            request.incentive.label(),
-            request.alpha.to_bits(),
-            request.evaluate,
-        );
-        let epoch = self.warm_epoch.load(Ordering::Acquire);
-        {
-            let memo = lock_unpoisoned(&self.memo);
-            if let Some(result) = memo.get(&class, epoch) {
-                let result = result.clone();
-                drop(memo);
-                MEMO_HITS.inc();
-                self.served.fetch_add(1, Ordering::Relaxed);
-                return Ok(result);
-            }
+        self.solve_rendered(request)
+            .map(|entry| entry.result.clone())
+    }
+
+    /// [`Session::solve_memoized`], returning the memo entry itself, whose
+    /// rendered bytes the worker splices into the response line. The hit
+    /// branch still matters on the worker path: duplicates queued behind
+    /// a miss of their class find its entry here.
+    pub(crate) fn solve_rendered(
+        &self,
+        request: &SolveRequest,
+    ) -> Result<Arc<RenderedResult>, RmError> {
+        if let Some(entry) = self.memo_hit(request) {
+            return Ok(entry);
         }
         MEMO_MISSES.inc();
-        let result = self.solve(request)?;
+        let epoch = self.warm_epoch.load(Ordering::Acquire);
+        let entry = Arc::new(RenderedResult::new(self.solve(request)?));
         let mut memo = lock_unpoisoned(&self.memo);
         // Only cache results whose whole computation happened inside one
         // epoch; a concurrent warm makes this solve's history ambiguous.
         if self.warm_epoch.load(Ordering::Acquire) == epoch {
-            memo.insert(class, epoch, result.clone());
+            memo.insert(solve_class(request), epoch, entry.clone());
         }
-        Ok(result)
+        Ok(entry)
+    }
+
+    /// The memo entry for `request`, counted as a hit and a served
+    /// request, when the session is warm (at least the serving θ) and the
+    /// entry belongs to the current warm epoch. Never takes the
+    /// `warm_level` lock, which a warm-up holds throughout, so the event
+    /// loop can call it: the hint is read before the epoch, the reverse of
+    /// the order [`Session::ensure_warm`] publishes them in.
+    pub(crate) fn memo_hit(&self, request: &SolveRequest) -> Option<Arc<RenderedResult>> {
+        if self.warm_level_hint.load(Ordering::Acquire) < self.default_target {
+            return None;
+        }
+        let epoch = self.warm_epoch.load(Ordering::Acquire);
+        let entry = lock_unpoisoned(&self.memo)
+            .get(&solve_class(request), epoch)?
+            .clone();
+        MEMO_HITS.inc();
+        self.served.fetch_add(1, Ordering::Relaxed);
+        Some(entry)
     }
 
     /// Statistics block for the `stats` RPC.
@@ -505,6 +553,18 @@ impl SessionRegistry {
         &self.ctx
     }
 
+    /// The session for `key` if it is already built, marked most recently
+    /// used; `None` when it is absent or still building. Never starts or
+    /// waits for a build, so the event loop can look up memo hits with it.
+    pub fn resident(&self, key: SessionKey) -> Option<Arc<Session>> {
+        let mut inner = lock_unpoisoned(&self.inner);
+        let i = inner.iter().position(|(k, _)| *k == key)?;
+        let session = inner[i].1.session.get()?.clone();
+        let entry = inner.remove(i);
+        inner.push(entry);
+        Some(session)
+    }
+
     /// The session for `key`, building it on first use and marking it
     /// most recently used.
     pub fn session(&self, key: SessionKey) -> Arc<Session> {
@@ -592,6 +652,32 @@ mod tests {
     }
 
     #[test]
+    fn resident_lookups_never_build_and_keep_a_session_recent() {
+        let registry = SessionRegistry::new(tiny_ctx(), 2);
+        let (a, b, c) = (
+            key(DatasetKind::LastfmSyn),
+            key(DatasetKind::FlixsterSyn),
+            key(DatasetKind::DblpSyn),
+        );
+        assert!(registry.resident(a).is_none());
+        assert!(
+            registry.stats().is_empty(),
+            "a resident miss builds nothing"
+        );
+        registry.session(a);
+        registry.session(b);
+        // Touching `a` makes `b` the least recently used one.
+        assert!(registry.resident(a).is_some());
+        registry.session(c);
+        assert_eq!(registry.evictions(), 1);
+        assert!(registry.resident(a).is_some(), "a looked-up session stays");
+        assert!(
+            registry.resident(b).is_none(),
+            "the idle session is evicted"
+        );
+    }
+
+    #[test]
     fn warm_then_solve_generates_nothing_new() {
         let registry = SessionRegistry::new(tiny_ctx(), 2);
         let session = registry.session(key(DatasetKind::LastfmSyn));
@@ -669,8 +755,47 @@ mod tests {
     }
 
     #[test]
+    fn memo_hits_need_a_warm_session_and_the_current_epoch() {
+        let registry = SessionRegistry::new(tiny_ctx(), 2);
+        let key = key(DatasetKind::LastfmSyn);
+        assert!(registry.resident(key).is_none(), "nothing is built yet");
+        let session = registry.session(key);
+        let resident = registry.resident(key).expect("built sessions are resident");
+        assert!(Arc::ptr_eq(&session, &resident));
+        let request = crate::test_util::solve_request(1, Algorithm::OneBatch, 0.1);
+        assert!(session.memo_hit(&request).is_none(), "cold session");
+
+        // Below the serving θ an entry is memoized but never served.
+        session.ensure_warm(Some(session.default_target() / 4));
+        session.solve_memoized(&request).unwrap();
+        assert!(
+            session.memo_hit(&request).is_none(),
+            "a session below the serving θ is not warm"
+        );
+
+        // Warming to the default starts a new epoch: the entry is stale.
+        session.ensure_warm(None);
+        assert!(
+            session.memo_hit(&request).is_none(),
+            "an entry of an older epoch is never a hit"
+        );
+        let served = session.stats_entry().served;
+        let result = session.solve_memoized(&request).unwrap();
+        let hit = session.memo_hit(&request).expect("memoized in this epoch");
+        assert_eq!(hit.result, result);
+        assert_eq!(hit.rendered, render_result(&result));
+        assert_eq!(
+            session.stats_entry().served,
+            served + 2,
+            "hits count as served"
+        );
+        let other = crate::test_util::solve_request(2, Algorithm::OneBatch, 0.2);
+        assert!(session.memo_hit(&other).is_none(), "another class misses");
+    }
+
+    #[test]
     fn memo_stays_bounded_under_distinct_alphas_and_repeats_still_hit() {
-        let result = SolveResult {
+        let result = RenderedResult::new(SolveResult {
             algorithm: "RMA".to_string(),
             revenue: None,
             revenue_estimate: 1.0,
@@ -684,7 +809,8 @@ mod tests {
             rr_generated: 0,
             index_extended: 0,
             allocation_digest: String::new(),
-        };
+        });
+        let result = Arc::new(result);
         let class = |alpha: f64| ("rma", "linear", alpha.to_bits(), true);
         let hot = class(0.25);
         let mut memo = SolveMemo::default();

@@ -581,6 +581,10 @@ pub struct SolveResult {
 /// The v2 per-phase fields decompose end-to-end latency —
 /// queue → batch_wait → warm_check → solve → serialize → flush — which
 /// is what the loadgen's attribution columns aggregate.
+///
+/// A memo hit the event loop answers inline never reaches the queue or a
+/// worker: its block is all zeros except `serialize_secs` and `trace`,
+/// and `batch_size: 0` is what marks it.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SolveTiming {
     /// Seconds the request waited in the admission queue before a worker
@@ -589,7 +593,7 @@ pub struct SolveTiming {
     /// Seconds the solve (and evaluation) took.
     pub solve_secs: f64,
     /// Number of same-fingerprint requests in the batch that served this
-    /// request.
+    /// request; 0 when the event loop answered it inline from the memo.
     pub batch_size: usize,
     /// Seconds between the batch pop and this request's serving start
     /// (earlier jobs of the same batch being served). v2-only.
@@ -635,13 +639,8 @@ impl SolveResponse {
 
     /// The solve response document without its timing object.
     fn head_json_for(&self, version: u32) -> Json {
-        let mut doc = Json::obj();
-        doc.set("schema_version", Json::Int(version as i64))
-            .set("op", Json::Str("solve".into()))
-            .set("id", Json::Int(self.id as i64))
-            .set("ok", Json::Bool(true))
-            .set("session", Json::Str(self.session.clone()))
-            .set("result", result_to_json(&self.result));
+        let mut doc = solve_envelope_for(version, self.id, &self.session);
+        doc.set("result", result_to_json(&self.result));
         doc
     }
 
@@ -653,10 +652,43 @@ impl SolveResponse {
     /// and still seal the measured duration *inside* the line (timing is
     /// the last key of a solve response).
     pub fn render_head_for(&self, version: u32) -> String {
-        let mut head = self.head_json_for(version).render_compact();
-        head.pop(); // drop the closing '}'; the timing tail restores it
-        head
+        render_solve_head(
+            version,
+            self.id,
+            &self.session,
+            &render_result(&self.result),
+        )
     }
+}
+
+/// The `{schema_version, op, id, ok, session}` envelope of a solve
+/// response; the result payload and the timing object follow it.
+fn solve_envelope_for(version: u32, id: u64, session: &str) -> Json {
+    let mut doc = Json::obj();
+    doc.set("schema_version", Json::Int(version as i64))
+        .set("op", Json::Str("solve".into()))
+        .set("id", Json::Int(id as i64))
+        .set("ok", Json::Bool(true))
+        .set("session", Json::Str(session.to_string()));
+    doc
+}
+
+/// The compact `result` object of a solve response. The server renders a
+/// memoized result once, when it is memoized, and splices these bytes
+/// into every later response through [`render_solve_head`].
+pub(crate) fn render_result(result: &SolveResult) -> String {
+    result_to_json(result).render_compact()
+}
+
+/// [`SolveResponse::render_head_for`] around an already rendered `result`
+/// object (see [`render_result`]): the same bytes, without rebuilding the
+/// result's JSON tree.
+pub(crate) fn render_solve_head(version: u32, id: u64, session: &str, result: &str) -> String {
+    let mut head = solve_envelope_for(version, id, session).render_compact();
+    head.pop(); // reopen the object; the timing tail closes it
+    head.push_str(",\"result\":");
+    head.push_str(result);
+    head
 }
 
 impl SolveTiming {

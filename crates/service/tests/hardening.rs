@@ -284,3 +284,94 @@ fn schedule_permutations_are_response_invariant() {
         );
     }
 }
+
+/// Lines answered inline hold their pipelining slot until they reach the
+/// write buffer. A client that writes one cold solve followed by 64 pings
+/// and reads nothing must therefore park at most the window's worth of
+/// pongs behind the unfinished solve (the rest stay unread in the kernel),
+/// and every answer still arrives in request order.
+#[test]
+fn inline_answers_parked_behind_a_cold_solve_stay_within_the_window() {
+    const MAX_INFLIGHT: usize = 4;
+    const PINGS: u64 = 64;
+    // Full dataset scale keeps the cold flixster-syn solve busy for about
+    // 0.2 s, long enough for the metrics polls below to watch it.
+    let mut ctx = rmsa_service::tiny_serve_ctx(7);
+    ctx.scale = 1.0;
+    let config = ServerConfig::builder(ctx)
+        .workers(1)
+        .max_inflight(MAX_INFLIGHT)
+        .build()
+        .expect("valid config");
+    let handle = server::start("127.0.0.1:0", config).expect("bind");
+    let addr = handle.local_addr().to_string();
+
+    let mut burst = Request::Solve(SolveRequest {
+        dataset: DatasetKind::FlixsterSyn,
+        ..solve_request(1, Algorithm::Rma, 0.2)
+    })
+    .render();
+    burst.push('\n');
+    for id in 2..=PINGS + 1 {
+        burst.push_str(&Request::Ping { id }.render());
+        burst.push('\n');
+    }
+    let mut flood = std::net::TcpStream::connect(&addr).expect("connect");
+    flood.write_all(burst.as_bytes()).expect("send");
+
+    let reader = std::thread::spawn(move || {
+        let mut reader = BufReader::new(flood);
+        (1..=PINGS + 1)
+            .map(|_| {
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("answer");
+                Response::parse(line.trim_end()).expect("parse response")
+            })
+            .collect::<Vec<Response>>()
+    });
+
+    let mut observer = rmsa_service::ServiceClient::connect(&addr).expect("connect");
+    let mut most_parked = 0;
+    let mut polls = 0;
+    while !reader.is_finished() {
+        let Response::Metrics { report, .. } =
+            observer.call(&Request::Metrics { id: 1 }).expect("metrics")
+        else {
+            panic!("expected metrics response");
+        };
+        let parked = report
+            .gauges
+            .iter()
+            .find(|(name, _)| name == "parked_responses")
+            .map_or(0, |(_, value)| *value);
+        // The solve holds one slot, so this connection parks at most
+        // MAX_INFLIGHT - 1 pongs. The gauge is process-wide, and the other
+        // daemon test in this binary parks at most one line at a time.
+        assert!(
+            parked <= MAX_INFLIGHT as i64,
+            "{parked} responses parked behind the cold solve exceed the window"
+        );
+        most_parked = most_parked.max(parked);
+        polls += 1;
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert!(
+        most_parked >= 1 && polls > 1,
+        "the polls never saw the flood parked ({polls} polls)"
+    );
+
+    let answers = reader.join().expect("reader");
+    assert!(
+        matches!(&answers[0], Response::Solve(solve) if solve.id == 1),
+        "the solve answers first, got {:?}",
+        answers[0]
+    );
+    for (answer, id) in answers[1..].iter().zip(2..) {
+        assert!(
+            matches!(answer, Response::Pong { id: got } if *got == id),
+            "pong {id} out of order: {answer:?}"
+        );
+    }
+    handle.shutdown();
+    handle.wait();
+}

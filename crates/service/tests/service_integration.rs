@@ -607,3 +607,187 @@ fn exemplars_flight_and_trace_by_id_link_the_tail_story_together() {
     handle.shutdown();
     handle.wait();
 }
+
+/// One request line in, one raw response line out (newline stripped).
+fn raw_call(stream: &mut std::net::TcpStream, line: &str) -> String {
+    use std::io::{BufRead, BufReader, Write};
+    stream.write_all(line.as_bytes()).expect("send");
+    stream.write_all(b"\n").expect("send");
+    // One line per request on a closed-loop connection: a fresh reader
+    // never buffers past the answer.
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut answer = String::new();
+    reader.read_line(&mut answer).expect("answer");
+    answer.trim_end().to_string()
+}
+
+/// A solve line up to its timing object: the bytes that must not depend
+/// on which path answered.
+fn untimed(line: &str) -> &str {
+    &line[..line
+        .find(",\"timing\":")
+        .expect("a solve line carries timing")]
+}
+
+/// The second identical request is a memo hit the event loop answers
+/// inline. Its line is byte-identical, timing aside, to the worker's line
+/// for the same result and to a `--no-memo` daemon's, in both schema
+/// versions; its timing block marks the inline path, and its trace
+/// resolves by id with status `ok`.
+#[test]
+fn inline_memo_hits_render_the_worker_path_bytes() {
+    let requests: Vec<(u32, String)> = [(1u32, 0.15), (2, 0.25)]
+        .into_iter()
+        .map(|(version, alpha)| {
+            let request = Request::Solve(solve_request(40, Algorithm::OneBatch, alpha));
+            (version, request.render_for(version))
+        })
+        .collect();
+
+    let handle = server::start("127.0.0.1:0", tiny_config(2)).expect("bind");
+    let addr = handle.local_addr().to_string();
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut inline_lines = Vec::new();
+    for (version, line) in &requests {
+        let worker = raw_call(&mut stream, line);
+        let inline = raw_call(&mut stream, line);
+        assert_eq!(
+            untimed(&worker),
+            untimed(&inline),
+            "v{version}: an inline hit must splice the worker path's bytes"
+        );
+        let (Ok(Response::Solve(worker)), Ok(Response::Solve(hit))) =
+            (Response::parse(&worker), Response::parse(&inline))
+        else {
+            panic!("v{version}: expected two solve responses");
+        };
+        assert!(worker.timing.batch_size >= 1, "the first request is a miss");
+        let t = hit.timing;
+        assert_eq!(
+            t.batch_size, 0,
+            "v{version}: batch_size 0 marks an inline hit"
+        );
+        assert_eq!(t.queue_secs, 0.0);
+        assert_eq!(t.solve_secs, 0.0);
+        if *version == 2 {
+            assert_eq!(
+                (t.batch_wait_secs, t.warm_secs, t.flush_secs),
+                (0.0, 0.0, 0.0)
+            );
+            assert_ne!(t.trace, 0, "an inline hit carries its minted trace id");
+            let mut client = ServiceClient::connect(&addr).expect("connect");
+            let Response::Trace { traces, .. } = client
+                .call(&Request::Trace {
+                    id: 41,
+                    limit: 1,
+                    slowest: false,
+                    trace: t.trace,
+                })
+                .expect("trace")
+            else {
+                panic!("expected trace response");
+            };
+            assert_eq!(traces.len(), 1, "the inline hit's trace resolves by id");
+            assert_eq!(traces[0].status, "ok");
+            let spans: Vec<&str> = traces[0].spans.iter().map(|s| s.name.as_str()).collect();
+            assert!(spans.contains(&"parse") && spans.contains(&"serialize"));
+            assert!(!spans.contains(&"solve"), "no worker touched it: {spans:?}");
+        }
+        inline_lines.push(inline);
+    }
+    handle.shutdown();
+    handle.wait();
+
+    // A `--no-memo` daemon solves both requests from scratch.
+    let config = ServerConfig::builder(rmsa_service::tiny_serve_ctx(7))
+        .workers(1)
+        .max_sessions(2)
+        .memoize(false)
+        .build()
+        .expect("valid config");
+    let handle = server::start("127.0.0.1:0", config).expect("bind");
+    let mut stream = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
+    for ((version, line), inline) in requests.iter().zip(&inline_lines) {
+        let fresh = raw_call(&mut stream, line);
+        assert_eq!(
+            untimed(&fresh),
+            untimed(inline),
+            "v{version}: an inline hit must match a --no-memo daemon's bytes"
+        );
+    }
+    handle.shutdown();
+    handle.wait();
+}
+
+/// Memo hits never wait on a warm-up or a session build: with the only
+/// worker busy building and solving a cold flixster-syn session, repeats
+/// of a memoized lastfm-syn request on another connection are answered,
+/// inline, before the cold solve is.
+#[test]
+fn memo_hits_are_answered_while_a_cold_session_holds_the_only_worker() {
+    use std::io::{BufRead, BufReader, Write};
+    // Full dataset scale: the cold flixster-syn build, warm-up and solve
+    // take about 0.2 s on two vCPUs, two orders of magnitude more than
+    // the pipelined hits below.
+    let mut ctx = rmsa_service::tiny_serve_ctx(7);
+    ctx.scale = 1.0;
+    let config = ServerConfig::builder(ctx)
+        .workers(1)
+        .build()
+        .expect("valid config");
+    let handle = server::start("127.0.0.1:0", config).expect("bind");
+    let addr = handle.local_addr().to_string();
+    let mut hot = ServiceClient::connect(&addr).expect("connect");
+    let Response::Solve(first) = hot
+        .call(&Request::Solve(solve_request(1, Algorithm::OneBatch, 0.1)))
+        .expect("solve")
+    else {
+        panic!("expected solve response");
+    };
+    assert!(first.timing.batch_size >= 1, "the first request is a miss");
+
+    let mut cold = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut cold_request = Request::Solve(SolveRequest {
+        dataset: DatasetKind::FlixsterSyn,
+        ..solve_request(2, Algorithm::Rma, 0.2)
+    })
+    .render();
+    cold_request.push('\n');
+    cold.write_all(cold_request.as_bytes()).expect("send");
+    // Let the event loop admit the cold request before the hits arrive.
+    std::thread::sleep(std::time::Duration::from_millis(10));
+
+    for id in 3..35 {
+        hot.send(&Request::Solve(solve_request(id, Algorithm::OneBatch, 0.1)))
+            .expect("send");
+    }
+    for id in 3..35 {
+        let Response::Solve(hit) = hot.recv().expect("recv") else {
+            panic!("expected solve response");
+        };
+        assert_eq!(hit.id, id);
+        assert_eq!(
+            hit.timing.batch_size, 0,
+            "request {id} must be an inline hit"
+        );
+        assert_eq!(hit.result, first.result);
+    }
+    // Every hit is answered, and the cold solve still holds the worker.
+    cold.set_nonblocking(true).expect("nonblocking");
+    let mut byte = [0u8; 1];
+    assert_eq!(
+        cold.peek(&mut byte).map_err(|e| e.kind()),
+        Err(std::io::ErrorKind::WouldBlock),
+        "the cold solve must still be running when the hits are answered"
+    );
+    cold.set_nonblocking(false).expect("blocking");
+    let mut answer = String::new();
+    BufReader::new(cold).read_line(&mut answer).expect("answer");
+    let Ok(Response::Solve(slow)) = Response::parse(answer.trim_end()) else {
+        panic!("expected the cold solve, got {answer}");
+    };
+    assert_eq!(slow.id, 2);
+    assert!(slow.timing.batch_size >= 1);
+    handle.shutdown();
+    handle.wait();
+}
