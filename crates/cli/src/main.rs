@@ -30,6 +30,7 @@ use rmsa_bench::ExperimentContext;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+mod args;
 mod lint_cmd;
 mod service_cmd;
 mod snapshot_cmd;
@@ -48,7 +49,7 @@ USAGE:
                [--threads N] [--warm-rr N] [--eval-rr N] [--port-file PATH]
                [--snapshot-dir DIR] [--verify-snapshots] [--no-obs]
                [--obs-snapshot PATH] [--obs-snapshot-secs S] [--slo-ms MS]
-               [--flight-dump PATH]
+               [--flight-dump PATH] [--spread-rr N]
     rmsa query [solve|warm|stats|ping|shutdown] [--addr HOST:PORT]
                [--dataset D] [--strategy standard|subsim]
                [--algorithm rma|one-batch|ti-carm|ti-csrm] [--incentive I]

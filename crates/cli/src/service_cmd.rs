@@ -5,7 +5,7 @@
 //! [`LoadgenPlan::builder`]); range checks live in the builders, not in
 //! the flag loop.
 
-use rmsa_bench::ExperimentContext;
+use crate::args::{ArgReader, CtxFlags};
 use rmsa_service::loadgen::{self, LoadMix, LoadgenPlan, Mode};
 use rmsa_service::wire::{self, Algorithm, Request, Response, SolveRequest, WarmRequest};
 use rmsa_service::{server, ServerConfig, ServiceClient};
@@ -13,36 +13,6 @@ use std::path::PathBuf;
 
 /// Default address of `serve` / `query` / `loadgen`.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7747";
-
-struct ArgReader<'a> {
-    it: std::slice::Iter<'a, String>,
-}
-
-impl<'a> ArgReader<'a> {
-    fn new(args: &'a [String]) -> Self {
-        ArgReader { it: args.iter() }
-    }
-
-    fn next(&mut self) -> Option<&'a String> {
-        self.it.next()
-    }
-
-    fn value(&mut self, flag: &str) -> Result<&'a str, String> {
-        self.it
-            .next()
-            .map(|s| s.as_str())
-            .ok_or_else(|| format!("{flag} needs a value"))
-    }
-
-    fn parsed<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        self.value(flag)?
-            .parse::<T>()
-            .map_err(|e| format!("{flag}: {e}"))
-    }
-}
 
 /// The serving context: the environment-driven experiment context, the
 /// smoke-scale profile under `--quick`, explicit flags on top.
@@ -53,19 +23,13 @@ struct ServeOptions {
 }
 
 fn parse_serve(args: &[String]) -> Result<ServeOptions, String> {
-    let base = ExperimentContext::from_env();
-    let mut quick = rmsa_bench::runner::env_flag("RMSA_BENCH_QUICK");
+    let mut ctx_flags = CtxFlags::new();
     let mut addr = DEFAULT_ADDR.to_string();
     let mut workers = None;
     let mut max_sessions = None;
     let mut max_inflight = None;
     let mut memoize = true;
     let mut port_file = None;
-    let mut seed = None;
-    let mut scale = None;
-    let mut threads = None;
-    let mut warm_rr = None;
-    let mut eval_rr = None;
     let mut snapshot_dir = None;
     let mut verify_snapshots = false;
     let mut obs = true;
@@ -75,19 +39,16 @@ fn parse_serve(args: &[String]) -> Result<ServeOptions, String> {
     let mut flight_dump = None;
     let mut reader = ArgReader::new(args);
     while let Some(arg) = reader.next() {
+        if ctx_flags.consume(arg, &mut reader)? {
+            continue;
+        }
         match arg.as_str() {
-            "--quick" => quick = true,
             "--addr" => addr = reader.value("--addr")?.to_string(),
             "--workers" => workers = Some(reader.parsed::<usize>("--workers")?),
             "--max-sessions" => max_sessions = Some(reader.parsed::<usize>("--max-sessions")?),
             "--max-inflight" => max_inflight = Some(reader.parsed::<usize>("--max-inflight")?),
             "--no-memo" => memoize = false,
             "--port-file" => port_file = Some(PathBuf::from(reader.value("--port-file")?)),
-            "--seed" => seed = Some(reader.parsed::<u64>("--seed")?),
-            "--scale" => scale = Some(reader.parsed::<f64>("--scale")?),
-            "--threads" => threads = Some(reader.parsed::<usize>("--threads")?),
-            "--warm-rr" => warm_rr = Some(reader.parsed::<usize>("--warm-rr")?),
-            "--eval-rr" => eval_rr = Some(reader.parsed::<usize>("--eval-rr")?),
             "--snapshot-dir" => snapshot_dir = Some(PathBuf::from(reader.value("--snapshot-dir")?)),
             "--verify-snapshots" => verify_snapshots = true,
             "--no-obs" => obs = false,
@@ -100,29 +61,7 @@ fn parse_serve(args: &[String]) -> Result<ServeOptions, String> {
             other => return Err(format!("unknown serve option {other:?}")),
         }
     }
-    let mut ctx = if quick {
-        let mut quick_ctx = rmsa_service::tiny_serve_ctx(base.seed);
-        quick_ctx.threads = base.threads;
-        quick_ctx
-    } else {
-        base
-    };
-    if let Some(seed) = seed {
-        ctx.seed = seed;
-    }
-    if let Some(scale) = scale {
-        ctx.scale = scale;
-    }
-    if let Some(threads) = threads {
-        ctx.threads = threads.max(1);
-    }
-    if let Some(warm_rr) = warm_rr {
-        ctx.rma_max_rr = warm_rr;
-    }
-    if let Some(eval_rr) = eval_rr {
-        ctx.eval_rr = eval_rr;
-    }
-    let mut builder = ServerConfig::builder(ctx)
+    let mut builder = ServerConfig::builder(ctx_flags.resolve())
         .memoize(memoize)
         .snapshot_dir(snapshot_dir)
         .verify_snapshots(verify_snapshots)
@@ -776,6 +715,34 @@ mod tests {
         // Range checks live in the builder.
         assert!(parse_serve(&strings(&["--slo-ms", "0"])).is_err());
         assert!(parse_serve(&strings(&["--obs-snapshot-secs", "0"])).is_err());
+    }
+
+    #[test]
+    fn serve_accepts_the_snapshot_context_it_was_made_under() {
+        let dir = std::env::temp_dir().join("rmsa_cli_serve_spread_rr_test");
+        std::fs::remove_dir_all(&dir).ok();
+        let dir_s = dir.to_str().unwrap().to_string();
+        crate::snapshot_cmd::snapshot_command(&strings(&[
+            "make",
+            "--quick",
+            "--spread-rr",
+            "600",
+            "--dir",
+            &dir_s,
+            "--dataset",
+            "lastfm-syn",
+        ]))
+        .unwrap();
+        let bytes = std::fs::read(dir.join("lastfm-syn-standard.rmsnap")).unwrap();
+        let options = parse_serve(&strings(&["--quick", "--spread-rr", "600"])).unwrap();
+        assert_eq!(options.config.ctx().spread_rr, 600);
+        let key = rmsa_service::SessionKey {
+            dataset: wire::parse_dataset("lastfm-syn").unwrap(),
+            strategy: wire::parse_strategy("standard").unwrap(),
+        };
+        rmsa_service::snapshot::session_from_bytes(&bytes, key, options.config.ctx())
+            .expect("serve's context accepts the snapshot");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

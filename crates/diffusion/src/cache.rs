@@ -31,7 +31,7 @@ use crate::rr::RrStrategy;
 use crate::sampler::UniformRrSampler;
 use parking_lot::Mutex;
 use rmsa_graph::DirectedGraph;
-use rmsa_obs::{names, LazyCounter, LazyGauge, LazyHistogram, Span};
+use rmsa_obs::{names, Counter, Gauge, Histogram, Span};
 use rmsa_store::{
     section as store_section, MappedSnapshot, SectionSource, SnapshotReader, SnapshotWriter,
     StoreError, VerifyMode,
@@ -39,21 +39,6 @@ use rmsa_store::{
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
-
-/// RR sets sampled into arenas, across every cache in the process.
-static RR_GENERATED: LazyCounter = LazyCounter::new(names::RR_GENERATED_TOTAL);
-/// RR sets folded into coverage indexes, across every cache.
-static INDEX_EXTENDED: LazyCounter = LazyCounter::new(names::INDEX_EXTENDED_TOTAL);
-/// Snapshot loads whose columns came back mmap-borrowed (zero-copy).
-static SNAPSHOTS_MAPPED: LazyCounter = LazyCounter::new(names::SNAPSHOTS_MAPPED);
-/// RR generation phase durations.
-static GENERATE_SECS: LazyHistogram = LazyHistogram::new(names::GENERATE_SECS);
-/// Coverage-index extension durations (extensions that did work).
-static INDEX_SECS: LazyHistogram = LazyHistogram::new(names::INDEX_SECS);
-/// Heap-resident arena + index bytes across live caches.
-static ARENA_RESIDENT: LazyGauge = LazyGauge::new(names::ARENA_RESIDENT_BYTES);
-/// mmap-backed arena + index bytes across live caches.
-static ARENA_MAPPED: LazyGauge = LazyGauge::new(names::ARENA_MAPPED_BYTES);
 
 /// Named RR-set streams inside an [`RrCache`].
 ///
@@ -357,8 +342,8 @@ impl RrCache {
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
         let (resident, mapped) = streams_bytes(&inner.streams);
-        ARENA_RESIDENT.add(-resident);
-        ARENA_MAPPED.add(-mapped);
+        Gauge::ArenaResidentBytes.add(-resident);
+        Gauge::ArenaMappedBytes.add(-mapped);
         inner.streams.clear();
         inner.fingerprint = None;
     }
@@ -508,10 +493,10 @@ impl RrCache {
             streams[idx] = Some(state);
         }
         let (resident, mapped) = streams_bytes(&streams);
-        ARENA_RESIDENT.add(resident);
-        ARENA_MAPPED.add(mapped);
+        Gauge::ArenaResidentBytes.add(resident);
+        Gauge::ArenaMappedBytes.add(mapped);
         if mapped > 0 {
-            SNAPSHOTS_MAPPED.inc();
+            Counter::SnapshotsMapped.inc();
         }
         let stats = RrCacheStats {
             loaded_from_snapshot: loaded,
@@ -629,8 +614,8 @@ impl RrCache {
             state
                 .arena
                 .generate_parallel(graph, &model, sampler, missing, self.num_threads, seed);
-            GENERATE_SECS.observe_duration(gen_span.finish());
-            RR_GENERATED.add(missing as u64);
+            Histogram::GenerateSecs.observe_duration(gen_span.finish());
+            Counter::RrGeneratedTotal.add(missing as u64);
         }
         // Extend-never-rebuild: index exactly the new sets, in place. A
         // fully warm stream reports exactly zero index time (not timer
@@ -644,12 +629,12 @@ impl RrCache {
             index_measured
         };
         if index_extended > 0 {
-            INDEX_EXTENDED.add(index_extended as u64);
-            INDEX_SECS.observe_duration(index_measured);
+            Counter::IndexExtendedTotal.add(index_extended as u64);
+            Histogram::IndexSecs.observe_duration(index_measured);
         }
         let index_reused = state.index.num_rr() - index_extended;
-        ARENA_RESIDENT.add(state.resident_bytes() - res_before);
-        ARENA_MAPPED.add(state.mapped_bytes() - map_before);
+        Gauge::ArenaResidentBytes.add(state.resident_bytes() - res_before);
+        Gauge::ArenaMappedBytes.add(state.mapped_bytes() - map_before);
 
         let result = f(RrStreamView {
             arena: &state.arena,
@@ -688,8 +673,8 @@ impl RrCache {
             Some(existing) if existing == fp => {}
             Some(_) => {
                 let (resident, mapped) = streams_bytes(&inner.streams);
-                ARENA_RESIDENT.add(-resident);
-                ARENA_MAPPED.add(-mapped);
+                Gauge::ArenaResidentBytes.add(-resident);
+                Gauge::ArenaMappedBytes.add(-mapped);
                 inner.streams.clear();
                 inner.fingerprint = Some(fp);
                 inner.stats.invalidations += 1;
@@ -701,12 +686,12 @@ impl RrCache {
 
 impl Drop for RrCache {
     fn drop(&mut self) {
-        // Keep the process-wide arena byte gauges honest when a cache is
+        // Keep the daemon's arena byte gauges honest when a cache is
         // evicted (LRU registry) or a test tears one down.
         let inner = self.inner.get_mut();
         let (resident, mapped) = streams_bytes(&inner.streams);
-        ARENA_RESIDENT.add(-resident);
-        ARENA_MAPPED.add(-mapped);
+        Gauge::ArenaResidentBytes.add(-resident);
+        Gauge::ArenaMappedBytes.add(-mapped);
     }
 }
 

@@ -24,7 +24,7 @@ pub struct RuleScope {
     pub r4: bool,
     /// R5 lock-scope heuristic (everywhere).
     pub r5: bool,
-    /// R6 obs-names: metric/span names must come from `obs::names`
+    /// R6 obs-names: span and flight-event names must come from `obs::names`
     /// (everywhere except the obs crate, which defines the API).
     pub r6: bool,
 }
@@ -346,19 +346,19 @@ fn r5_lock_scope(lexed: &Lexed, masked: &str, lineno: usize, out: &mut Vec<RawFi
 
 /// Constructors whose name argument R6 checks, with the type qualifiers
 /// that make the bare method identifier unambiguous.
-const R6_QUALIFIED: [(&str, &[&str]); 4] = [
+const R6_QUALIFIED: [(&str, &[&str]); 3] = [
     ("child", &["Span"]),
     ("detached", &["Span"]),
-    ("new", &["LazyCounter", "LazyGauge", "LazyHistogram"]),
     ("record", &["flight"]),
 ];
 
-/// R6: the name argument of an obs constructor (`LazyCounter::new`,
-/// `LazyGauge::new`, `LazyHistogram::new`, `Span::child`,
-/// `Span::detached`, `flight::record`, `record_closed`) must reference the central
-/// `obs::names` catalog — never an ad-hoc literal (masked by the lexer)
-/// or a locally built string. Lexical over-approximation: any `names`
-/// identifier among the call's arguments counts.
+/// R6: the name argument of a span or flight-event constructor
+/// (`Span::child`, `Span::detached`, `flight::record`, `record_closed`)
+/// must reference the central `obs::names` catalog — never an ad-hoc
+/// literal (masked by the lexer) or a locally built string. Metric names
+/// need no rule: they are typed catalog ids, checked by the compiler.
+/// Lexical over-approximation: any `names` identifier among the call's
+/// arguments counts.
 fn r6_obs_names(lexed: &Lexed, masked: &str, lineno: usize, out: &mut Vec<RawFinding>) {
     let all = idents(masked);
     for (i, (ident, col)) in all.iter().enumerate() {
@@ -526,21 +526,13 @@ mod tests {
 
     #[test]
     fn r6_flags_ad_hoc_obs_names_but_not_catalog_constants() {
-        assert_eq!(
-            rules_of("static C: LazyCounter = LazyCounter::new(\"my_counter\");"),
-            vec!["R6"]
-        );
         assert_eq!(rules_of("let s = Span::child(\"solve\");"), vec!["R6"]);
         assert_eq!(
             rules_of("let s = Span::detached(trace, local_name);"),
             vec!["R6"]
         );
         assert!(rules_of("let s = Span::child(names::SOLVE);").is_empty());
-        assert!(rules_of("static C: LazyCounter = LazyCounter::new(names::MEMO_HITS);").is_empty());
-        assert!(rules_of(
-            "static C: LazyHistogram = LazyHistogram::new(rmsa_obs::names::RPC_SOLVE_SECS);"
-        )
-        .is_empty());
+        assert!(rules_of("let s = Span::child(rmsa_obs::names::SNAPSHOT_LOAD);").is_empty());
         // Unrelated constructors named `new` or `child` must not fire.
         assert!(rules_of("let v = Vec::new();").is_empty());
         assert!(rules_of("let c = node.child(0);").is_empty());

@@ -6,10 +6,11 @@
 //! anomaly": connection churn, backpressure pauses, memo invalidations,
 //! batch formations, snapshot persists. Recording mirrors the span-ring
 //! discipline — a [`record`] is a relaxed sequence fetch-add plus a
-//! plain store into a preallocated thread-local ring, no locks on the
-//! steady path and nothing at all under `--no-obs`.
+//! plain store into the calling thread's preallocated ring in its
+//! attached [`Obs`], no contended lock and nothing at all under
+//! `--no-obs`.
 //!
-//! Unlike span rings, a snapshot ([`snapshot`]) is **non-destructive**:
+//! Unlike span rings, a snapshot ([`Obs::flight`]) is **non-destructive**:
 //! it copies every ring and sorts by the global sequence number, so
 //! repeated `flight` RPCs and anomaly dumps see the same stable-order
 //! recent history.
@@ -20,7 +21,8 @@
 //! per kind.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+
+use crate::{lock, Obs};
 
 /// Events kept per thread before the oldest is overwritten.
 pub const FLIGHT_CAPACITY: usize = 256;
@@ -42,98 +44,45 @@ pub struct FlightEvent {
 
 static NEXT_SEQ: AtomicU64 = AtomicU64::new(1);
 
-/// A fixed-capacity event ring; `head` is the next overwrite position
-/// once `len == FLIGHT_CAPACITY`.
-struct Ring {
-    buf: Vec<FlightEvent>,
-    head: usize,
-}
-
-impl Ring {
-    fn new() -> Self {
-        Ring {
-            buf: Vec::with_capacity(FLIGHT_CAPACITY),
-            head: 0,
-        }
-    }
-
-    fn push(&mut self, event: FlightEvent) {
-        if self.buf.len() < FLIGHT_CAPACITY {
-            self.buf.push(event);
-        } else {
-            self.buf[self.head] = event;
-            self.head = (self.head + 1) % FLIGHT_CAPACITY;
-        }
-    }
-
-    /// Copy out all events, oldest first, leaving the ring untouched.
-    fn copy_all(&self) -> Vec<FlightEvent> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
-    }
-}
-
-fn lock_obs<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Every live thread ring, so [`snapshot`] reaches events recorded by
-/// threads that have gone idle.
-fn rings() -> &'static Mutex<Vec<Arc<Mutex<Ring>>>> {
-    static RINGS: OnceLock<Mutex<Vec<Arc<Mutex<Ring>>>>> = OnceLock::new();
-    RINGS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-thread_local! {
-    static MY_RING: std::cell::OnceCell<Arc<Mutex<Ring>>> = const { std::cell::OnceCell::new() };
-}
-
-/// Record one event if obs is enabled. `kind` must be a flight constant
-/// from [`crate::names`]; `a`/`b` are the per-kind payload words.
+/// Record one event on the calling thread's attached [`Obs`]. `kind`
+/// must be a flight constant from [`crate::names`]; `a`/`b` are the
+/// per-kind payload words.
 pub fn record(kind: &'static str, a: u64, b: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    let event = FlightEvent {
-        kind,
-        seq: NEXT_SEQ.fetch_add(1, Ordering::Relaxed),
-        at_us: crate::trace::micros_now(),
-        a,
-        b,
-    };
-    MY_RING.with(|cell| {
-        let ring = cell.get_or_init(|| {
-            let ring = Arc::new(Mutex::new(Ring::new()));
-            lock_obs(rings()).push(Arc::clone(&ring));
-            ring
-        });
-        lock_obs(ring).push(event);
+    crate::with_thread_bufs(|_, bufs| {
+        let event = FlightEvent {
+            kind,
+            seq: NEXT_SEQ.fetch_add(1, Ordering::Relaxed),
+            at_us: crate::trace::micros_now(),
+            a,
+            b,
+        };
+        lock(&bufs.flight).push(event);
     });
 }
 
-/// Copy the recent history out of every thread ring, in global sequence
-/// order (ties impossible: the sequence is process-unique). The rings
-/// are left untouched, so back-to-back snapshots agree on their overlap.
-pub fn snapshot() -> Vec<FlightEvent> {
-    let rings: Vec<Arc<Mutex<Ring>>> = lock_obs(rings()).clone();
-    let mut events = Vec::new();
-    for ring in rings {
-        events.extend(lock_obs(&ring).copy_all());
+impl Obs {
+    /// Copy the recent history out of every thread ring, in global
+    /// sequence order (ties impossible: the sequence is process-unique).
+    /// The rings are left untouched, so back-to-back snapshots agree on
+    /// their overlap.
+    pub fn flight(&self) -> Vec<FlightEvent> {
+        let mut events = Vec::new();
+        for bufs in self.all_thread_bufs() {
+            events.extend(lock(&bufs.flight).copy_all());
+        }
+        events.sort_by_key(|e| e.seq);
+        events
     }
-    events.sort_by_key(|e| e.seq);
-    events
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::names;
+    use crate::{names, Ring};
 
     #[test]
     fn ring_overwrites_oldest_and_copies_in_order() {
-        let mut ring = Ring::new();
+        let mut ring = Ring::new(FLIGHT_CAPACITY);
         let mk = |i: u64| FlightEvent {
             kind: names::BATCH_FORM,
             seq: i,
@@ -155,13 +104,24 @@ mod tests {
 
     #[test]
     fn recorded_events_come_back_in_global_sequence_order() {
+        let obs = Obs::new(true);
+        let attached = obs.attach();
         record(names::CONN_OPEN, 11, 0);
         record(names::BACKPRESSURE_PAUSE, 11, 4096);
-        record(names::BACKPRESSURE_RESUME, 11, 0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _attached = obs.attach();
+                record(names::BACKPRESSURE_RESUME, 11, 0);
+            });
+        });
         record(names::CONN_CLOSE, 11, 0);
-        let events = snapshot();
+        drop(attached);
+        record(names::CONN_OPEN, 12, 0); // no Obs attached: dropped
+        let events = obs.flight();
+        assert_eq!(events.len(), 4, "only this Obs's events: {events:?}");
         let mine: Vec<&FlightEvent> = events.iter().filter(|e| e.a == 11).collect();
         assert_eq!(mine.len(), 4);
+        assert_eq!(mine[2].kind, names::BACKPRESSURE_RESUME);
         assert_eq!(mine[0].kind, names::CONN_OPEN);
         assert_eq!(mine[3].kind, names::CONN_CLOSE);
         for pair in events.windows(2) {

@@ -1,19 +1,17 @@
-//! The shared metric registry: sharded counters, gauges, and atomic
-//! log-bucket histograms, addressed by `'static` names.
+//! The metric table of an [`Obs`]: sharded counters, gauges, and atomic
+//! log-bucket histograms in three fixed arrays indexed by the typed ids
+//! of the [`crate::names`] catalog.
 //!
-//! Hot-path discipline: an increment through a [`LazyCounter`] handle is
-//! one relaxed atomic load (the cached registry pointer), one relaxed
-//! load of the global enable flag, and one relaxed `fetch_add` on a
-//! thread-sharded cell — no locks, no allocation. Registration (the only
-//! allocating step) happens once per metric on first touch; metrics are
-//! leaked `'static` so handles never dangle and the registry lock is
-//! only taken to register or to snapshot.
+//! Hot-path discipline: recording through an id ([`Counter::add`],
+//! [`Gauge::set`], [`Histogram::observe`], …) is one thread-local read
+//! (the attached [`Obs`]), one enabled check and one relaxed atomic on a
+//! preallocated cell — no lock, no lookup, no allocation.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
 
 use crate::histogram::{self, LogHistogram};
+use crate::names::{Counter, Gauge, Histogram};
+use crate::Obs;
 
 /// Counter shards; 8 covers the worker-pool widths we run.
 const SHARDS: usize = 8;
@@ -43,46 +41,25 @@ fn shard_index() -> usize {
 /// A monotonically increasing counter, sharded per thread.
 ///
 /// Relaxed `fetch_add`s on distinct shards still sum exactly: every
-/// increment lands in exactly one shard and [`value`](Counter::value)
-/// reads all of them.
+/// increment lands in exactly one shard and
+/// [`value`](ShardedCounter::value) reads all of them.
 #[derive(Default)]
-pub struct Counter {
+pub(crate) struct ShardedCounter {
     shards: [PaddedU64; SHARDS],
 }
 
-impl Counter {
+impl ShardedCounter {
     /// Add `n`.
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// The current total across all shards.
-    pub fn value(&self) -> u64 {
+    pub(crate) fn value(&self) -> u64 {
         self.shards
             .iter()
             .map(|s| s.0.load(Ordering::Relaxed))
             .fold(0u64, u64::wrapping_add)
-    }
-}
-
-/// A signed instantaneous value (queue depth, buffered bytes, …).
-#[derive(Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// Add `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Overwrite the value.
-    pub fn set(&self, value: i64) {
-        self.0.store(value, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn value(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -172,9 +149,8 @@ impl ExemplarSlot {
 /// bucket additionally carries a tiny seqlock reservoir of
 /// [`Exemplar`]s, so any bucket of the live histogram links back to a
 /// concrete retrievable trace.
-pub struct ConcurrentHistogram {
+pub(crate) struct ConcurrentHistogram {
     buckets: Vec<AtomicU64>,
-    total: AtomicU64,
     sum_bits: AtomicU64,
     max_bits: AtomicU64,
     exemplars: Vec<ExemplarSlot>,
@@ -191,7 +167,6 @@ impl Default for ConcurrentHistogram {
         );
         ConcurrentHistogram {
             buckets,
-            total: AtomicU64::new(0),
             sum_bits: AtomicU64::new(0.0f64.to_bits()),
             max_bits: AtomicU64::new(0.0f64.to_bits()),
             exemplars,
@@ -200,20 +175,14 @@ impl Default for ConcurrentHistogram {
 }
 
 impl ConcurrentHistogram {
-    /// Record one sample (clamped to ≥ 0, like [`LogHistogram::record`]).
-    pub fn observe(&self, secs: f64) {
-        self.observe_traced(secs, 0);
-    }
-
-    /// Record one sample and, when `trace` is nonzero, stash a
-    /// `(trace, value, time)` exemplar into the sample's bucket
-    /// reservoir. Lock-free and allocation-free; a lost publish race
+    /// Record one sample (clamped to ≥ 0, like [`LogHistogram::record`])
+    /// and, when `trace` is nonzero, stash a `(trace, value, time)`
+    /// exemplar into the sample's bucket reservoir. Lock-free and allocation-free; a lost publish race
     /// silently drops the exemplar, never the sample.
-    pub fn observe_traced(&self, secs: f64, trace: u64) {
+    pub(crate) fn observe_traced(&self, secs: f64, trace: u64) {
         let secs = secs.max(0.0);
         let bucket = LogHistogram::bucket_of(secs);
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.total.fetch_add(1, Ordering::Relaxed);
         let _ = self
             .sum_bits
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
@@ -231,14 +200,9 @@ impl ConcurrentHistogram {
         }
     }
 
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-
     /// Every currently readable exemplar, slowest first. Bounded by
     /// `buckets × slots`; in practice only touched buckets contribute.
-    pub fn exemplars(&self) -> Vec<Exemplar> {
+    pub(crate) fn exemplars(&self) -> Vec<Exemplar> {
         let mut out: Vec<Exemplar> = self
             .exemplars
             .iter()
@@ -253,7 +217,7 @@ impl ConcurrentHistogram {
     }
 
     /// A point-in-time [`LogHistogram`] copy for quantile queries.
-    pub fn snapshot(&self) -> LogHistogram {
+    pub(crate) fn snapshot(&self) -> LogHistogram {
         let counts: Vec<u64> = self
             .buckets
             .iter()
@@ -269,46 +233,85 @@ impl ConcurrentHistogram {
     }
 }
 
-/// The global name → metric maps. Values are leaked so lookups hand out
-/// `'static` references and hot paths never touch the lock again.
+/// The fixed metric cells of one [`Obs`], one per catalog id.
 #[derive(Default)]
-struct Registry {
-    counters: Mutex<BTreeMap<&'static str, &'static Counter>>,
-    gauges: Mutex<BTreeMap<&'static str, &'static Gauge>>,
-    histograms: Mutex<BTreeMap<&'static str, &'static ConcurrentHistogram>>,
+pub(crate) struct MetricTable {
+    counters: [ShardedCounter; Counter::ALL.len()],
+    gauges: [AtomicI64; Gauge::ALL.len()],
+    histograms: [ConcurrentHistogram; Histogram::ALL.len()],
 }
 
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::default)
+impl MetricTable {
+    pub(crate) fn counter(&self, id: Counter) -> &ShardedCounter {
+        &self.counters[id as usize]
+    }
+
+    fn gauge(&self, id: Gauge) -> &AtomicI64 {
+        &self.gauges[id as usize]
+    }
+
+    fn histogram(&self, id: Histogram) -> &ConcurrentHistogram {
+        &self.histograms[id as usize]
+    }
 }
 
-fn lock_registry<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+impl Counter {
+    /// Add 1 on the calling thread's attached [`Obs`].
+    pub fn inc(self) {
+        self.add(1);
+    }
+
+    /// Add `n` on the calling thread's attached [`Obs`].
+    pub fn add(self, n: u64) {
+        crate::with_current(|obs| obs.metrics.counter(self).add(n));
+    }
 }
 
-/// Look up (or register) the counter called `name`.
-pub fn counter(name: &'static str) -> &'static Counter {
-    lock_registry(&registry().counters)
-        .entry(name)
-        .or_insert_with(|| Box::leak(Box::default()))
+impl Gauge {
+    /// Add `delta` (may be negative) on the calling thread's attached
+    /// [`Obs`].
+    pub fn add(self, delta: i64) {
+        crate::with_current(|obs| {
+            obs.metrics.gauge(self).fetch_add(delta, Ordering::Relaxed);
+        });
+    }
+
+    /// Overwrite the value on the calling thread's attached [`Obs`].
+    pub fn set(self, value: i64) {
+        crate::with_current(|obs| obs.metrics.gauge(self).store(value, Ordering::Relaxed));
+    }
 }
 
-/// Look up (or register) the gauge called `name`.
-pub fn gauge(name: &'static str) -> &'static Gauge {
-    lock_registry(&registry().gauges)
-        .entry(name)
-        .or_insert_with(|| Box::leak(Box::default()))
+impl Histogram {
+    /// Record one sample on the calling thread's attached [`Obs`].
+    pub fn observe(self, secs: f64) {
+        self.observe_traced(secs, 0);
+    }
+
+    /// Record one sample with an exemplar link to `trace` (nonzero): a
+    /// lock-free per-bucket reservoir keeps recent `(trace, value)`
+    /// pairs, so a histogram bucket leads back to a retrievable trace.
+    pub fn observe_traced(self, secs: f64, trace: u64) {
+        crate::with_current(|obs| obs.metrics.histogram(self).observe_traced(secs, trace));
+    }
+
+    /// Record a [`std::time::Duration`] sample.
+    pub fn observe_duration(self, d: std::time::Duration) {
+        self.observe(d.as_secs_f64());
+    }
+
+    /// Run `f`, recording its wall-clock duration as one sample. The
+    /// timer always runs (it is not observable from `f`); only the
+    /// recording depends on an enabled [`Obs`] being attached.
+    pub fn time<T>(self, f: impl FnOnce() -> T) -> T {
+        let start = std::time::Instant::now();
+        let out = f();
+        self.observe_duration(start.elapsed());
+        out
+    }
 }
 
-/// Look up (or register) the histogram called `name`.
-pub fn histogram(name: &'static str) -> &'static ConcurrentHistogram {
-    lock_registry(&registry().histograms)
-        .entry(name)
-        .or_insert_with(|| Box::leak(Box::default()))
-}
-
-/// A point-in-time copy of every registered metric, name-sorted.
+/// A point-in-time copy of every catalog metric, name-sorted.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// `(name, total)` for every counter.
@@ -322,145 +325,48 @@ pub struct MetricsSnapshot {
     pub exemplars: Vec<(&'static str, Vec<Exemplar>)>,
 }
 
-/// Snapshot the whole registry (names come out BTreeMap-sorted, so the
-/// rendering downstream is deterministic).
-pub fn snapshot() -> MetricsSnapshot {
-    // Guards are bound (not temporaries in the struct literal) so each
-    // map lock is released before the next is taken — a struct-literal
-    // temporary would keep the histograms lock alive into a second
-    // `lock_registry(&reg.histograms)` and self-deadlock.
-    let reg = registry();
-    let counters = lock_registry(&reg.counters)
-        .iter()
-        .map(|(name, c)| (*name, c.value()))
-        .collect();
-    let gauges = lock_registry(&reg.gauges)
-        .iter()
-        .map(|(name, g)| (*name, g.value()))
-        .collect();
-    let histograms_guard = lock_registry(&reg.histograms);
-    let histograms = histograms_guard
-        .iter()
-        .map(|(name, h)| (*name, h.snapshot()))
-        .collect();
-    let exemplars = histograms_guard
-        .iter()
-        .map(|(name, h)| (*name, h.exemplars()))
-        .collect();
-    drop(histograms_guard);
-    MetricsSnapshot {
-        counters,
-        gauges,
-        histograms,
-        exemplars,
-    }
+/// `(name, value)` for every id in `ids`, sorted by name.
+fn by_name<I: Copy, V>(
+    ids: &[I],
+    name: fn(I) -> &'static str,
+    value: impl Fn(I) -> V,
+) -> Vec<(&'static str, V)> {
+    let mut out: Vec<_> = ids.iter().map(|&id| (name(id), value(id))).collect();
+    out.sort_by_key(|(name, _)| *name);
+    out
 }
 
-/// A `const`-constructible counter handle: caches the registry pointer
-/// in a [`OnceLock`] so steady-state increments skip the name lookup,
-/// and no-ops (without registering) while obs is disabled.
-pub struct LazyCounter {
-    name: &'static str,
-    slot: OnceLock<&'static Counter>,
-}
-
-impl LazyCounter {
-    /// Bind a handle to `name` (a [`crate::names`] constant).
-    pub const fn new(name: &'static str) -> Self {
-        LazyCounter {
-            name,
-            slot: OnceLock::new(),
+impl Obs {
+    /// Snapshot every catalog metric, zeros included, sorted by name; a
+    /// disabled `Obs` reports nothing.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        if !self.enabled() {
+            return MetricsSnapshot::default();
+        }
+        let m = &self.metrics;
+        MetricsSnapshot {
+            counters: by_name(Counter::ALL, Counter::name, |id| m.counter(id).value()),
+            gauges: by_name(Gauge::ALL, Gauge::name, |id| self.gauge(id)),
+            histograms: by_name(Histogram::ALL, Histogram::name, |id| self.histogram(id)),
+            exemplars: by_name(Histogram::ALL, Histogram::name, |id| {
+                m.histogram(id).exemplars()
+            }),
         }
     }
 
-    /// Add 1 if obs is enabled.
-    pub fn inc(&self) {
-        self.add(1);
+    /// The current total of one counter.
+    pub fn counter(&self, id: Counter) -> u64 {
+        self.metrics.counter(id).value()
     }
 
-    /// Add `n` if obs is enabled.
-    pub fn add(&self, n: u64) {
-        if crate::enabled() {
-            self.slot.get_or_init(|| counter(self.name)).add(n);
-        }
-    }
-}
-
-/// A `const`-constructible gauge handle; see [`LazyCounter`].
-pub struct LazyGauge {
-    name: &'static str,
-    slot: OnceLock<&'static Gauge>,
-}
-
-impl LazyGauge {
-    /// Bind a handle to `name` (a [`crate::names`] constant).
-    pub const fn new(name: &'static str) -> Self {
-        LazyGauge {
-            name,
-            slot: OnceLock::new(),
-        }
+    /// The current value of one gauge.
+    pub fn gauge(&self, id: Gauge) -> i64 {
+        self.metrics.gauge(id).load(Ordering::Relaxed)
     }
 
-    /// Add `delta` if obs is enabled.
-    pub fn add(&self, delta: i64) {
-        if crate::enabled() {
-            self.slot.get_or_init(|| gauge(self.name)).add(delta);
-        }
-    }
-
-    /// Overwrite the value if obs is enabled.
-    pub fn set(&self, value: i64) {
-        if crate::enabled() {
-            self.slot.get_or_init(|| gauge(self.name)).set(value);
-        }
-    }
-}
-
-/// A `const`-constructible histogram handle; see [`LazyCounter`].
-pub struct LazyHistogram {
-    name: &'static str,
-    slot: OnceLock<&'static ConcurrentHistogram>,
-}
-
-impl LazyHistogram {
-    /// Bind a handle to `name` (a [`crate::names`] constant).
-    pub const fn new(name: &'static str) -> Self {
-        LazyHistogram {
-            name,
-            slot: OnceLock::new(),
-        }
-    }
-
-    /// Record one sample if obs is enabled.
-    pub fn observe(&self, secs: f64) {
-        if crate::enabled() {
-            self.slot.get_or_init(|| histogram(self.name)).observe(secs);
-        }
-    }
-
-    /// Record one sample with an exemplar link to `trace` if obs is
-    /// enabled; see [`ConcurrentHistogram::observe_traced`].
-    pub fn observe_traced(&self, secs: f64, trace: u64) {
-        if crate::enabled() {
-            self.slot
-                .get_or_init(|| histogram(self.name))
-                .observe_traced(secs, trace);
-        }
-    }
-
-    /// Record a [`std::time::Duration`] sample if obs is enabled.
-    pub fn observe_duration(&self, d: std::time::Duration) {
-        self.observe(d.as_secs_f64());
-    }
-
-    /// Run `f`, recording its wall-clock duration as one sample. The
-    /// timer always runs (it is not observable from `f`); only the
-    /// recording is gated on obs being enabled.
-    pub fn time<T>(&self, f: impl FnOnce() -> T) -> T {
-        let start = std::time::Instant::now();
-        let out = f();
-        self.observe_duration(start.elapsed());
-        out
+    /// A point-in-time copy of one histogram.
+    pub fn histogram(&self, id: Histogram) -> LogHistogram {
+        self.metrics.histogram(id).snapshot()
     }
 }
 
@@ -470,7 +376,7 @@ mod tests {
 
     #[test]
     fn sharded_counter_sums_exactly() {
-        let c = Counter::default();
+        let c = ShardedCounter::default();
         c.add(3);
         c.add(4);
         assert_eq!(c.value(), 7);
@@ -478,12 +384,13 @@ mod tests {
 
     #[test]
     fn gauge_tracks_add_sub_set() {
-        let g = Gauge::default();
-        g.add(10);
-        g.add(-4);
-        assert_eq!(g.value(), 6);
-        g.set(-1);
-        assert_eq!(g.value(), -1);
+        let obs = Obs::new(true);
+        let _attached = obs.attach();
+        Gauge::QueueDepth.add(10);
+        Gauge::QueueDepth.add(-4);
+        assert_eq!(obs.gauge(Gauge::QueueDepth), 6);
+        Gauge::QueueDepth.set(-1);
+        assert_eq!(obs.gauge(Gauge::QueueDepth), -1);
     }
 
     #[test]
@@ -492,7 +399,7 @@ mod tests {
         let mut serial = LogHistogram::new();
         for i in 1..=100 {
             let v = i as f64 * 1e-3;
-            ch.observe(v);
+            ch.observe_traced(v, 0);
             serial.record(v);
         }
         let snap = ch.snapshot();
@@ -506,7 +413,7 @@ mod tests {
     #[test]
     fn exemplars_link_buckets_back_to_traces() {
         let ch = ConcurrentHistogram::default();
-        ch.observe(1e-3); // untraced: no exemplar
+        ch.observe_traced(1e-3, 0); // untraced: no exemplar
         ch.observe_traced(2e-3, 41);
         ch.observe_traced(64e-3, 42);
         let ex = ch.exemplars();
@@ -526,11 +433,38 @@ mod tests {
     }
 
     #[test]
-    fn registry_hands_out_the_same_metric_per_name() {
-        let a = counter("test_registry_same_metric");
-        let b = counter("test_registry_same_metric");
-        assert!(std::ptr::eq(a, b));
-        a.add(2);
-        assert_eq!(b.value(), 2);
+    fn catalog_ids_address_their_own_cells() {
+        let obs = Obs::new(true);
+        {
+            let _attached = obs.attach();
+            Counter::MemoHits.add(2);
+            Histogram::BatchSize.observe(3.0);
+        }
+        // Detached again: recording goes nowhere.
+        Counter::MemoHits.inc();
+        assert_eq!(obs.counter(Counter::MemoHits), 2);
+        assert_eq!(obs.counter(Counter::MemoMisses), 0);
+        assert_eq!(obs.histogram(Histogram::BatchSize).count(), 1);
+
+        // Every catalog metric is reported from the start, zeros
+        // included, name-sorted, under unique names.
+        let snap = obs.metrics();
+        let names: Vec<&str> = snap.counters.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names.len(), Counter::ALL.len());
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+        assert!(snap.counters.contains(&("memo_hits", 2)));
+        assert!(snap.counters.contains(&("responses_total", 0)));
+        assert_eq!(snap.gauges.len(), Gauge::ALL.len());
+        assert_eq!(snap.histograms.len(), Histogram::ALL.len());
+        assert_eq!(snap.exemplars.len(), Histogram::ALL.len());
+
+        // A disabled Obs records and reports nothing.
+        let off = Obs::new(false);
+        let _attached = off.attach();
+        Counter::MemoHits.inc();
+        assert_eq!(off.counter(Counter::MemoHits), 0);
+        let empty = off.metrics();
+        assert!(empty.counters.is_empty() && empty.gauges.is_empty());
+        assert!(empty.histograms.is_empty());
     }
 }

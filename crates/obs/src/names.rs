@@ -1,10 +1,13 @@
-//! The central catalog of metric and span names.
+//! The central catalog of metric, span and flight-event names.
 //!
-//! Every name threaded through the registry or the trace store is a
-//! `'static` lowercase-snake literal declared here — never built with
-//! `format!` on a hot path. Lint rule R6 enforces that call sites of
-//! the obs constructors reference this module, so the full vocabulary
-//! of the live `metrics`/`trace` RPC surface is readable in one file.
+//! Metrics are three typed ids ([`Counter`], [`Gauge`], [`Histogram`]):
+//! each variant indexes a fixed array of the owning [`crate::Obs`], and
+//! its `name()` is the lowercase-snake wire string, so a metric that is
+//! not in this catalog does not compile. Span and flight-event names are
+//! `'static` string constants; lint rule R6 checks that the call sites of
+//! `Span::child`, `Span::detached`, `record_closed` and `flight::record`
+//! reference this module. The full vocabulary of the live
+//! `metrics`/`trace`/`flight` RPC surface is readable in one file.
 
 // --- span names (the per-request phase tree) ------------------------------
 
@@ -38,79 +41,118 @@ pub const SNAPSHOT_PARSE: &str = "snapshot_parse";
 /// Background snapshot persist.
 pub const SNAPSHOT_PERSIST: &str = "snapshot_persist";
 
-// --- counters -------------------------------------------------------------
+// --- metrics (typed catalogs) ---------------------------------------------
 
-/// Requests admitted into the queue (solve + warm).
-pub const REQUESTS_TOTAL: &str = "requests_total";
-/// Responses delivered to sockets.
-pub const RESPONSES_TOTAL: &str = "responses_total";
-/// Error responses rendered (any code).
-pub const ERRORS_TOTAL: &str = "errors_total";
-/// Warm-epoch memo hits in `solve_memoized`.
-pub const MEMO_HITS: &str = "memo_hits";
-/// Warm-epoch memo misses in `solve_memoized`.
-pub const MEMO_MISSES: &str = "memo_misses";
-/// Solve classes evicted from a session memo at its capacity.
-pub const MEMO_EVICTIONS: &str = "memo_evictions";
-/// RR sets sampled across all sessions.
-pub const RR_GENERATED_TOTAL: &str = "rr_generated_total";
-/// RR sets folded into coverage indexes across all sessions.
-pub const INDEX_EXTENDED_TOTAL: &str = "index_extended_total";
-/// Snapshot files persisted in the background.
-pub const SNAPSHOTS_PERSISTED: &str = "snapshots_persisted";
-/// Snapshot loads that took the zero-copy mmap path.
-pub const SNAPSHOTS_MAPPED: &str = "snapshots_mapped";
+/// Declares one typed metric catalog: a fieldless enum whose variants
+/// index the fixed metric arrays of an [`crate::Obs`], and whose
+/// [`name`](Counter::name) is the metric's wire string.
+macro_rules! catalog {
+    ($(#[$doc:meta])* $ty:ident { $($(#[$vdoc:meta])* $variant:ident => $name:literal,)* }) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum $ty {
+            $($(#[$vdoc])* $variant,)*
+        }
 
-/// Traces pinned into the tail-sample store (slow or error traces).
-pub const TRACES_PINNED_TOTAL: &str = "traces_pinned_total";
-/// Flight-recorder dumps written on anomaly triggers.
-pub const FLIGHT_DUMPS_TOTAL: &str = "flight_dumps_total";
+        impl $ty {
+            /// Every id, in declaration order (`id as usize` indexes it).
+            pub const ALL: &'static [$ty] = &[$($ty::$variant),*];
 
-// --- gauges ---------------------------------------------------------------
+            /// The wire name the `metrics` RPC reports.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
 
-/// Jobs currently sitting in the shared worker queue.
-pub const QUEUE_DEPTH: &str = "queue_depth";
-/// Requests admitted but not yet flushed, across all connections.
-pub const INFLIGHT: &str = "inflight";
-/// Bytes buffered in per-connection write buffers.
-pub const WRITE_BUFFER_BYTES: &str = "write_buffer_bytes";
-/// Finished responses parked behind an earlier unfinished request on
-/// their connection, across all connections.
-pub const PARKED_RESPONSES: &str = "parked_responses";
-/// Heap-resident RR arena bytes across all cached sessions.
-pub const ARENA_RESIDENT_BYTES: &str = "arena_resident_bytes";
-/// mmap-backed RR arena bytes across all cached sessions.
-pub const ARENA_MAPPED_BYTES: &str = "arena_mapped_bytes";
-/// The serving latency objective, milliseconds (`rmsa serve --slo-ms`).
-pub const SLO_THRESHOLD_MS: &str = "slo_threshold_ms";
-/// SLO burn rate over the trailing 1 s window, in milli-burn units
-/// (1000 ⇒ the error budget is burning exactly at the sustainable rate).
-pub const SLO_BURN_1S: &str = "slo_burn_1s_milli";
-/// SLO burn rate over the trailing 10 s window, milli-burn units.
-pub const SLO_BURN_10S: &str = "slo_burn_10s_milli";
-/// SLO burn rate over the trailing 60 s window, milli-burn units.
-pub const SLO_BURN_60S: &str = "slo_burn_60s_milli";
+catalog! {
+    /// Monotonic counters.
+    Counter {
+        /// Requests admitted into the queue (solve + warm).
+        RequestsTotal => "requests_total",
+        /// Responses delivered to sockets, whichever path answered.
+        ResponsesTotal => "responses_total",
+        /// Error responses delivered (any code).
+        ErrorsTotal => "errors_total",
+        /// Warm-epoch memo hits, on the inline event-loop path and the
+        /// worker path alike.
+        MemoHits => "memo_hits",
+        /// Warm-epoch memo misses in `solve_memoized`.
+        MemoMisses => "memo_misses",
+        /// Solve classes evicted from a session memo at its capacity.
+        MemoEvictions => "memo_evictions",
+        /// RR sets sampled across all sessions.
+        RrGeneratedTotal => "rr_generated_total",
+        /// RR sets folded into coverage indexes across all sessions.
+        IndexExtendedTotal => "index_extended_total",
+        /// Snapshot files persisted in the background.
+        SnapshotsPersisted => "snapshots_persisted",
+        /// Snapshot loads that took the zero-copy mmap path.
+        SnapshotsMapped => "snapshots_mapped",
+        /// Traces pinned into the tail-sample store (slow or error traces).
+        TracesPinnedTotal => "traces_pinned_total",
+        /// Flight-recorder dumps written on anomaly triggers.
+        FlightDumpsTotal => "flight_dumps_total",
+    }
+}
 
-// --- histograms -----------------------------------------------------------
+catalog! {
+    /// Signed instantaneous values.
+    Gauge {
+        /// Jobs currently sitting in the shared worker queue.
+        QueueDepth => "queue_depth",
+        /// Requests admitted but not yet flushed, across all connections.
+        Inflight => "inflight",
+        /// Bytes buffered in per-connection write buffers.
+        WriteBufferBytes => "write_buffer_bytes",
+        /// Finished responses parked behind an earlier unfinished request
+        /// on their connection, across all connections.
+        ParkedResponses => "parked_responses",
+        /// Heap-resident RR arena bytes across all cached sessions.
+        ArenaResidentBytes => "arena_resident_bytes",
+        /// mmap-backed RR arena bytes across all cached sessions.
+        ArenaMappedBytes => "arena_mapped_bytes",
+        /// The serving latency objective, milliseconds (`rmsa serve
+        /// --slo-ms`).
+        SloThresholdMs => "slo_threshold_ms",
+        /// SLO burn rate over the trailing 1 s window, in milli-burn units
+        /// (1000 ⇒ the error budget is burning exactly at the sustainable
+        /// rate).
+        SloBurn1s => "slo_burn_1s_milli",
+        /// SLO burn rate over the trailing 10 s window, milli-burn units.
+        SloBurn10s => "slo_burn_10s_milli",
+        /// SLO burn rate over the trailing 60 s window, milli-burn units.
+        SloBurn60s => "slo_burn_60s_milli",
+    }
+}
 
-/// End-to-end solve latency (queue + solve), seconds.
-pub const RPC_SOLVE_SECS: &str = "rpc_solve_secs";
-/// End-to-end warm latency (queue + warm), seconds.
-pub const RPC_WARM_SECS: &str = "rpc_warm_secs";
-/// Fingerprint-batch sizes popped by workers (a count, not seconds).
-pub const BATCH_SIZE: &str = "batch_size";
-/// RR generation phase duration, seconds.
-pub const GENERATE_SECS: &str = "generate_secs";
-/// Coverage-index extension duration, seconds.
-pub const INDEX_SECS: &str = "index_secs";
-/// Snapshot load (read + verify + adopt) duration, seconds.
-pub const SNAPSHOT_LOAD_SECS: &str = "snapshot_load_secs";
-/// Snapshot persist duration, seconds.
-pub const SNAPSHOT_PERSIST_SECS: &str = "snapshot_persist_secs";
-/// Store-level snapshot file read/decode duration, seconds.
-pub const STORE_READ_SECS: &str = "store_read_secs";
-/// Store-level snapshot file write duration, seconds.
-pub const STORE_WRITE_SECS: &str = "store_write_secs";
+catalog! {
+    /// Log-bucket histograms, in seconds unless noted.
+    Histogram {
+        /// End-to-end solve latency (queue + solve), seconds.
+        RpcSolveSecs => "rpc_solve_secs",
+        /// End-to-end warm latency (queue + warm), seconds.
+        RpcWarmSecs => "rpc_warm_secs",
+        /// Fingerprint-batch sizes popped by workers (a count, not
+        /// seconds).
+        BatchSize => "batch_size",
+        /// RR generation phase duration, seconds.
+        GenerateSecs => "generate_secs",
+        /// Coverage-index extension duration, seconds.
+        IndexSecs => "index_secs",
+        /// Snapshot load (read + verify + adopt) duration, seconds.
+        SnapshotLoadSecs => "snapshot_load_secs",
+        /// Snapshot persist duration, seconds.
+        SnapshotPersistSecs => "snapshot_persist_secs",
+        /// Store-level snapshot file read/decode duration, seconds.
+        StoreReadSecs => "store_read_secs",
+        /// Store-level snapshot file write duration, seconds.
+        StoreWriteSecs => "store_write_secs",
+    }
+}
 
 // --- flight-recorder event kinds ------------------------------------------
 //

@@ -1,5 +1,5 @@
-//! Span-based tracing: per-thread ring buffers drained into a bounded
-//! global trace store.
+//! Span-based tracing: per-thread ring buffers drained into the bounded
+//! trace store of the thread's attached [`Obs`].
 //!
 //! A request's trace id is minted in the event loop ([`next_trace_id`])
 //! and carried to worker threads, which [`attach`] it before serving the
@@ -8,27 +8,31 @@
 //! → solve{generate, index, greedy} → serialize → flush). Finished spans
 //! are `Copy` records pushed into a preallocated per-thread ring —
 //! recording never allocates and never takes a contended lock. Rings
-//! overwrite their oldest span when full; they drain into the global
+//! overwrite their oldest span when full; they drain into the `Obs`'s
 //! [`TraceStore`] when a trace detaches with a half-full ring, and
 //! force-drain when the `trace` RPC snapshots the store.
 //!
 //! Every span *times* unconditionally (construction captures
 //! `Instant::now`, so spans double as the measurement source behind
 //! `RrCacheStats`/`SolveTiming` accessors even under `--no-obs`);
-//! *recording* happens only when obs is enabled and a trace is attached.
+//! *recording* happens only when an enabled `Obs` and a trace are both
+//! attached.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
+
+use crate::names::Counter;
+use crate::{lock, Obs};
 
 /// Spans kept per thread before the oldest is overwritten.
 pub const RING_CAPACITY: usize = 256;
 
-/// A ring past this fill level is drained into the global store when its
-/// trace detaches.
+/// A ring past this fill level is drained into the store when its trace
+/// detaches.
 const DRAIN_THRESHOLD: usize = RING_CAPACITY / 2;
 
-/// Traces retained in the global store (FIFO eviction).
+/// Traces retained in the store (FIFO eviction).
 const MAX_TRACES: usize = 64;
 
 /// Spans retained per trace (later spans are dropped, not torn).
@@ -99,9 +103,9 @@ pub enum TraceStatus {
 pub struct TraceView {
     /// The trace id.
     pub trace: u64,
-    /// Spans recorded under it (start-ordered by [`traces`]).
+    /// Spans recorded under it (start-ordered by [`Obs::traces`]).
     pub spans: Vec<SpanRecord>,
-    /// Terminal status joined from [`finish_trace`].
+    /// Terminal status joined from [`Obs::finish_trace`].
     pub status: TraceStatus,
     /// Whether the trace sits in the tail-sample (pinned) store.
     pub pinned: bool,
@@ -148,72 +152,7 @@ pub fn next_trace_id() -> u64 {
 thread_local! {
     /// `(trace, current span id)` — the ambient context [`Span::child`]
     /// parents itself under. `(0, _)` means no trace attached.
-    static CURRENT: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
-}
-
-/// A fixed-capacity span ring; `head` is the next overwrite position
-/// once `len == RING_CAPACITY`.
-struct Ring {
-    buf: Vec<SpanRecord>,
-    head: usize,
-}
-
-impl Ring {
-    fn new() -> Self {
-        Ring {
-            buf: Vec::with_capacity(RING_CAPACITY),
-            head: 0,
-        }
-    }
-
-    fn push(&mut self, rec: SpanRecord) {
-        if self.buf.len() < RING_CAPACITY {
-            self.buf.push(rec);
-        } else {
-            self.buf[self.head] = rec;
-            self.head = (self.head + 1) % RING_CAPACITY;
-        }
-    }
-
-    /// Remove and return all spans, oldest first.
-    fn take(&mut self) -> Vec<SpanRecord> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        self.buf.clear();
-        self.head = 0;
-        out
-    }
-
-    fn len(&self) -> usize {
-        self.buf.len()
-    }
-}
-
-fn lock_obs<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Every live thread ring, so [`drain_all`] can reach spans recorded by
-/// threads that have gone idle.
-fn rings() -> &'static Mutex<Vec<Arc<Mutex<Ring>>>> {
-    static RINGS: OnceLock<Mutex<Vec<Arc<Mutex<Ring>>>>> = OnceLock::new();
-    RINGS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-thread_local! {
-    static MY_RING: std::cell::OnceCell<Arc<Mutex<Ring>>> = const { std::cell::OnceCell::new() };
-}
-
-fn with_my_ring<R>(f: impl FnOnce(&mut Ring) -> R) -> R {
-    MY_RING.with(|cell| {
-        let ring = cell.get_or_init(|| {
-            let ring = Arc::new(Mutex::new(Ring::new()));
-            lock_obs(rings()).push(Arc::clone(&ring));
-            ring
-        });
-        f(&mut lock_obs(ring))
-    })
+    static CONTEXT: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
 }
 
 /// One trace grouped in the store.
@@ -222,7 +161,7 @@ struct TraceEntry {
     spans: Vec<SpanRecord>,
 }
 
-/// The bounded global trace store: FIFO over traces, capped per trace,
+/// The bounded trace store: FIFO over traces, capped per trace,
 /// plus the tail-sample (pinned) store and a terminal-status journal.
 #[derive(Default)]
 struct TraceStore {
@@ -290,11 +229,6 @@ impl TraceStore {
     }
 }
 
-fn store() -> &'static Mutex<TraceStore> {
-    static STORE: OnceLock<Mutex<TraceStore>> = OnceLock::new();
-    STORE.get_or_init(|| Mutex::new(TraceStore::default()))
-}
-
 /// The rolling end-to-end latency window behind the tail-sampling
 /// threshold. Separate from the store lock (taken first, released
 /// before any store work) so the hot finish path never serializes on
@@ -317,87 +251,14 @@ impl Default for TailStats {
     }
 }
 
-fn tail_stats() -> &'static Mutex<TailStats> {
-    static TAIL: OnceLock<Mutex<TailStats>> = OnceLock::new();
-    TAIL.get_or_init(|| Mutex::new(TailStats::default()))
+/// The trace half of an [`Obs`]: the span store and the tail sampler.
+#[derive(Default)]
+pub(crate) struct TraceState {
+    store: Mutex<TraceStore>,
+    tail: Mutex<TailStats>,
 }
 
-static TRACES_PINNED: crate::metrics::LazyCounter =
-    crate::metrics::LazyCounter::new(crate::names::TRACES_PINNED_TOTAL);
-
-/// The current rolling slow threshold in seconds; `f64::INFINITY` until
-/// [`TAIL_MIN_SAMPLES`] requests have finished.
-pub fn tail_threshold_secs() -> f64 {
-    lock_obs(tail_stats()).threshold_secs
-}
-
-/// Traces currently held in the tail-sample store.
-pub fn pinned_count() -> usize {
-    lock_obs(store()).pinned.len()
-}
-
-/// Record the terminal outcome of `trace`'s request: joins status into
-/// trace views and **tail-samples** the trace — slow (end-to-end
-/// latency above the rolling [`TAIL_QUANTILE`] of the last 1–2 windows)
-/// or error traces are pinned into a bounded store that FIFO eviction
-/// cannot touch, so the trace behind a tail exemplar stays retrievable.
-pub fn finish_trace(trace: u64, total_secs: f64, error_code: u32) {
-    if trace == 0 || !crate::enabled() {
-        return;
-    }
-    let slow = {
-        let mut stats = lock_obs(tail_stats());
-        stats.current.record(total_secs.max(0.0));
-        stats.finished += 1;
-        if stats.finished.is_multiple_of(TAIL_ROTATE_EVERY) {
-            stats.previous = std::mem::take(&mut stats.current);
-        }
-        // Recompute the threshold periodically — a quantile walk over
-        // the merged generations is cheap but not free.
-        if stats.finished.is_multiple_of(16) || stats.finished == TAIL_MIN_SAMPLES {
-            let mut merged = stats.previous.clone();
-            merged.merge(&stats.current);
-            stats.threshold_secs = if merged.count() >= TAIL_MIN_SAMPLES {
-                merged.quantile_secs(TAIL_QUANTILE)
-            } else {
-                f64::INFINITY
-            };
-        }
-        stats.finished >= TAIL_MIN_SAMPLES && total_secs > stats.threshold_secs
-    };
-    let status = if error_code == 0 {
-        TraceStatus::Ok
-    } else {
-        TraceStatus::Error(error_code)
-    };
-    let pin = slow || error_code != 0;
-    if pin {
-        // Pull the trace's spans out of thread rings before copying, so
-        // the pinned entry is complete as of finish time.
-        drain_all();
-    }
-    let mut guard = lock_obs(store());
-    guard.record_outcome(trace, status);
-    if pin && guard.pin(trace) {
-        drop(guard);
-        TRACES_PINNED.inc();
-    }
-}
-
-/// Drain every thread ring into the global store (RPC-time barrier, so
-/// `trace` responses see spans from all threads).
-pub fn drain_all() {
-    let rings: Vec<Arc<Mutex<Ring>>> = lock_obs(rings()).clone();
-    let mut drained = Vec::new();
-    for ring in rings {
-        drained.append(&mut lock_obs(&ring).take());
-    }
-    if !drained.is_empty() {
-        lock_obs(store()).absorb(drained);
-    }
-}
-
-/// How traces are ordered by [`traces`].
+/// How traces are ordered by [`Obs::traces`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceSort {
     /// Most recently started first.
@@ -417,50 +278,124 @@ fn view_of(store: &TraceStore, entry: &TraceEntry, pinned: bool) -> TraceView {
     }
 }
 
-/// Snapshot up to `limit` traces from the store (after a full drain),
-/// spans start-ordered within each trace. Pinned tail samples are
-/// included alongside the FIFO (a trace living in both appears once,
-/// flagged pinned).
-pub fn traces(limit: usize, sort: TraceSort) -> Vec<TraceView> {
-    drain_all();
-    let guard = lock_obs(store());
-    let pinned_ids: std::collections::BTreeSet<u64> =
-        guard.pinned.iter().map(|e| e.trace).collect();
-    let mut views: Vec<TraceView> = guard
-        .pinned
-        .iter()
-        .map(|e| view_of(&guard, e, true))
-        .chain(
-            guard
-                .entries
-                .iter()
-                .filter(|e| !pinned_ids.contains(&e.trace))
-                .map(|e| view_of(&guard, e, false)),
-        )
-        .collect();
-    drop(guard);
-    match sort {
-        TraceSort::Recent => views.reverse(),
-        TraceSort::Slow => views.sort_by_key(|v| std::cmp::Reverse(v.total_us())),
+impl Obs {
+    /// The current rolling slow threshold in seconds; `f64::INFINITY`
+    /// until [`TAIL_MIN_SAMPLES`] requests have finished.
+    pub fn tail_threshold_secs(&self) -> f64 {
+        lock(&self.traces.tail).threshold_secs
     }
-    views.truncate(limit);
-    views
-}
 
-/// All spans recorded under one trace id (after a full drain). The
-/// tail-sample store is searched first, so pinned traces resolve long
-/// after FIFO eviction would have dropped them.
-pub fn trace_by_id(trace: u64) -> Option<TraceView> {
-    drain_all();
-    let guard = lock_obs(store());
-    if let Some(e) = guard.pinned.iter().find(|e| e.trace == trace) {
-        return Some(view_of(&guard, e, true));
+    /// Traces currently held in the tail-sample store.
+    pub fn pinned_count(&self) -> usize {
+        lock(&self.traces.store).pinned.len()
     }
-    guard
-        .entries
-        .iter()
-        .find(|e| e.trace == trace)
-        .map(|e| view_of(&guard, e, false))
+
+    /// Record the terminal outcome of `trace`'s request: joins status
+    /// into trace views and **tail-samples** the trace — slow (end-to-end
+    /// latency above the rolling [`TAIL_QUANTILE`] of the last 1–2
+    /// windows) or error traces are pinned into a bounded store that FIFO
+    /// eviction cannot touch, so the trace behind a tail exemplar stays
+    /// retrievable.
+    pub fn finish_trace(&self, trace: u64, total_secs: f64, error_code: u32) {
+        if trace == 0 || !self.enabled() {
+            return;
+        }
+        let slow = {
+            let mut stats = lock(&self.traces.tail);
+            stats.current.record(total_secs.max(0.0));
+            stats.finished += 1;
+            if stats.finished.is_multiple_of(TAIL_ROTATE_EVERY) {
+                stats.previous = std::mem::take(&mut stats.current);
+            }
+            // Recompute the threshold periodically — a quantile walk over
+            // the merged generations is cheap but not free.
+            if stats.finished.is_multiple_of(16) || stats.finished == TAIL_MIN_SAMPLES {
+                let mut merged = stats.previous.clone();
+                merged.merge(&stats.current);
+                stats.threshold_secs = if merged.count() >= TAIL_MIN_SAMPLES {
+                    merged.quantile_secs(TAIL_QUANTILE)
+                } else {
+                    f64::INFINITY
+                };
+            }
+            stats.finished >= TAIL_MIN_SAMPLES && total_secs > stats.threshold_secs
+        };
+        let status = if error_code == 0 {
+            TraceStatus::Ok
+        } else {
+            TraceStatus::Error(error_code)
+        };
+        let pin = slow || error_code != 0;
+        if pin {
+            // Pull the trace's spans out of thread rings before copying,
+            // so the pinned entry is complete as of finish time.
+            self.drain_all();
+        }
+        let mut guard = lock(&self.traces.store);
+        guard.record_outcome(trace, status);
+        if pin && guard.pin(trace) {
+            drop(guard);
+            self.metrics.counter(Counter::TracesPinnedTotal).add(1);
+        }
+    }
+
+    /// Drain every thread ring into the store (RPC-time barrier, so
+    /// `trace` responses see spans from all threads).
+    pub fn drain_all(&self) {
+        let mut drained = Vec::new();
+        for bufs in self.all_thread_bufs() {
+            drained.append(&mut lock(&bufs.spans).take());
+        }
+        if !drained.is_empty() {
+            lock(&self.traces.store).absorb(drained);
+        }
+    }
+
+    /// Snapshot up to `limit` traces from the store (after a full
+    /// drain), spans start-ordered within each trace. Pinned tail samples
+    /// are included alongside the FIFO (a trace living in both appears
+    /// once, flagged pinned).
+    pub fn traces(&self, limit: usize, sort: TraceSort) -> Vec<TraceView> {
+        self.drain_all();
+        let guard = lock(&self.traces.store);
+        let pinned_ids: std::collections::BTreeSet<u64> =
+            guard.pinned.iter().map(|e| e.trace).collect();
+        let mut views: Vec<TraceView> = guard
+            .pinned
+            .iter()
+            .map(|e| view_of(&guard, e, true))
+            .chain(
+                guard
+                    .entries
+                    .iter()
+                    .filter(|e| !pinned_ids.contains(&e.trace))
+                    .map(|e| view_of(&guard, e, false)),
+            )
+            .collect();
+        drop(guard);
+        match sort {
+            TraceSort::Recent => views.reverse(),
+            TraceSort::Slow => views.sort_by_key(|v| std::cmp::Reverse(v.total_us())),
+        }
+        views.truncate(limit);
+        views
+    }
+
+    /// All spans recorded under one trace id (after a full drain). The
+    /// tail-sample store is searched first, so pinned traces resolve long
+    /// after FIFO eviction would have dropped them.
+    pub fn trace_by_id(&self, trace: u64) -> Option<TraceView> {
+        self.drain_all();
+        let guard = lock(&self.traces.store);
+        if let Some(e) = guard.pinned.iter().find(|e| e.trace == trace) {
+            return Some(view_of(&guard, e, true));
+        }
+        guard
+            .entries
+            .iter()
+            .find(|e| e.trace == trace)
+            .map(|e| view_of(&guard, e, false))
+    }
 }
 
 /// Attaches `trace` as the thread's ambient context for the guard's
@@ -472,23 +407,26 @@ pub struct TraceGuard {
 /// Make `trace` the calling thread's ambient trace. Pass the id minted
 /// by the event loop before serving a job.
 pub fn attach(trace: u64) -> TraceGuard {
-    let prev = CURRENT.with(|c| c.replace((trace, 0)));
+    let prev = CONTEXT.with(|c| c.replace((trace, 0)));
     TraceGuard { prev }
 }
 
 impl Drop for TraceGuard {
     fn drop(&mut self) {
-        CURRENT.with(|c| c.set(self.prev));
+        CONTEXT.with(|c| c.set(self.prev));
         // Opportunistic drain: move a half-full ring into the store now,
         // while the pushes are cache-hot, instead of at RPC time.
-        if crate::enabled() && with_my_ring(|r| r.len()) >= DRAIN_THRESHOLD {
-            drain_all();
-        }
+        crate::with_thread_bufs(|obs, bufs| {
+            let full = lock(&bufs.spans).len() >= DRAIN_THRESHOLD;
+            if full {
+                obs.drain_all();
+            }
+        });
     }
 }
 
 /// A timing guard. Always measures; records into the trace store only
-/// when obs was enabled and a trace was attached at construction.
+/// when an enabled [`Obs`] and a trace were attached at construction.
 pub struct Span {
     name: &'static str,
     start: Instant,
@@ -517,12 +455,12 @@ impl Span {
     /// Becomes the ambient parent for nested children until dropped.
     pub fn child(name: &'static str) -> Span {
         let start = Instant::now();
-        let (trace, parent) = CURRENT.with(|c| c.get());
-        if trace == 0 || !crate::enabled() {
+        let (trace, parent) = CONTEXT.with(|c| c.get());
+        if trace == 0 || !crate::recording() {
             return Span::inert(name, start);
         }
         let id = NEXT_SPAN.fetch_add(1, Ordering::Relaxed);
-        CURRENT.with(|c| c.set((trace, id)));
+        CONTEXT.with(|c| c.set((trace, id)));
         Span {
             name,
             start,
@@ -539,7 +477,7 @@ impl Span {
     /// interleave on one thread).
     pub fn detached(trace: u64, name: &'static str) -> Span {
         let start = Instant::now();
-        if trace == 0 || !crate::enabled() {
+        if trace == 0 || !crate::recording() {
             return Span::inert(name, start);
         }
         Span {
@@ -580,7 +518,7 @@ impl Drop for Span {
             return;
         }
         if self.prev.0 != 0 {
-            CURRENT.with(|c| c.set(self.prev));
+            CONTEXT.with(|c| c.set(self.prev));
         }
         let rec = SpanRecord {
             trace: self.trace,
@@ -592,36 +530,47 @@ impl Drop for Span {
             fields: self.fields,
             nfields: self.nfields,
         };
-        with_my_ring(|r| r.push(rec));
+        crate::with_thread_bufs(|_, bufs| lock(&bufs.spans).push(rec));
     }
 }
 
 /// Record an already-measured phase (e.g. queue wait, known only when
 /// the worker dequeues the job) as a closed span of `trace`.
 pub fn record_closed(trace: u64, parent: u64, name: &'static str, start: Instant, dur: Duration) {
-    if trace == 0 || !crate::enabled() {
+    if trace == 0 {
         return;
     }
-    let rec = SpanRecord {
-        trace,
-        id: NEXT_SPAN.fetch_add(1, Ordering::Relaxed),
-        parent,
-        name,
-        start_us: micros_since_epoch(start),
-        dur_us: dur.as_micros() as u64,
-        fields: [("", 0.0); MAX_FIELDS],
-        nfields: 0,
-    };
-    with_my_ring(|r| r.push(rec));
+    crate::with_thread_bufs(|_, bufs| {
+        let rec = SpanRecord {
+            trace,
+            id: NEXT_SPAN.fetch_add(1, Ordering::Relaxed),
+            parent,
+            name,
+            start_us: micros_since_epoch(start),
+            dur_us: dur.as_micros() as u64,
+            fields: [("", 0.0); MAX_FIELDS],
+            nfields: 0,
+        };
+        lock(&bufs.spans).push(rec);
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Ring;
+    use std::sync::Arc;
+
+    /// A fresh enabled `Obs`, attached to the test thread.
+    fn attached() -> (Arc<Obs>, crate::ObsGuard) {
+        let obs = Obs::new(true);
+        let guard = obs.attach();
+        (obs, guard)
+    }
 
     #[test]
     fn ring_wraparound_drops_oldest_without_tearing() {
-        let mut ring = Ring::new();
+        let mut ring = Ring::new(RING_CAPACITY);
         let mk = |i: u64| SpanRecord {
             trace: 999_000,
             id: i,
@@ -646,6 +595,7 @@ mod tests {
 
     #[test]
     fn child_spans_nest_under_the_attached_trace() {
+        let (obs, _attached) = attached();
         let trace = next_trace_id();
         let (root_id, child_name);
         {
@@ -658,7 +608,7 @@ mod tests {
                 assert_eq!(child.prev, (trace, root_id));
             }
         }
-        let view = trace_by_id(trace).expect("trace recorded");
+        let view = obs.trace_by_id(trace).expect("trace recorded");
         assert_eq!(view.spans.len(), 2);
         let child = view.spans.iter().find(|s| s.name == "generate").unwrap();
         let root = view.spans.iter().find(|s| s.name == "warm_check").unwrap();
@@ -670,6 +620,7 @@ mod tests {
 
     #[test]
     fn detached_and_closed_spans_join_the_same_trace() {
+        let (obs, _attached) = attached();
         let trace = next_trace_id();
         let t0 = Instant::now();
         {
@@ -677,7 +628,7 @@ mod tests {
             s.field("bytes", 128.0);
         }
         record_closed(trace, 0, "batch_wait", t0, Duration::from_micros(250));
-        let view = trace_by_id(trace).expect("trace recorded");
+        let view = obs.trace_by_id(trace).expect("trace recorded");
         let names: Vec<&str> = view.spans.iter().map(|s| s.name).collect();
         assert!(names.contains(&"parse") && names.contains(&"batch_wait"));
         let parse = view.spans.iter().find(|s| s.name == "parse").unwrap();
@@ -686,6 +637,7 @@ mod tests {
 
     #[test]
     fn error_traces_pin_and_survive_fifo_eviction() {
+        let (obs, _attached) = attached();
         let trace = next_trace_id();
         record_closed(
             trace,
@@ -694,70 +646,73 @@ mod tests {
             Instant::now(),
             Duration::from_micros(900),
         );
-        finish_trace(trace, 0.0009, 7);
-        let view = trace_by_id(trace).expect("error trace pinned");
+        obs.finish_trace(trace, 0.0009, 7);
+        let view = obs.trace_by_id(trace).expect("error trace pinned");
         assert!(view.pinned);
         assert_eq!(view.status, TraceStatus::Error(7));
+        assert_eq!(obs.pinned_count(), 1);
+        assert_eq!(obs.counter(Counter::TracesPinnedTotal), 1);
         // Push 2×MAX_TRACES fresh traces through the FIFO: the pinned
         // copy must still resolve.
-        let base = NEXT_TRACE.fetch_add(2 * MAX_TRACES as u64, Ordering::Relaxed);
-        for i in 0..(2 * MAX_TRACES as u64) {
+        for _ in 0..(2 * MAX_TRACES) {
             record_closed(
-                base + i,
+                next_trace_id(),
                 0,
                 "solve",
                 Instant::now(),
                 Duration::from_micros(1),
             );
         }
-        drain_all();
-        let view = trace_by_id(trace).expect("pinned trace survives eviction");
+        obs.drain_all();
+        let view = obs
+            .trace_by_id(trace)
+            .expect("pinned trace survives eviction");
         assert!(view.pinned);
         assert_eq!(view.spans.len(), 1);
     }
 
     #[test]
     fn ok_finishes_join_status_without_pinning() {
+        let (obs, _attached) = attached();
         let trace = next_trace_id();
         record_closed(trace, 0, "solve", Instant::now(), Duration::from_micros(5));
-        finish_trace(trace, 5e-6, 0);
-        let view = trace_by_id(trace).expect("trace recorded");
+        obs.finish_trace(trace, 5e-6, 0);
+        let view = obs.trace_by_id(trace).expect("trace recorded");
         assert_eq!(view.status, TraceStatus::Ok);
         // A single fast ok finish must not pin (threshold unarmed ⇒
         // infinite, and no error code).
         assert!(!view.pinned);
+        assert_eq!(obs.pinned_count(), 0);
     }
 
     #[test]
     fn slow_finishes_pin_once_the_rolling_threshold_arms() {
+        let (obs, _attached) = attached();
         // Arm the threshold with a population of fast finishes, then
         // finish one trace far in the tail.
+        assert!(obs.tail_threshold_secs().is_infinite());
         for _ in 0..(TAIL_MIN_SAMPLES + 16) {
-            finish_trace(next_trace_id(), 0.001, 0);
+            obs.finish_trace(next_trace_id(), 0.001, 0);
         }
-        assert!(tail_threshold_secs().is_finite());
+        assert!(obs.tail_threshold_secs().is_finite());
         let slow = next_trace_id();
         record_closed(slow, 0, "solve", Instant::now(), Duration::from_secs(1));
-        finish_trace(slow, 1.0, 0);
-        let view = trace_by_id(slow).expect("slow trace retrievable");
+        obs.finish_trace(slow, 1.0, 0);
+        let view = obs.trace_by_id(slow).expect("slow trace retrievable");
         assert!(view.pinned, "1 s against a 1 ms population must pin");
         assert_eq!(view.status, TraceStatus::Ok);
     }
 
     #[test]
     fn store_evicts_whole_traces_fifo() {
-        let base = NEXT_TRACE.fetch_add(2 * MAX_TRACES as u64, Ordering::Relaxed);
-        for i in 0..(2 * MAX_TRACES as u64) {
-            record_closed(
-                base + i,
-                0,
-                "solve",
-                Instant::now(),
-                Duration::from_micros(1),
-            );
+        let (obs, _attached) = attached();
+        let ids: Vec<u64> = (0..2 * MAX_TRACES).map(|_| next_trace_id()).collect();
+        for &id in &ids {
+            record_closed(id, 0, "solve", Instant::now(), Duration::from_micros(1));
         }
-        drain_all();
-        assert!(trace_by_id(base).is_none(), "oldest trace evicted");
-        assert!(trace_by_id(base + 2 * MAX_TRACES as u64 - 1).is_some());
+        obs.drain_all();
+        assert!(obs.trace_by_id(ids[0]).is_none(), "oldest trace evicted");
+        assert!(obs.trace_by_id(ids[ids.len() - 1]).is_some());
+        assert_eq!(obs.traces(usize::MAX, TraceSort::Recent).len(), MAX_TRACES);
     }
 }

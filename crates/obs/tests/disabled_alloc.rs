@@ -1,24 +1,35 @@
-//! The `--no-obs` promise: with recording disabled, the per-request obs
-//! path performs zero heap allocations.
+//! The `--no-obs` promise: with recording disabled — a disabled `Obs`
+//! attached, or no `Obs` attached at all — the per-request obs path
+//! performs zero heap allocations.
 //!
 //! A counting global allocator measures the allocation delta across a
-//! burst of metric increments and span guards with obs disabled. Runs
-//! in its own integration binary so the allocator and the
-//! enabled-flag flip cannot interfere with other tests.
+//! burst of metric increments and span guards. Runs in its own
+//! integration binary so the allocator cannot interfere with other
+//! tests; each case measures on a thread of its own and counts only
+//! that thread's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::time::Instant;
 
-use rmsa_obs::{flight, names, trace, LazyCounter, LazyGauge, LazyHistogram, Span};
+use rmsa_obs::{flight, names, trace, Counter, Gauge, Histogram, Obs, Span};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread while it measures (`None` when it
+    /// does not), so tests measuring on parallel threads never see each
+    /// other's allocations, nor the harness's.
+    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.with(|n| n.set(n.get().map(|n| n + 1)));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -27,7 +38,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -35,38 +46,51 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-static SOLVES: LazyCounter = LazyCounter::new(names::REQUESTS_TOTAL);
-static DEPTH: LazyGauge = LazyGauge::new(names::QUEUE_DEPTH);
-static LATENCY: LazyHistogram = LazyHistogram::new(names::RPC_SOLVE_SECS);
+/// Allocations made by 1000 simulated requests on the calling thread,
+/// after one warm-up request initializes anything lazily created
+/// (thread-locals, the trace epoch).
+fn allocations_per_1000_requests(obs: Option<&Obs>) -> u64 {
+    simulated_request(trace::next_trace_id(), obs);
+    ALLOCATIONS.with(|n| n.set(Some(0)));
+    for _ in 0..1_000 {
+        simulated_request(trace::next_trace_id(), obs);
+    }
+    ALLOCATIONS.with(|n| n.take()).unwrap_or_default()
+}
 
 #[test]
 fn disabled_obs_path_allocates_nothing_per_request() {
-    rmsa_obs::set_enabled(false);
-
-    // Warm up anything lazily initialized outside the measured window
-    // (thread-locals, the trace epoch).
-    let warmup = trace::next_trace_id();
-    simulated_request(warmup);
-
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..1_000 {
-        let trace_id = trace::next_trace_id();
-        simulated_request(trace_id);
-    }
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    rmsa_obs::set_enabled(true);
+    let obs = Obs::new(false);
+    let delta = std::thread::spawn(move || {
+        let _attached = obs.attach();
+        allocations_per_1000_requests(Some(&obs))
+    })
+    .join()
+    .expect("measuring thread joins");
     assert_eq!(
         delta, 0,
         "disabled obs path must not allocate ({delta} allocations across 1000 requests)"
     );
 }
 
+#[test]
+fn unattached_thread_allocates_nothing_per_request() {
+    let delta = std::thread::spawn(|| allocations_per_1000_requests(None))
+        .join()
+        .expect("measuring thread joins");
+    assert_eq!(
+        delta, 0,
+        "recording with no Obs attached must not allocate ({delta} allocations across 1000 requests)"
+    );
+}
+
 /// The full per-request obs surface: counters, gauges, histograms
 /// (traced and untraced), an attached trace with nested spans, a
-/// closed-span record, flight events, and the terminal finish.
-fn simulated_request(trace_id: u64) {
-    SOLVES.inc();
-    DEPTH.add(1);
+/// closed-span record, flight events, and the terminal finish on the
+/// daemon's `Obs` (when there is one).
+fn simulated_request(trace_id: u64, obs: Option<&Obs>) {
+    Counter::RequestsTotal.inc();
+    Gauge::QueueDepth.add(1);
     flight::record(names::BATCH_FORM, 1, 0);
     let enqueued = Instant::now();
     {
@@ -78,10 +102,12 @@ fn simulated_request(trace_id: u64) {
         solve.field("rr", 1000.0);
         let greedy = Span::child(names::GREEDY);
         let d = greedy.finish();
-        LATENCY.observe_duration(d);
-        LATENCY.observe_traced(d.as_secs_f64(), trace_id);
+        Histogram::RpcSolveSecs.observe_duration(d);
+        Histogram::RpcSolveSecs.observe_traced(d.as_secs_f64(), trace_id);
         drop(solve);
     }
-    trace::finish_trace(trace_id, enqueued.elapsed().as_secs_f64(), 0);
-    DEPTH.add(-1);
+    if let Some(obs) = obs {
+        obs.finish_trace(trace_id, enqueued.elapsed().as_secs_f64(), 0);
+    }
+    Gauge::QueueDepth.add(-1);
 }

@@ -16,7 +16,9 @@
 //! requirement. Cheap control requests (`ping`, `stats`, `shutdown`) are
 //! answered inline by the loop but travel through the same ordered
 //! buffer, so they never overtake an earlier solve on the same
-//! connection.
+//! connection. Every answer, whichever path gave it, ends in
+//! `close_request`: counted in `responses_total` (and `errors_total`),
+//! with its trace finished.
 //!
 //! **Inline memo hits.** A solve is answered inline too when memoization
 //! is on, its session is already resident (never built or waited for
@@ -47,36 +49,17 @@
 use crate::lock_unpoisoned;
 use crate::net::{Event, Interest, Poller, WAKE_TOKEN};
 use crate::server::{
-    enqueue, render_solve_line, shutting_down_error, Job, JobKind, Reply, Shared, RPC_SOLVE,
+    enqueue, error_code_of, render_solve_line, shutting_down_error, Job, JobKind, Reply, Shared,
 };
 use crate::session::SessionKey;
 use crate::wire::{ErrorCode, Request, Response, SolveTiming, WireError, WIRE_MIN_SCHEMA_VERSION};
-use rmsa_obs::{flight, names, trace, LazyCounter, LazyGauge, Span};
+use rmsa_obs::{flight, names, trace, Counter, Gauge, Histogram, Span};
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
-
-/// Requests admitted into the queue (solve + warm).
-static REQUESTS: LazyCounter = LazyCounter::new(names::REQUESTS_TOTAL);
-/// Responses delivered back to their connections.
-static RESPONSES: LazyCounter = LazyCounter::new(names::RESPONSES_TOTAL);
-/// Queued requests not yet delivered, across all connections.
-static INFLIGHT: LazyGauge = LazyGauge::new(names::INFLIGHT);
-/// Unflushed response bytes across all connection write buffers.
-static WBUF_BYTES: LazyGauge = LazyGauge::new(names::WRITE_BUFFER_BYTES);
-/// Finished lines waiting in `Conn::done` for an earlier request.
-static PARKED: LazyGauge = LazyGauge::new(names::PARKED_RESPONSES);
-/// Budget burn rate over the trailing 1 s / 10 s / 60 s windows, in
-/// milli-units (1000 ⇒ consuming the error budget exactly as fast as
-/// the objective sustains).
-static SLO_BURN_1S: LazyGauge = LazyGauge::new(names::SLO_BURN_1S);
-static SLO_BURN_10S: LazyGauge = LazyGauge::new(names::SLO_BURN_10S);
-static SLO_BURN_60S: LazyGauge = LazyGauge::new(names::SLO_BURN_60S);
-/// Flight-recorder dumps written to the `--flight-dump` file.
-static FLIGHT_DUMPS: LazyCounter = LazyCounter::new(names::FLIGHT_DUMPS_TOTAL);
 
 /// Token of the listening socket; connection tokens are `slot index + 1`.
 const LISTENER_TOKEN: u64 = 0;
@@ -155,10 +138,14 @@ impl Conn {
         self.wbuf.len() - self.wpos
     }
 
-    /// Park a finished response line at its sequence slot.
+    /// Park a finished response line at its sequence slot. A line whose
+    /// turn has come moves straight on to the write buffer, so
+    /// `parked_responses` only ever counts lines behind an unfinished
+    /// request.
     fn finish(&mut self, seq: u64, line: String) {
         self.done.insert(seq, line);
-        PARKED.add(1);
+        Gauge::ParkedResponses.add(1);
+        self.stage();
     }
 
     /// Requests parsed whose answers have not reached the write buffer:
@@ -176,8 +163,8 @@ impl Conn {
             self.flush_seq += 1;
         }
         if self.flush_seq != seq {
-            PARKED.add(-((self.flush_seq - seq) as i64));
-            WBUF_BYTES.add((self.wbuf.len() - bytes) as i64);
+            Gauge::ParkedResponses.add(-((self.flush_seq - seq) as i64));
+            Gauge::WriteBufferBytes.add((self.wbuf.len() - bytes) as i64);
         }
     }
 
@@ -229,11 +216,11 @@ impl SloState {
     /// until a second has passed since the last tick (the poller wakes
     /// the loop at least every [`IDLE_WAIT_MS`]).
     fn tick(&mut self, shared: &Shared) {
-        if !rmsa_obs::enabled() || self.last_tick.elapsed() < Duration::from_secs(1) {
+        if !shared.obs.enabled() || self.last_tick.elapsed() < Duration::from_secs(1) {
             return;
         }
         self.last_tick = Instant::now();
-        let snap = rmsa_obs::metrics::histogram(names::RPC_SOLVE_SECS).snapshot();
+        let snap = shared.obs.histogram(Histogram::RpcSolveSecs);
         let total = snap.count();
         let over = snap.count_over(shared.slo_secs);
         self.pos = (self.pos + 1) % SLO_SLOTS;
@@ -241,9 +228,9 @@ impl SloState {
         self.over[self.pos] = over.saturating_sub(self.seen_over);
         self.seen_total = total;
         self.seen_over = over;
-        SLO_BURN_1S.set(self.burn_milli(1));
-        SLO_BURN_10S.set(self.burn_milli(10));
-        SLO_BURN_60S.set(self.burn_milli(60));
+        Gauge::SloBurn1s.set(self.burn_milli(1));
+        Gauge::SloBurn10s.set(self.burn_milli(10));
+        Gauge::SloBurn60s.set(self.burn_milli(60));
     }
 
     /// Burn rate over the trailing `window` slots, milli-units.
@@ -276,19 +263,19 @@ impl SloState {
             return;
         }
         self.last_dump = Some(Instant::now());
-        write_flight_dump(path, reason, trace, detail);
+        write_flight_dump(shared, path, reason, trace, detail);
     }
 }
 
 /// Dump the flight recorder to `path` (tmp file + rename, so readers
 /// never see a torn document).
-fn write_flight_dump(path: &Path, reason: &str, trace: u64, detail: u64) {
-    let doc = crate::obs_report::flight_dump_json(reason, trace, detail);
+fn write_flight_dump(shared: &Shared, path: &Path, reason: &str, trace: u64, detail: u64) {
+    let doc = crate::obs_report::flight_dump_json(&shared.obs, reason, trace, detail);
     let tmp = path.with_extension("tmp");
     let written =
         std::fs::write(&tmp, doc.render_pretty() + "\n").and_then(|()| std::fs::rename(&tmp, path));
     match written {
-        Ok(()) => FLIGHT_DUMPS.inc(),
+        Ok(()) => Counter::FlightDumpsTotal.inc(),
         Err(e) => eprintln!("rmsa serve: flight dump to {} failed: {e}", path.display()),
     }
 }
@@ -376,9 +363,9 @@ pub(crate) fn run(listener: TcpListener, mut poller: Poller, shared: &Shared) {
                 if let Some(conn) = slot.take() {
                     // Keep the aggregate gauges honest for work this
                     // connection takes to the grave.
-                    INFLIGHT.add(-(conn.inflight as i64));
-                    WBUF_BYTES.add(-(conn.pending_write() as i64));
-                    PARKED.add(-(conn.done.len() as i64));
+                    Gauge::Inflight.add(-(conn.inflight as i64));
+                    Gauge::WriteBufferBytes.add(-(conn.pending_write() as i64));
+                    Gauge::ParkedResponses.add(-(conn.done.len() as i64));
                     poller.deregister(fd_of(&conn.stream));
                     flight::record(names::CONN_CLOSE, token, 0);
                     free.push(index);
@@ -455,7 +442,7 @@ fn deliver_completions(shared: &Shared, slots: &mut [Option<Conn>], slo: &mut Sl
         if let Some(conn) = slots.get_mut(index).and_then(Option::as_mut) {
             if conn.generation == completion.reply.generation {
                 conn.inflight = conn.inflight.saturating_sub(1);
-                INFLIGHT.add(-1);
+                Gauge::Inflight.add(-1);
                 // The flush phase: from the worker finishing the render
                 // to the event loop handing the line to the ordered
                 // write path. Its duration becomes the `flush_secs`
@@ -485,12 +472,13 @@ fn deliver_completions(shared: &Shared, slots: &mut [Option<Conn>], slo: &mut Sl
     }
 }
 
-/// Where a session request's life ends for observability, whether a
-/// worker or the inline memo path answered it: the response is counted,
-/// the trace finishes (joining its terminal status and feeding the tail
-/// sampler), and anomalies — an error response or an end-to-end latency
-/// past `--slo-ms` — fire flight-recorder events and (rate-limited)
-/// flight dumps.
+/// Where every request's life ends for observability, whichever path
+/// answered it (a worker, the inline memo path, or the loop itself for
+/// control requests and refusals): the response is counted, the trace
+/// finishes (joining its terminal status and feeding the tail sampler),
+/// and anomalies — an error response or an end-to-end latency past
+/// `--slo-ms` — fire flight-recorder events and (rate-limited) flight
+/// dumps.
 fn close_request(
     shared: &Shared,
     slo: &mut SloState,
@@ -498,9 +486,10 @@ fn close_request(
     total_secs: f64,
     error_code: u32,
 ) {
-    RESPONSES.inc();
-    trace::finish_trace(trace_id, total_secs, error_code);
+    Counter::ResponsesTotal.inc();
+    shared.obs.finish_trace(trace_id, total_secs, error_code);
     if error_code != 0 {
+        Counter::ErrorsTotal.inc();
         flight::record(names::ANOMALY_ERROR, trace_id, error_code as u64);
         slo.dump(shared, "error", trace_id, error_code as u64, false);
     } else if total_secs > shared.slo_secs {
@@ -573,6 +562,7 @@ fn process_lines(shared: &Shared, conn: &mut Conn, token: u64, slo: &mut SloStat
                 format!("request line exceeds {MAX_LINE_BYTES} bytes"),
             ),
         );
+        close_request(shared, slo, 0, 0.0, error_code_of(&error));
         conn.finish(seq, error.render_for(WIRE_MIN_SCHEMA_VERSION));
         conn.rbuf.clear();
         conn.eof = true;
@@ -581,7 +571,7 @@ fn process_lines(shared: &Shared, conn: &mut Conn, token: u64, slo: &mut SloStat
 
 /// Dispatch one request line under the next sequence number: control
 /// requests and memo hits complete inline, other session work goes to the
-/// admission queue.
+/// admission queue. Every inline answer closes its request here.
 fn handle_request(shared: &Shared, conn: &mut Conn, token: u64, line: &str, slo: &mut SloState) {
     let seq = conn.next_seq;
     conn.next_seq += 1;
@@ -589,133 +579,118 @@ fn handle_request(shared: &Shared, conn: &mut Conn, token: u64, line: &str, slo:
     // belongs to the request's phase tree; queued work carries the id in
     // its Reply and echoes it in SolveTiming::trace.
     let trace_id = trace::next_trace_id();
+    let received = Instant::now();
     let parse_span = Span::detached(trace_id, names::PARSE);
     let parsed = Request::parse_versioned(line);
     drop(parse_span);
-    let (version, request) = match parsed {
-        Ok(parsed) => parsed,
-        Err(failure) => {
-            let response = Response::error(failure.id, failure.error);
-            conn.finish(seq, response.render_for(failure.version));
-            return;
+    let (version, response) = match parsed {
+        Err(failure) => (failure.version, Response::error(failure.id, failure.error)),
+        Ok((version, request)) if shared.shutdown.load(Ordering::SeqCst) => {
+            (version, shutting_down_error(request.id()))
+        }
+        Ok((version, request)) => {
+            let response = match request {
+                Request::Ping { id } => Response::Pong { id },
+                Request::Stats { id } => Response::Stats {
+                    id,
+                    sessions: shared.registry.stats(),
+                    evictions: shared.registry.evictions(),
+                },
+                Request::Metrics { id } => Response::Metrics {
+                    id,
+                    report: crate::obs_report::metrics_report(&shared.obs),
+                },
+                Request::Trace {
+                    id,
+                    limit,
+                    slowest,
+                    trace,
+                } => {
+                    let traces = if trace != 0 {
+                        crate::obs_report::trace_report_by_id(&shared.obs, trace)
+                    } else {
+                        crate::obs_report::trace_reports(&shared.obs, limit, slowest)
+                    };
+                    Response::Trace { id, traces }
+                }
+                Request::Flight { id } => Response::Flight {
+                    id,
+                    events: crate::obs_report::flight_events(&shared.obs),
+                },
+                Request::Shutdown { id } => {
+                    shared.begin_shutdown();
+                    Response::ShuttingDown { id }
+                }
+                Request::Solve(solve) => {
+                    let key = SessionKey::from(&solve);
+                    let admitted = Instant::now();
+                    let hit = if shared.memoize {
+                        shared
+                            .registry
+                            .resident(key)
+                            .and_then(|session| session.memo_hit(&solve))
+                    } else {
+                        None
+                    };
+                    if let Some(hit) = hit {
+                        // A warm session's memoized answer: spliced from its
+                        // pre-rendered bytes with an all-zero timing block
+                        // (`batch_size: 0` marks the inline path), accounted
+                        // as a worker response is in `deliver_completions`.
+                        let timing = SolveTiming {
+                            trace: trace_id,
+                            ..SolveTiming::default()
+                        };
+                        let line = render_solve_line(
+                            version,
+                            solve.id,
+                            &key.label(),
+                            &hit.rendered,
+                            timing,
+                        );
+                        let total_secs = admitted.elapsed().as_secs_f64();
+                        Histogram::RpcSolveSecs.observe_traced(total_secs, trace_id);
+                        close_request(shared, slo, trace_id, total_secs, 0);
+                        conn.finish(seq, line);
+                        return;
+                    }
+                    let job = JobKind::Solve(solve);
+                    match submit(shared, conn, token, seq, version, trace_id, key, job) {
+                        Some(refusal) => refusal,
+                        None => return,
+                    }
+                }
+                Request::Warm(warm) => {
+                    // A client may warm up to the serving θ, not grow the RR
+                    // cache (and every later solve's posting walks) without
+                    // bound.
+                    let cap = shared.registry.ctx().rma_max_rr;
+                    if let Some(target) = warm.target_rr.filter(|&target| target > cap) {
+                        let error = WireError::new(
+                            ErrorCode::InvalidParameter,
+                            format!("target_rr {target} exceeds the serving cap of {cap} RR-sets"),
+                        );
+                        Response::error(warm.id, error)
+                    } else {
+                        let key = SessionKey::from(&warm);
+                        let job = JobKind::Warm(warm);
+                        match submit(shared, conn, token, seq, version, trace_id, key, job) {
+                            Some(refusal) => refusal,
+                            None => return,
+                        }
+                    }
+                }
+            };
+            (version, response)
         }
     };
-    if shared.shutdown.load(Ordering::SeqCst) {
-        conn.finish(seq, shutting_down_error(request.id()).render_for(version));
-        return;
-    }
-    match request {
-        Request::Ping { id } => {
-            conn.finish(seq, Response::Pong { id }.render_for(version));
-        }
-        Request::Stats { id } => {
-            let response = Response::Stats {
-                id,
-                sessions: shared.registry.stats(),
-                evictions: shared.registry.evictions(),
-            };
-            conn.finish(seq, response.render_for(version));
-        }
-        Request::Metrics { id } => {
-            let response = Response::Metrics {
-                id,
-                report: crate::obs_report::metrics_report(),
-            };
-            conn.finish(seq, response.render_for(version));
-        }
-        Request::Trace {
-            id,
-            limit,
-            slowest,
-            trace,
-        } => {
-            let traces = if trace != 0 {
-                crate::obs_report::trace_report_by_id(trace)
-            } else {
-                crate::obs_report::trace_reports(limit, slowest)
-            };
-            let response = Response::Trace { id, traces };
-            conn.finish(seq, response.render_for(version));
-        }
-        Request::Flight { id } => {
-            let response = Response::Flight {
-                id,
-                events: crate::obs_report::flight_events(),
-            };
-            conn.finish(seq, response.render_for(version));
-        }
-        Request::Shutdown { id } => {
-            conn.finish(seq, Response::ShuttingDown { id }.render_for(version));
-            shared.begin_shutdown();
-        }
-        Request::Solve(solve) => {
-            let key = SessionKey::from(&solve);
-            let admitted = Instant::now();
-            let hit = if shared.memoize {
-                shared
-                    .registry
-                    .resident(key)
-                    .and_then(|session| session.memo_hit(&solve))
-            } else {
-                None
-            };
-            if let Some(hit) = hit {
-                // A warm session's memoized answer: spliced from its
-                // pre-rendered bytes with an all-zero timing block
-                // (`batch_size: 0` marks the inline path), accounted as a
-                // worker response is in `deliver_completions`.
-                let timing = SolveTiming {
-                    trace: trace_id,
-                    ..SolveTiming::default()
-                };
-                let line =
-                    render_solve_line(version, solve.id, &key.label(), &hit.rendered, timing);
-                let total_secs = admitted.elapsed().as_secs_f64();
-                RPC_SOLVE.observe_traced(total_secs, trace_id);
-                close_request(shared, slo, trace_id, total_secs, 0);
-                conn.finish(seq, line);
-                return;
-            }
-            submit(
-                shared,
-                conn,
-                token,
-                seq,
-                version,
-                trace_id,
-                key,
-                JobKind::Solve(solve),
-            );
-        }
-        Request::Warm(warm) => {
-            // A client may warm up to the serving θ, not grow the RR cache
-            // (and every later solve's posting walks) without bound.
-            let cap = shared.registry.ctx().rma_max_rr;
-            if let Some(target) = warm.target_rr.filter(|&target| target > cap) {
-                let error = WireError::new(
-                    ErrorCode::InvalidParameter,
-                    format!("target_rr {target} exceeds the serving cap of {cap} RR-sets"),
-                );
-                conn.finish(seq, Response::error(warm.id, error).render_for(version));
-                return;
-            }
-            let key = SessionKey::from(&warm);
-            submit(
-                shared,
-                conn,
-                token,
-                seq,
-                version,
-                trace_id,
-                key,
-                JobKind::Warm(warm),
-            );
-        }
-    }
+    let total_secs = received.elapsed().as_secs_f64();
+    close_request(shared, slo, trace_id, total_secs, error_code_of(&response));
+    conn.finish(seq, response.render_for(version));
 }
 
-/// Enqueue session work; a refusal (shutdown raced us) is answered
-/// immediately through the ordered path.
+/// Enqueue session work; a refusal (shutdown raced us) comes back as the
+/// inline answer.
 #[allow(clippy::too_many_arguments)]
 fn submit(
     shared: &Shared,
@@ -726,7 +701,7 @@ fn submit(
     trace_id: u64,
     key: SessionKey,
     kind: JobKind,
-) {
+) -> Option<Response> {
     let id = match &kind {
         JobKind::Solve(solve) => solve.id,
         JobKind::Warm(warm) => warm.id,
@@ -750,11 +725,11 @@ fn submit(
     drop(admit_span);
     if refused.is_some() {
         conn.inflight = conn.inflight.saturating_sub(1);
-        conn.finish(seq, shutting_down_error(id).render_for(version));
-    } else {
-        REQUESTS.inc();
-        INFLIGHT.add(1);
+        return Some(shutting_down_error(id));
     }
+    Counter::RequestsTotal.inc();
+    Gauge::Inflight.add(1);
+    None
 }
 
 /// Append every response whose turn has come to the write buffer, then
@@ -780,7 +755,7 @@ fn advance_writes(conn: &mut Conn) {
         conn.wbuf.drain(..conn.wpos);
         conn.wpos = 0;
     }
-    WBUF_BYTES.add(conn.pending_write() as i64 - before);
+    Gauge::WriteBufferBytes.add(conn.pending_write() as i64 - before);
 }
 
 /// Re-register the connection for exactly what it can make progress on:

@@ -18,8 +18,9 @@
 //! * [`client`] — blocking NDJSON client.
 //! * [`loadgen`] — seeded closed-loop / open-loop load generator
 //!   emitting `BENCH_service.json` / `BENCH_service_open.json`.
-//! * [`histogram`] — the log-bucket latency histogram (now owned by
-//!   [`rmsa_obs`], re-exported here for compatibility).
+//!
+//! Each daemon owns one [`rmsa_obs::Obs`]: its metrics, traces and
+//! flight events are its own, even with several daemons in one process.
 //!
 //! See `DESIGN.md`, sections "Serving architecture" and "Event-loop
 //! serving", for the batching invariant, the determinism guarantee, and
@@ -29,7 +30,6 @@
 
 pub mod client;
 mod event_loop;
-pub use rmsa_obs::histogram;
 pub mod loadgen;
 pub mod net;
 pub(crate) mod obs_report;
@@ -39,7 +39,6 @@ pub mod snapshot;
 pub mod wire;
 
 pub use client::ServiceClient;
-pub use histogram::LogHistogram;
 pub use loadgen::{LoadMix, LoadgenOutcome, LoadgenPlan, Mode};
 pub use server::{start, ServerConfig, ServiceHandle};
 pub use session::{Session, SessionKey, SessionRegistry};

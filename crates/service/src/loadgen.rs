@@ -30,7 +30,6 @@
 //! a throughput collapse fails CI.
 
 use crate::client::ServiceClient;
-use crate::histogram::LogHistogram;
 use crate::wire::{Algorithm, Request, Response, SolveRequest, SolveResponse};
 use crate::{into_inner_unpoisoned, lock_unpoisoned};
 use rand::{Rng, SeedableRng};
@@ -40,6 +39,7 @@ use rmsa_bench::AlgoOutcome;
 use rmsa_core::RmError;
 use rmsa_datasets::{DatasetKind, IncentiveModel};
 use rmsa_diffusion::RrStrategy;
+use rmsa_obs::LogHistogram;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};

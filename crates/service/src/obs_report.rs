@@ -1,5 +1,5 @@
-//! Bridges the live [`rmsa_obs`] registry, trace store, and flight
-//! recorder into wire payloads ([`MetricsReport`], [`TraceReport`],
+//! Bridges a daemon's [`Obs`] — metrics, trace store, and flight
+//! recorder — into wire payloads ([`MetricsReport`], [`TraceReport`],
 //! [`FlightEventEntry`]) and the `--obs-snapshot` / `--flight-dump`
 //! documents.
 
@@ -8,12 +8,11 @@ use crate::wire::{
     TraceReport,
 };
 use rmsa_bench::json::Json;
-use rmsa_obs::trace::{self, TraceView};
-use rmsa_obs::{flight, TraceSort, TraceStatus};
+use rmsa_obs::{Obs, TraceSort, TraceStatus, TraceView};
 
-/// Snapshot the metric registry as a wire payload.
-pub(crate) fn metrics_report() -> MetricsReport {
-    let snap = rmsa_obs::metrics::snapshot();
+/// Snapshot the daemon's metrics as a wire payload.
+pub(crate) fn metrics_report(obs: &Obs) -> MetricsReport {
+    let snap = obs.metrics();
     let mut exemplars = snap.exemplars;
     MetricsReport {
         counters: snap
@@ -95,13 +94,13 @@ fn view_to_report(view: TraceView) -> TraceReport {
 }
 
 /// Snapshot up to `limit` traces as wire payloads.
-pub(crate) fn trace_reports(limit: usize, slowest: bool) -> Vec<TraceReport> {
+pub(crate) fn trace_reports(obs: &Obs, limit: usize, slowest: bool) -> Vec<TraceReport> {
     let sort = if slowest {
         TraceSort::Slow
     } else {
         TraceSort::Recent
     };
-    trace::traces(limit, sort)
+    obs.traces(limit, sort)
         .into_iter()
         .map(view_to_report)
         .collect()
@@ -109,8 +108,8 @@ pub(crate) fn trace_reports(limit: usize, slowest: bool) -> Vec<TraceReport> {
 
 /// Look one trace up by id (tail-sampled pins are searched first);
 /// empty when it aged out unpinned.
-pub(crate) fn trace_report_by_id(trace: u64) -> Vec<TraceReport> {
-    trace::trace_by_id(trace)
+pub(crate) fn trace_report_by_id(obs: &Obs, trace: u64) -> Vec<TraceReport> {
+    obs.trace_by_id(trace)
         .map(view_to_report)
         .into_iter()
         .collect()
@@ -118,8 +117,8 @@ pub(crate) fn trace_report_by_id(trace: u64) -> Vec<TraceReport> {
 
 /// Snapshot the flight recorder as wire payloads, in global sequence
 /// order.
-pub(crate) fn flight_events() -> Vec<FlightEventEntry> {
-    flight::snapshot()
+pub(crate) fn flight_events(obs: &Obs) -> Vec<FlightEventEntry> {
+    obs.flight()
         .into_iter()
         .map(|e| FlightEventEntry {
             kind: e.kind.to_string(),
@@ -133,9 +132,9 @@ pub(crate) fn flight_events() -> Vec<FlightEventEntry> {
 
 /// The `--flight-dump` document: the recorder history plus the trace id
 /// / error code that triggered the dump (both 0 on demand/shutdown).
-pub(crate) fn flight_dump_json(reason: &str, trace: u64, detail: u64) -> Json {
+pub(crate) fn flight_dump_json(obs: &Obs, reason: &str, trace: u64, detail: u64) -> Json {
     let events = Json::Arr(
-        flight_events()
+        flight_events(obs)
             .iter()
             .map(|e| {
                 let mut doc = Json::obj();
@@ -156,10 +155,10 @@ pub(crate) fn flight_dump_json(reason: &str, trace: u64, detail: u64) -> Json {
     doc
 }
 
-/// The `--obs-snapshot` document: the full registry plus the most
-/// recent traces, rendered with the stable-order [`Json`] module.
-pub(crate) fn dump_json() -> Json {
-    let report = metrics_report();
+/// The `--obs-snapshot` document: every metric plus the most recent
+/// traces, rendered with the stable-order [`Json`] module.
+pub(crate) fn dump_json(obs: &Obs) -> Json {
+    let report = metrics_report(obs);
     let mut counters = Json::obj();
     for (name, v) in &report.counters {
         counters.set(name, Json::Int(*v as i64));
@@ -203,7 +202,7 @@ pub(crate) fn dump_json() -> Json {
             .collect(),
     );
     let traces = Json::Arr(
-        trace_reports(16, false)
+        trace_reports(obs, 16, false)
             .iter()
             .map(|t| {
                 let mut doc = Json::obj();

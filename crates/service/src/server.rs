@@ -36,27 +36,13 @@ use crate::wire::{
 };
 use rmsa_bench::ExperimentContext;
 use rmsa_core::RmError;
-use rmsa_obs::{flight, names, trace, LazyCounter, LazyGauge, LazyHistogram, Span};
+use rmsa_obs::{flight, names, trace, Gauge, Histogram, Obs, Span};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Jobs currently queued for the worker pool.
-static QUEUE_DEPTH: LazyGauge = LazyGauge::new(names::QUEUE_DEPTH);
-/// Error responses rendered, any code.
-static ERRORS: LazyCounter = LazyCounter::new(names::ERRORS_TOTAL);
-/// Fingerprint-batch sizes popped by workers.
-static BATCH_SIZES: LazyHistogram = LazyHistogram::new(names::BATCH_SIZE);
-/// Enqueue-to-completion solve latency (admission-to-answer for memo hits
-/// the event loop serves inline).
-pub(crate) static RPC_SOLVE: LazyHistogram = LazyHistogram::new(names::RPC_SOLVE_SECS);
-/// Enqueue-to-completion warm latency.
-static RPC_WARM: LazyHistogram = LazyHistogram::new(names::RPC_WARM_SECS);
-/// The latency objective, milliseconds (set once at startup).
-static SLO_THRESHOLD: LazyGauge = LazyGauge::new(names::SLO_THRESHOLD_MS);
 
 /// Validated configuration of one daemon instance. Construct through
 /// [`ServerConfig::builder`]; the defaults of [`ServerConfig::new`] are
@@ -145,8 +131,9 @@ impl ServerConfig {
         self.verify_snapshots
     }
 
-    /// Whether obs recording (metrics + traces) is on (`--no-obs` turns
-    /// it off; spans still time, nothing is recorded).
+    /// Whether the daemon's [`Obs`] records (metrics + traces + flight
+    /// events); `--no-obs` turns it off: spans still time, nothing is
+    /// recorded or reported.
     pub fn obs(&self) -> bool {
         self.obs
     }
@@ -226,7 +213,7 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Periodically dump the metric registry and trace store to `path`.
+    /// Periodically dump the daemon's metrics and trace store to `path`.
     pub fn obs_snapshot(mut self, path: Option<PathBuf>) -> Self {
         self.config.obs_snapshot = path;
         self
@@ -335,6 +322,8 @@ pub(crate) enum JobKind {
 }
 
 pub(crate) struct Shared {
+    /// This daemon's metrics, traces and flight recorder.
+    pub(crate) obs: Arc<Obs>,
     pub(crate) registry: SessionRegistry,
     pub(crate) queue: Mutex<VecDeque<Job>>,
     pub(crate) available: Condvar,
@@ -370,13 +359,7 @@ impl Shared {
     /// Hand a finished warm or error response back to the event loop,
     /// rendered in the requester's schema version.
     pub(crate) fn complete(&self, reply: Reply, enqueued: Instant, response: &Response) {
-        let error_code = match response {
-            Response::Error { code, .. } => code.code_point(),
-            _ => 0,
-        };
-        if error_code != 0 {
-            ERRORS.inc();
-        }
+        let error_code = error_code_of(response);
         let span = Span::detached(reply.trace, names::SERIALIZE);
         let line = response.render_for(reply.version);
         drop(span);
@@ -396,6 +379,14 @@ impl Shared {
             });
         }
         self.waker.wake();
+    }
+}
+
+/// [`ErrorCode::code_point`] of an error response, 0 for any other.
+pub(crate) fn error_code_of(response: &Response) -> u32 {
+    match response {
+        Response::Error { code, .. } => code.code_point(),
+        _ => 0,
     }
 }
 
@@ -465,9 +456,11 @@ impl ServiceHandle {
 }
 
 /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and start the
-/// event loop plus `config.workers()` queue workers.
+/// event loop plus `config.workers()` queue workers. The daemon gets an
+/// [`Obs`] of its own, attached to every thread it runs on.
 pub fn start(addr: &str, config: ServerConfig) -> std::io::Result<ServiceHandle> {
-    rmsa_obs::set_enabled(config.obs);
+    let obs = Obs::new(config.obs);
+    let _attached = obs.attach();
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
@@ -475,6 +468,7 @@ pub fn start(addr: &str, config: ServerConfig) -> std::io::Result<ServiceHandle>
     // can finish a job, so `Shared` is assembled around its waker.
     let poller = Poller::new();
     let shared = Arc::new(Shared {
+        obs,
         registry: SessionRegistry::new(config.ctx.clone(), config.max_sessions)
             .with_snapshot_dir(config.snapshot_dir.clone())
             .with_snapshot_verify(if config.verify_snapshots {
@@ -494,20 +488,26 @@ pub fn start(addr: &str, config: ServerConfig) -> std::io::Result<ServiceHandle>
         flight_dump: config.flight_dump.clone(),
         last_flush_bits: AtomicU64::new(0),
     });
-    SLO_THRESHOLD.set(config.slo_ms as i64);
+    Gauge::SloThresholdMs.set(config.slo_ms as i64);
     let workers = (0..config.workers.max(1))
         .map(|i| {
             let shared = shared.clone();
             std::thread::Builder::new()
                 .name(format!("rmsa-worker-{i}"))
-                .spawn(move || worker_loop(&shared))
+                .spawn(move || {
+                    let _attached = shared.obs.attach();
+                    worker_loop(&shared)
+                })
         })
         .collect::<std::io::Result<Vec<_>>>()?;
     let event_loop = {
         let shared = shared.clone();
         std::thread::Builder::new()
             .name("rmsa-event-loop".to_string())
-            .spawn(move || crate::event_loop::run(listener, poller, &shared))?
+            .spawn(move || {
+                let _attached = shared.obs.attach();
+                crate::event_loop::run(listener, poller, &shared)
+            })?
     };
     let obs_dump = match config.obs_snapshot.filter(|_| config.obs) {
         Some(path) => {
@@ -516,7 +516,10 @@ pub fn start(addr: &str, config: ServerConfig) -> std::io::Result<ServiceHandle>
             Some(
                 std::thread::Builder::new()
                     .name("rmsa-obs-dump".to_string())
-                    .spawn(move || obs_dump_loop(&shared, &path, interval))?,
+                    .spawn(move || {
+                        let _attached = shared.obs.attach();
+                        obs_dump_loop(&shared, &path, interval)
+                    })?,
             )
         }
         None => None,
@@ -530,7 +533,7 @@ pub fn start(addr: &str, config: ServerConfig) -> std::io::Result<ServiceHandle>
     })
 }
 
-/// Periodically dump the registry and trace store to `path` (tmp file +
+/// Periodically dump the daemon's metrics and traces to `path` (tmp file +
 /// rename, so readers never see a torn document), with a final dump on
 /// shutdown. The interval is `--obs-snapshot-secs` (validated ≥ 1s by
 /// the config builder).
@@ -539,17 +542,17 @@ fn obs_dump_loop(shared: &Shared, path: &Path, interval: Duration) {
     let mut since_dump = interval;
     while !shared.shutdown.load(Ordering::SeqCst) {
         if since_dump >= interval {
-            write_obs_dump(path);
+            write_obs_dump(&shared.obs, path);
             since_dump = Duration::ZERO;
         }
         std::thread::sleep(tick);
         since_dump += tick;
     }
-    write_obs_dump(path);
+    write_obs_dump(&shared.obs, path);
 }
 
-fn write_obs_dump(path: &Path) {
-    let doc = crate::obs_report::dump_json();
+fn write_obs_dump(obs: &Obs, path: &Path) {
+    let doc = crate::obs_report::dump_json(obs);
     let tmp = path.with_extension("tmp");
     let written =
         std::fs::write(&tmp, doc.render_pretty() + "\n").and_then(|()| std::fs::rename(&tmp, path));
@@ -574,7 +577,7 @@ pub(crate) fn enqueue(shared: &Shared, job: Job) -> Option<Job> {
         }
     };
     if refused.is_none() {
-        QUEUE_DEPTH.add(1);
+        Gauge::QueueDepth.add(1);
         shared.available.notify_one();
     }
     refused
@@ -624,7 +627,7 @@ fn worker_loop(shared: &Shared) {
         // The pop instant splits end-to-end wait into `queue_secs`
         // (enqueue → pop) and `batch_wait_secs` (pop → this job's turn).
         let popped_at = Instant::now();
-        QUEUE_DEPTH.add(-(batch.len() as i64));
+        Gauge::QueueDepth.add(-(batch.len() as i64));
         flight::record(names::BATCH_FORM, batch.len() as u64, queue_left as u64);
         serve_batch(shared, batch, popped_at);
     }
@@ -637,23 +640,27 @@ fn persist_in_background(shared: &Shared, session: Arc<crate::session::Session>)
     let Some(dir) = shared.registry.snapshot_dir().map(Path::to_path_buf) else {
         return;
     };
+    let obs = Arc::clone(&shared.obs);
     let handle = std::thread::Builder::new()
         .name("rmsa-snapshot".to_string())
-        .spawn(move || match session.save_snapshot(&dir) {
-            Ok(path) => {
-                flight::record(names::SNAPSHOT_PERSIST_DONE, 1, 0);
-                eprintln!(
-                    "rmsa serve: persisted {} to {}",
-                    session.key().label(),
-                    path.display()
-                );
-            }
-            Err(e) => {
-                flight::record(names::SNAPSHOT_PERSIST_DONE, 0, 0);
-                eprintln!(
-                    "rmsa serve: failed to persist {}: {e}",
-                    session.key().label()
-                );
+        .spawn(move || {
+            let _attached = obs.attach();
+            match session.save_snapshot(&dir) {
+                Ok(path) => {
+                    flight::record(names::SNAPSHOT_PERSIST_DONE, 1, 0);
+                    eprintln!(
+                        "rmsa serve: persisted {} to {}",
+                        session.key().label(),
+                        path.display()
+                    );
+                }
+                Err(e) => {
+                    flight::record(names::SNAPSHOT_PERSIST_DONE, 0, 0);
+                    eprintln!(
+                        "rmsa serve: failed to persist {}: {e}",
+                        session.key().label()
+                    );
+                }
             }
         });
     if let Ok(handle) = handle {
@@ -671,7 +678,7 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>, popped_at: Instant) {
     };
     let session = shared.registry.session(key);
     let batch_size = batch.len();
-    BATCH_SIZES.observe(batch_size as f64);
+    Histogram::BatchSize.observe(batch_size as f64);
     for job in batch {
         // The job's trace becomes this thread's ambient context: spans
         // opened here and anywhere below (session, diffusion, store)
@@ -702,7 +709,8 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>, popped_at: Instant) {
                 if !outcome.already_warm {
                     persist_in_background(shared, session.clone());
                 }
-                RPC_WARM.observe_traced(job.enqueued.elapsed().as_secs_f64(), job.reply.trace);
+                Histogram::RpcWarmSecs
+                    .observe_traced(job.enqueued.elapsed().as_secs_f64(), job.reply.trace);
                 shared.complete(
                     job.reply,
                     job.enqueued,
@@ -739,7 +747,8 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>, popped_at: Instant) {
                 let solve_secs = solve_span.finish().as_secs_f64();
                 // Observe before handing the response over, so a client that
                 // asks for metrics right after its answer sees this solve.
-                RPC_SOLVE.observe_traced(job.enqueued.elapsed().as_secs_f64(), job.reply.trace);
+                Histogram::RpcSolveSecs
+                    .observe_traced(job.enqueued.elapsed().as_secs_f64(), job.reply.trace);
                 match solved {
                     Ok(result) => {
                         let timing = SolveTiming {

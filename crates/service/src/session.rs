@@ -26,22 +26,13 @@ use crate::wire::{
 use rmsa::prelude::*;
 use rmsa_bench::{default_rma_config, default_ti_config, ExperimentContext};
 use rmsa_datasets::Dataset;
-use rmsa_obs::{flight, names, LazyCounter, Span};
+use rmsa_obs::{flight, names, Counter, Span};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Warm-epoch memo hits, counted by [`Session::memo_hit`] on both the
-/// inline event-loop path and the worker path.
-static MEMO_HITS: LazyCounter = LazyCounter::new(names::MEMO_HITS);
-/// Warm-epoch memo misses (full solver runs) in
-/// [`Session::solve_memoized`].
-static MEMO_MISSES: LazyCounter = LazyCounter::new(names::MEMO_MISSES);
-/// Solve classes evicted by the [`MEMO_CAPACITY`] bound.
-static MEMO_EVICTIONS: LazyCounter = LazyCounter::new(names::MEMO_EVICTIONS);
 
 /// Memo key of one solve class: `(algorithm, incentive, α bits,
 /// evaluate)`. Two requests with equal keys are the *same pure function
@@ -114,7 +105,7 @@ impl SolveMemo {
         if let Some(oldest) = self.order.pop_front() {
             self.entries.remove(&oldest);
         }
-        MEMO_EVICTIONS.inc();
+        Counter::MemoEvictions.inc();
         true
     }
 }
@@ -423,7 +414,7 @@ impl Session {
         if let Some(entry) = self.memo_hit(request) {
             return Ok(entry);
         }
-        MEMO_MISSES.inc();
+        Counter::MemoMisses.inc();
         let epoch = self.warm_epoch.load(Ordering::Acquire);
         let entry = Arc::new(RenderedResult::new(self.solve(request)?));
         let mut memo = lock_unpoisoned(&self.memo);
@@ -449,7 +440,7 @@ impl Session {
         let entry = lock_unpoisoned(&self.memo)
             .get(&solve_class(request), epoch)?
             .clone();
-        MEMO_HITS.inc();
+        Counter::MemoHits.inc();
         self.served.fetch_add(1, Ordering::Relaxed);
         Some(entry)
     }

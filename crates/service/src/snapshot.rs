@@ -31,20 +31,13 @@ use rmsa_bench::ExperimentContext;
 use rmsa_datasets::{Dataset, DatasetModel};
 use rmsa_diffusion::snapshot::ModelSnapshot;
 use rmsa_diffusion::{RrCache, UniformRrSampler};
-use rmsa_obs::{names, LazyCounter, LazyHistogram, Span};
+use rmsa_obs::{names, Counter, Histogram, Span};
 use rmsa_store::{
     section, MappedSnapshot, SectionSource, SnapshotReader, SnapshotWriter, StoreError, VerifyMode,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicUsize;
 use std::sync::Mutex;
-
-/// Session snapshots persisted (successful [`save_session`] calls).
-static SNAPSHOTS_PERSISTED: LazyCounter = LazyCounter::new(names::SNAPSHOTS_PERSISTED);
-/// Successful persist durations.
-static PERSIST_SECS: LazyHistogram = LazyHistogram::new(names::SNAPSHOT_PERSIST_SECS);
-/// Successful warm-start load durations (open + parse + rebuild).
-static LOAD_SECS: LazyHistogram = LazyHistogram::new(names::SNAPSHOT_LOAD_SECS);
 
 /// Snapshot kind tag stored in the meta section.
 pub const SESSION_SNAPSHOT_KIND: &str = "rmsa-session";
@@ -174,8 +167,8 @@ pub fn save_session(session: &Session, dir: &Path) -> Result<PathBuf, StoreError
     let span = Span::child(names::SNAPSHOT_PERSIST);
     let path = snapshot_path(dir, session.key());
     rmsa_store::write_file(&path, &session_to_bytes(session))?;
-    SNAPSHOTS_PERSISTED.inc();
-    PERSIST_SECS.observe_duration(span.finish());
+    Counter::SnapshotsPersisted.inc();
+    Histogram::SnapshotPersistSecs.observe_duration(span.finish());
     Ok(path)
 }
 
@@ -404,7 +397,7 @@ pub fn load_session_with(
     // Include the open/mapping step in the reported load time.
     let loaded = span.finish();
     session.snapshot_load_secs = loaded.as_secs_f64();
-    LOAD_SECS.observe_duration(loaded);
+    Histogram::SnapshotLoadSecs.observe_duration(loaded);
     Ok(Some(session))
 }
 

@@ -106,7 +106,7 @@ impl ErrorCode {
     }
 
     /// Stable nonzero numeric code point (1-based catalog position) —
-    /// the representation `rmsa_obs::trace::finish_trace` stores, since
+    /// the representation `rmsa_obs::Obs::finish_trace` stores, since
     /// the obs crate cannot depend on this enum.
     pub fn code_point(self) -> u32 {
         ErrorCode::all()
@@ -280,7 +280,7 @@ pub enum Request {
         /// Client-chosen correlation id.
         id: u64,
     },
-    /// Snapshot the live metric registry (v2-only op).
+    /// Snapshot the daemon's live metrics (v2-only op).
     Metrics {
         /// Client-chosen correlation id.
         id: u64,
@@ -775,11 +775,11 @@ pub struct ExemplarEntry {
     pub at_us: u64,
 }
 
-/// Quantile digest of one registry histogram, as shipped by the
+/// Quantile digest of one daemon histogram, as shipped by the
 /// `metrics` RPC.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct HistogramStats {
-    /// Metric name (an `obs::names` constant on the server side).
+    /// Metric name (an `obs::names` catalog id on the server side).
     pub name: String,
     /// Recorded samples.
     pub count: u64,
@@ -798,7 +798,8 @@ pub struct HistogramStats {
     pub exemplars: Vec<ExemplarEntry>,
 }
 
-/// Payload of a `metrics` response: the whole registry, name-sorted.
+/// Payload of a `metrics` response: every metric of the daemon,
+/// name-sorted (empty under `--no-obs`).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsReport {
     /// `(name, total)` per counter.
@@ -884,11 +885,11 @@ pub enum Response {
         /// Echoed request id.
         id: u64,
     },
-    /// Metric-registry snapshot (v2-only op).
+    /// The daemon's metrics snapshot (v2-only op).
     Metrics {
         /// Echoed request id.
         id: u64,
-        /// The registry contents.
+        /// Every metric of the daemon.
         report: MetricsReport,
     },
     /// Recent/slowest request traces (v2-only op).

@@ -9,7 +9,7 @@
 use rmsa_datasets::{DatasetKind, IncentiveModel};
 use rmsa_diffusion::RrStrategy;
 use rmsa_service::loadgen::{self, LoadgenPlan};
-use rmsa_service::wire::{Algorithm, Request, Response, SolveRequest, WarmRequest};
+use rmsa_service::wire::{self, Algorithm, Request, Response, SolveRequest, WarmRequest};
 use rmsa_service::{server, ServerConfig, ServiceClient};
 
 fn tiny_config(workers: usize) -> ServerConfig {
@@ -604,6 +604,155 @@ fn exemplars_flight_and_trace_by_id_link_the_tail_story_together() {
     for pair in events.windows(2) {
         assert!(pair[0].seq < pair[1].seq, "flight events in seq order");
     }
+    handle.shutdown();
+    handle.wait();
+}
+
+/// Solve one cold lastfm-syn class on `addr`; returns its trace id.
+fn cold_solve_trace(addr: &str) -> u64 {
+    let mut client = ServiceClient::connect(addr).expect("connect");
+    match client
+        .call(&Request::Solve(solve_request(1, Algorithm::Rma, 0.2)))
+        .expect("solve")
+    {
+        Response::Solve(solve) => solve.timing.trace,
+        other => panic!("expected solve response, got {other:?}"),
+    }
+}
+
+/// The `metrics`, `trace` and `flight` reports of the daemon at `addr`.
+fn obs_reports(
+    addr: &str,
+) -> (
+    wire::MetricsReport,
+    Vec<wire::TraceReport>,
+    Vec<wire::FlightEventEntry>,
+) {
+    let mut client = ServiceClient::connect(addr).expect("connect");
+    let Response::Metrics { report, .. } =
+        client.call(&Request::Metrics { id: 1 }).expect("metrics")
+    else {
+        panic!("expected metrics response");
+    };
+    let trace = Request::Trace {
+        id: 2,
+        limit: 64,
+        slowest: false,
+        trace: 0,
+    };
+    let Response::Trace { traces, .. } = client.call(&trace).expect("trace") else {
+        panic!("expected trace response");
+    };
+    let Response::Flight { events, .. } = client.call(&Request::Flight { id: 3 }).expect("flight")
+    else {
+        panic!("expected flight response");
+    };
+    (report, traces, events)
+}
+
+fn named<T: Copy>(rows: &[(String, T)], name: &str) -> T {
+    rows.iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, v)| *v)
+        .unwrap_or_else(|| panic!("{name:?} missing"))
+}
+
+/// Three daemons in one process, each serving one solve at the same
+/// time, report only their own metrics, traces and flight events; the
+/// `--no-obs` one reports nothing at all.
+#[test]
+fn obs_state_is_isolated_per_daemon() {
+    let config = |slo_ms: u64, obs: bool| {
+        ServerConfig::builder(rmsa_service::tiny_serve_ctx(7))
+            .workers(1)
+            .max_sessions(1)
+            .slo_ms(slo_ms)
+            .obs(obs)
+            .build()
+            .expect("valid config")
+    };
+    let daemons = [config(1, true), config(50, true), config(50, false)]
+        .map(|c| server::start("127.0.0.1:0", c).expect("bind"));
+    let addrs = daemons.each_ref().map(|d| d.local_addr().to_string());
+    let solved: Vec<u64> = std::thread::scope(|s| {
+        let handles: Vec<_> = addrs
+            .iter()
+            .map(|addr| s.spawn(move || cold_solve_trace(addr)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("solve thread"))
+            .collect()
+    });
+
+    for (own, slo_ms) in [(0, 1), (1, 50)] {
+        let (report, traces, events) = obs_reports(&addrs[own]);
+        assert_eq!(named(&report.gauges, "slo_threshold_ms"), slo_ms);
+        assert_eq!(named(&report.counters, "requests_total"), 1);
+        let ids: std::collections::BTreeSet<u64> = traces.iter().map(|t| t.trace).collect();
+        assert!(
+            ids.contains(&solved[own]),
+            "own solve trace missing: {ids:?}"
+        );
+        for (other, trace) in solved.iter().enumerate() {
+            if other != own {
+                assert!(
+                    !ids.contains(trace),
+                    "daemon {own} holds daemon {other}'s trace"
+                );
+            }
+        }
+        assert!(events.iter().any(|e| e.kind == "batch_form"));
+        for e in events
+            .iter()
+            .filter(|e| e.kind.starts_with("anomaly_") && e.a != 0)
+        {
+            assert!(ids.contains(&e.a), "foreign anomaly {e:?} in daemon {own}");
+        }
+    }
+    // Only daemon A's 1 ms objective flags its cold solve.
+    let (_, _, a_events) = obs_reports(&addrs[0]);
+    assert!(a_events
+        .iter()
+        .any(|e| e.kind == "anomaly_slow" && e.a == solved[0]));
+
+    let (report, traces, events) = obs_reports(&addrs[2]);
+    assert!(report.counters.is_empty() && report.gauges.is_empty());
+    assert!(report.histograms.is_empty());
+    assert!(traces.is_empty() && events.is_empty());
+
+    for daemon in daemons {
+        daemon.shutdown();
+        daemon.wait();
+    }
+}
+
+/// Answers the event loop gives itself — a ping, a line with an unknown
+/// op — finish their traces and count as responses like worker answers.
+#[test]
+fn inline_answers_finish_their_traces_and_count() {
+    let handle = server::start("127.0.0.1:0", tiny_config(1)).expect("bind");
+    let addr = handle.local_addr().to_string();
+    let mut raw = std::net::TcpStream::connect(&addr).expect("connect");
+    let pong = raw_call(&mut raw, r#"{"schema_version":2,"id":6,"op":"ping"}"#);
+    assert!(
+        matches!(Response::parse(&pong), Ok(Response::Pong { id: 6 })),
+        "{pong}"
+    );
+    let bad = raw_call(&mut raw, r#"{"schema_version":2,"id":7,"op":"nope"}"#);
+    assert!(bad.contains("unknown-op"), "{bad}");
+
+    let (report, mut traces, _) = obs_reports(&addr);
+    // Trace ids are minted in request order: ping, the bad line, the
+    // metrics RPC, then the trace RPC that is still being answered.
+    traces.sort_by_key(|t| t.trace);
+    let statuses: Vec<&str> = traces.iter().map(|t| t.status.as_str()).collect();
+    assert_eq!(statuses, ["ok", "unknown-op", "ok", "unknown"]);
+    // Ping and the bad line were answered before the metrics snapshot.
+    assert_eq!(named(&report.counters, "responses_total"), 2);
+    assert_eq!(named(&report.counters, "errors_total"), 1);
+    assert_eq!(named(&report.counters, "requests_total"), 0);
+
     handle.shutdown();
     handle.wait();
 }

@@ -377,10 +377,6 @@ impl SnapshotWriter {
 /// file — last rename wins with a complete image either way.
 pub fn write_file(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     use std::io::Write as _;
-    /// Whole-file snapshot write durations (create + write + fsync +
-    /// rename).
-    static WRITE_SECS: rmsa_obs::LazyHistogram =
-        rmsa_obs::LazyHistogram::new(rmsa_obs::names::STORE_WRITE_SECS);
     static TMP_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
@@ -394,7 +390,7 @@ pub fn write_file(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
         TMP_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     ));
     let io_err = |what: &str, e: std::io::Error| StoreError::Io(format!("{what}: {e}"));
-    let result = WRITE_SECS.time(|| {
+    let result = rmsa_obs::Histogram::StoreWriteSecs.time(|| {
         let mut file =
             std::fs::File::create(&tmp).map_err(|e| io_err("create temp snapshot", e))?;
         file.write_all(bytes)
@@ -415,10 +411,7 @@ pub fn write_file(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
 
 /// Read a snapshot file into memory.
 pub fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
-    /// Whole-file snapshot read durations.
-    static READ_SECS: rmsa_obs::LazyHistogram =
-        rmsa_obs::LazyHistogram::new(rmsa_obs::names::STORE_READ_SECS);
-    READ_SECS.time(|| {
+    rmsa_obs::Histogram::StoreReadSecs.time(|| {
         std::fs::read(path).map_err(|e| StoreError::Io(format!("read {}: {e}", path.display())))
     })
 }
