@@ -9,21 +9,27 @@
 //! the per-advertiser queries at the serving advertiser count, where the
 //! advertiser-major postings skip the other nine advertisers' sets.
 //!
+//! `extend/{1t,2t}` index the TI baselines' collection on flixster-syn
+//! (ten advertisers' TIC sets, one contiguous range each) in one
+//! extension, on one and on two threads: the parallel counting sort,
+//! byte-equal to the serial one.
+//!
 //! Set `RMSA_BENCH_QUICK=1` to shrink the workload for CI smoke runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
 use rmsa_core::{RevenueOracle, RrRevenueEstimator};
+use rmsa_datasets::{Dataset, DatasetKind};
 use rmsa_diffusion::{CoverageIndex, RrArena, RrStrategy, UniformIc, UniformRrSampler};
 use rmsa_graph::generators::barabasi_albert;
 
 fn bench_coverage(c: &mut Criterion) {
     let quick = std::env::var("RMSA_BENCH_QUICK").is_ok();
-    let (num_nodes, theta2) = if quick {
-        (2_000, 8_000)
+    let (num_nodes, theta2, ti_sets) = if quick {
+        (2_000, 8_000, 5_000)
     } else {
-        (10_000, 50_000)
+        (10_000, 50_000, 100_000)
     };
     let theta1 = theta2 / 2;
     let mut rng = Pcg64Mcg::seed_from_u64(3);
@@ -35,14 +41,14 @@ fn bench_coverage(c: &mut Criterion) {
 
     // A warm index over the θ₁ prefix, cloned per iteration below.
     let mut warm = CoverageIndex::new(graph.num_nodes(), 4);
-    warm.extend_to(&arena, theta1);
+    warm.extend_to(&arena, theta1, 1);
 
     let mut group = c.benchmark_group("coverage");
     group.sample_size(20);
     group.bench_function("rebuild_at_theta2", |b| {
         b.iter(|| {
             let mut index = CoverageIndex::new(graph.num_nodes(), 4);
-            index.extend_from(&arena);
+            index.extend_from(&arena, 1);
             index.num_rr()
         });
     });
@@ -51,13 +57,29 @@ fn bench_coverage(c: &mut Criterion) {
             // The clone shares the θ₁ segment; extending indexes only the
             // new θ₂ − θ₁ sets (copy-on-write on the shared columns).
             let mut index = warm.clone();
-            index.extend_from(&arena);
+            index.extend_from(&arena, 1);
             index.num_rr()
         });
     });
+    let h = 10;
+    let dataset = Dataset::build(DatasetKind::FlixsterSyn, h, 0.05, 7);
+    let mut ti_arena = RrArena::new(dataset.graph.num_nodes(), RrStrategy::Standard);
+    let mut ti_rng = Pcg64Mcg::seed_from_u64(4);
+    for ad in 0..h {
+        ti_arena.generate_for(&dataset.graph, &dataset.model, ad, ti_sets, 2, &mut ti_rng);
+    }
+    for threads in [1, 2] {
+        group.bench_function(format!("extend/{threads}t"), |b| {
+            b.iter(|| {
+                let mut index = CoverageIndex::new(ti_arena.num_nodes(), h);
+                index.extend_from(&ti_arena, threads);
+                index.num_rr()
+            });
+        });
+    }
     group.bench_function("estimator_snapshot_from_warm_index", |b| {
         let mut index = CoverageIndex::new(graph.num_nodes(), 4);
-        index.extend_from(&arena);
+        index.extend_from(&arena, 1);
         b.iter(|| RrRevenueEstimator::from_view(index.view(), 5.5).num_rr());
     });
     group.bench_function("build_estimator_from_scratch", |b| {

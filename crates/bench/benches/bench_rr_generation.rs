@@ -16,6 +16,13 @@
 //!   the row for the call and includes that pass, `per_edge` reads the
 //!   model per edge. Below the gate the per-edge path should not lose, at
 //!   it the row kernel should win.
+//! * `tic_flixster/ti_phase1/{1t,2t}` — the TI baselines' Phase 1: every
+//!   advertiser's pilot (2,048 sets) and then the rest of its `tic_sets`,
+//!   one after the other from one RNG, through `generate_for` on one and
+//!   on two threads (the spliced parallel parse; identical sets).
+//! * `tic_flixster/splice_gate/{1t,2t}` — one `generate_for` call of
+//!   `MIN_SPLICED_SETS` sets, the smallest it splits, on one and on two
+//!   threads: at the gate two threads should already win.
 //!
 //! Set `RMSA_BENCH_QUICK=1` to shrink the workload for CI smoke runs.
 
@@ -23,6 +30,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64Mcg;
 use rmsa_datasets::{Dataset, DatasetKind};
+use rmsa_diffusion::arena::MIN_SPLICED_SETS;
 use rmsa_diffusion::{
     ResolvedModel, RrArena, RrGenerator, RrStrategy, UniformRrSampler, WeightedCascade,
 };
@@ -49,7 +57,7 @@ fn bench_rr_generation(c: &mut Criterion) {
                 let mut rng = Pcg64Mcg::seed_from_u64(2);
                 b.iter(|| {
                     let mut arena = RrArena::new(graph.num_nodes(), strategy);
-                    arena.generate_for(&graph, &model, 0, 200, &mut rng);
+                    arena.generate_for(&graph, &model, 0, 200, 1, &mut rng);
                     arena.total_entries()
                 });
             },
@@ -69,7 +77,7 @@ fn bench_rr_generation(c: &mut Criterion) {
             let mut rng = Pcg64Mcg::seed_from_u64(3);
             b.iter(|| {
                 let mut arena = RrArena::new(graph.num_nodes(), strategy);
-                arena.generate_for(graph, model, 0, tic_sets, &mut rng);
+                arena.generate_for(graph, model, 0, tic_sets, 1, &mut rng);
                 arena.total_entries()
             });
         });
@@ -94,6 +102,29 @@ fn bench_rr_generation(c: &mut Criterion) {
                 });
             });
         }
+    }
+    for threads in [1, 2] {
+        group.bench_function(format!("tic_flixster/ti_phase1/{threads}t"), |b| {
+            let mut rng = Pcg64Mcg::seed_from_u64(5);
+            b.iter(|| {
+                let mut arena = RrArena::new(graph.num_nodes(), RrStrategy::Standard);
+                for ad in 0..h {
+                    arena.generate_for(graph, model, ad, 2_048, threads, &mut rng);
+                    arena.generate_for(graph, model, ad, tic_sets - 2_048, threads, &mut rng);
+                }
+                arena.total_entries()
+            });
+        });
+    }
+    for threads in [1, 2] {
+        group.bench_function(format!("tic_flixster/splice_gate/{threads}t"), |b| {
+            let mut rng = Pcg64Mcg::seed_from_u64(6);
+            b.iter(|| {
+                let mut arena = RrArena::new(graph.num_nodes(), RrStrategy::Standard);
+                arena.generate_for(graph, model, 0, MIN_SPLICED_SETS, threads, &mut rng);
+                arena.total_entries()
+            });
+        });
     }
     group.bench_function(
         format!("tic_flixster/generate_parallel_1t/{tic_sets}"),

@@ -299,7 +299,7 @@ pub fn genscale_sweep(
         let mut index = CoverageIndex::new(graph.num_nodes(), ctx.num_ads);
         // One segment for the whole sharded batch: a segment per shard
         // would pay the `h · n` group offsets once per shard.
-        index.extend_from(&arena);
+        index.extend_from(&arena, ctx.threads);
         let index_secs = index_start.elapsed().as_secs_f64();
         let entries = arena.total_entries();
 

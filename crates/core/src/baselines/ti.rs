@@ -13,6 +13,15 @@
 //! by a pilot-sample greedy lower bound, which preserves the `1/ε²` scaling
 //! of the sample size and the conservative budget behaviour without
 //! re-implementing TIM's multi-phase estimator verbatim.
+//!
+//! Every advertiser's sets are drawn from one seeded RNG stream, in order,
+//! so the run is a function of its inputs alone. The stream is generated
+//! on the same thread budget as RMA's shared cache: each
+//! [`RrArena::generate_for`] call splits the stream across the threads and
+//! splices the parses back into exactly the serial sets, and the private
+//! coverage index is built by the same parallel counting sort as a cache
+//! extension. Sets, selections, revenues and `memory_bytes` are the same
+//! at every thread count.
 
 use crate::error::RmError;
 use crate::oracle::marginal_rate;
@@ -104,6 +113,8 @@ pub struct TiResult {
     /// Approximate memory footprint in bytes of the per-ad collections:
     /// their arena plus its coverage index, as RMA's streams are counted.
     pub memory_bytes: usize,
+    /// Wall-clock time of building the coverage index over the arena.
+    pub index_time: Duration,
     /// Wall-clock time of the run.
     pub elapsed: Duration,
 }
@@ -177,12 +188,15 @@ fn check_u32_cap(name: &'static str, count: usize, what: &str) -> Result<(), RmE
 /// used by RMA; their sampling cost is part of what the paper measures
 /// against. Advertiser `i`'s collection is one contiguous range of a
 /// private [`RrArena`], indexed once by a private [`CoverageIndex`].
+/// Generation and indexing run on up to `num_threads` threads; the result
+/// does not depend on how many.
 pub fn ti_baseline<M: PropagationModel + ?Sized>(
     graph: &DirectedGraph,
     model: &M,
     instance: &RmInstance,
     config: &TiConfig,
     rule: TiRule,
+    num_threads: usize,
 ) -> Result<TiResult, RmError> {
     let start = Instant::now();
     let h = instance.num_ads();
@@ -210,7 +224,7 @@ pub fn ti_baseline<M: PropagationModel + ?Sized>(
         // Pilot sample to lower-bound OPT_i.
         let pilot_len = config.pilot_sets.min(config.max_rr_per_ad);
         check_u32_cap("pilot_sets", first + pilot_len, "RR-sets")?;
-        arena.generate_for(graph, model, ad, pilot_len, &mut rng);
+        arena.generate_for(graph, model, ad, pilot_len, num_threads, &mut rng);
         let pilot_cov = pilot_greedy_coverage(&arena, first..arena.len(), k_i).max(1);
         let opt_lb = (n as f64 * pilot_cov as f64 / pilot_len.max(1) as f64).max(1.0);
         // TIM-style sample size with ln C(n, k) ≤ k ln n.
@@ -222,7 +236,7 @@ pub fn ti_baseline<M: PropagationModel + ?Sized>(
         let theta = theta_raw.min(config.max_rr_per_ad);
         capped |= theta < theta_raw;
         check_u32_cap("max_rr_per_ad", first + theta, "RR-sets")?;
-        arena.generate_for(graph, model, ad, theta - pilot_len, &mut rng);
+        arena.generate_for(graph, model, ad, theta - pilot_len, num_threads, &mut rng);
         sets_per_ad.push(theta);
     }
     check_u32_cap("max_rr_per_ad", arena.total_entries(), "member entries")?;
@@ -231,8 +245,10 @@ pub fn ti_baseline<M: PropagationModel + ?Sized>(
     // feasibility, mirroring CA-/CS-Greedy. Postings group `ad · n + u` is
     // advertiser `ad`'s node → sets list; every set belongs to one
     // advertiser, so one bitset holds every advertiser's covered sets.
+    let index_start = Instant::now();
     let mut index = CoverageIndex::new(n, h);
-    index.extend_from(&arena);
+    index.extend_from(&arena, num_threads);
+    let index_time = index_start.elapsed();
     let memory = arena.memory_bytes() + index.memory_bytes();
     let total_rr = arena.len();
     drop(arena);
@@ -253,6 +269,9 @@ pub fn ti_baseline<M: PropagationModel + ?Sized>(
     let mut saturated = vec![false; h];
     let mut assigned = vec![false; n];
     let mut seed_sets: Vec<Vec<NodeId>> = vec![Vec::new(); h];
+    // The exact count behind each refreshed key, by group `ad · n + u`
+    // (a version-0 key's count is the singleton count).
+    let mut refreshed = vec![0u32; n * h];
 
     let mut entries = Vec::with_capacity(n * h);
     for (ad, &ad_scale) in scale.iter().enumerate() {
@@ -277,21 +296,29 @@ pub fn ti_baseline<M: PropagationModel + ?Sized>(
     let mut queue = LazyQueue::from_entries(entries);
 
     while let Some(entry) = queue.pop() {
-        let ad = entry.ad;
-        if saturated[ad] || assigned[entry.node as usize] {
+        let (ad, node) = (entry.ad, entry.node);
+        if saturated[ad] || assigned[node as usize] {
             continue;
         }
-        let marg_count = marginal_count(&covered, ad, entry.node) as f64;
-        let gain = marg_count * scale[ad];
-        let cost = instance.cost(ad, entry.node);
-        let key = match rule {
-            TiRule::CostAgnostic => gain,
-            TiRule::CostSensitive => marginal_rate(gain, cost),
-        };
+        let cost = instance.cost(ad, node);
+        let group = ad * n + node as usize;
         if entry.version != versions[ad] {
-            queue.push(key, entry.node, ad, versions[ad]);
+            let count = marginal_count(&covered, ad, node);
+            refreshed[group] = count as u32;
+            let gain = count as f64 * scale[ad];
+            let key = match rule {
+                TiRule::CostAgnostic => gain,
+                TiRule::CostSensitive => marginal_rate(gain, cost),
+            };
+            queue.push(key, node, ad, versions[ad]);
             continue;
         }
+        // Fresh: the count behind the key is still exact.
+        let marg_count = f64::from(if entry.version == 0 {
+            view.singleton_count(ad, node)
+        } else {
+            refreshed[group]
+        });
         // Conservative feasibility: compare the *upper bound* of the revenue
         // of S_i ∪ {u} (estimate plus a martingale confidence term) against
         // the budget, as TI-CARM/TI-CSRM do.
@@ -299,13 +326,13 @@ pub fn ti_baseline<M: PropagationModel + ?Sized>(
         let ub_revenue =
             (new_cov + (2.0 * q * new_cov).sqrt() + q) * scale[ad].max(f64::MIN_POSITIVE);
         if cost_sums[ad] + cost + ub_revenue <= instance.budget(ad) {
-            view.for_each_rr_of(ad, entry.node, |rr| {
+            view.for_each_rr_of(ad, node, |rr| {
                 covered_counts[ad] += usize::from(covered.set(rr));
             });
             cost_sums[ad] += cost;
             versions[ad] += 1;
-            assigned[entry.node as usize] = true;
-            seed_sets[ad].push(entry.node);
+            assigned[node as usize] = true;
+            seed_sets[ad].push(node);
         } else if rule == TiRule::CostAgnostic {
             saturated[ad] = true;
         }
@@ -318,6 +345,7 @@ pub fn ti_baseline<M: PropagationModel + ?Sized>(
         total_rr_sets: total_rr,
         capped,
         memory_bytes: memory,
+        index_time,
         elapsed: start.elapsed(),
     })
 }
@@ -359,8 +387,8 @@ mod tests {
     fn ti_baselines_return_disjoint_allocations() {
         let (g, m, inst) = setup(3);
         let cfg = quick_config();
-        let carm = ti_baseline(&g, &m, &inst, &cfg, TiRule::CostAgnostic).unwrap();
-        let csrm = ti_baseline(&g, &m, &inst, &cfg, TiRule::CostSensitive).unwrap();
+        let carm = ti_baseline(&g, &m, &inst, &cfg, TiRule::CostAgnostic, 1).unwrap();
+        let csrm = ti_baseline(&g, &m, &inst, &cfg, TiRule::CostSensitive, 1).unwrap();
         assert!(carm.allocation.is_disjoint());
         assert!(csrm.allocation.is_disjoint());
         assert!(carm.total_rr_sets > 0);
@@ -370,7 +398,7 @@ mod tests {
     #[test]
     fn seed_costs_alone_respect_the_budget() {
         let (g, m, inst) = setup(2);
-        let res = ti_baseline(&g, &m, &inst, &quick_config(), TiRule::CostSensitive).unwrap();
+        let res = ti_baseline(&g, &m, &inst, &quick_config(), TiRule::CostSensitive, 1).unwrap();
         for ad in 0..2 {
             let cost = inst.set_cost(ad, res.allocation.seeds(ad));
             assert!(cost <= inst.budget(ad) + 1e-9);
@@ -383,9 +411,9 @@ mod tests {
         let mut cfg = quick_config();
         cfg.max_rr_per_ad = 1_000_000;
         cfg.epsilon = 0.3;
-        let coarse = ti_baseline(&g, &m, &inst, &cfg, TiRule::CostSensitive).unwrap();
+        let coarse = ti_baseline(&g, &m, &inst, &cfg, TiRule::CostSensitive, 1).unwrap();
         cfg.epsilon = 0.1;
-        let fine = ti_baseline(&g, &m, &inst, &cfg, TiRule::CostSensitive).unwrap();
+        let fine = ti_baseline(&g, &m, &inst, &cfg, TiRule::CostSensitive, 1).unwrap();
         assert!(
             fine.total_rr_sets > coarse.total_rr_sets,
             "ε = 0.1 should need more RR-sets ({}) than ε = 0.3 ({})",
@@ -399,7 +427,7 @@ mod tests {
         // The upper-bound check must keep the point-estimate spend strictly
         // below the budget (that is precisely the paper's criticism).
         let (g, m, inst) = setup(2);
-        let res = ti_baseline(&g, &m, &inst, &quick_config(), TiRule::CostSensitive).unwrap();
+        let res = ti_baseline(&g, &m, &inst, &quick_config(), TiRule::CostSensitive, 1).unwrap();
         for ad in 0..2 {
             let seeds = res.allocation.seeds(ad);
             if seeds.is_empty() {
@@ -414,7 +442,7 @@ mod tests {
     /// generates one.
     fn pilot(g: &DirectedGraph, m: &UniformIc, sets: usize, seed: u64) -> RrArena {
         let mut arena = RrArena::new(g.num_nodes(), RrStrategy::Standard);
-        arena.generate_for(g, m, 0, sets, &mut Pcg64Mcg::seed_from_u64(seed));
+        arena.generate_for(g, m, 0, sets, 1, &mut Pcg64Mcg::seed_from_u64(seed));
         arena
     }
 
@@ -481,7 +509,7 @@ mod tests {
             // for every advertiser but the first.
             let mut arena = pilot(&g, &m, 37, seed);
             let from = arena.len();
-            arena.generate_for(&g, &m, 0, 300, &mut Pcg64Mcg::seed_from_u64(seed + 10));
+            arena.generate_for(&g, &m, 0, 300, 1, &mut Pcg64Mcg::seed_from_u64(seed + 10));
             let range = from..arena.len();
             for k in 1..=n + 1 {
                 assert_eq!(
@@ -505,7 +533,7 @@ mod tests {
         cfg.epsilon = 1e-6;
         cfg.pilot_sets = 64;
         cfg.max_rr_per_ad = u32::MAX as usize + 1;
-        let err = ti_baseline(&g, &m, &inst, &cfg, TiRule::CostSensitive).unwrap_err();
+        let err = ti_baseline(&g, &m, &inst, &cfg, TiRule::CostSensitive, 1).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -518,7 +546,7 @@ mod tests {
         );
         cfg.epsilon = 0.3;
         cfg.pilot_sets = u32::MAX as usize + 1;
-        let err = ti_baseline(&g, &m, &inst, &cfg, TiRule::CostSensitive).unwrap_err();
+        let err = ti_baseline(&g, &m, &inst, &cfg, TiRule::CostSensitive, 1).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -534,7 +562,7 @@ mod tests {
     #[test]
     fn memory_counts_the_arena_and_its_index() {
         let (g, m, inst) = setup(2);
-        let res = ti_baseline(&g, &m, &inst, &quick_config(), TiRule::CostAgnostic).unwrap();
+        let res = ti_baseline(&g, &m, &inst, &quick_config(), TiRule::CostAgnostic, 1).unwrap();
         // Every set holds at least its root: one u32 member, one usize
         // offset, one u32 advertiser and one u32 posting.
         let per_set = 3 * std::mem::size_of::<u32>() + std::mem::size_of::<usize>();

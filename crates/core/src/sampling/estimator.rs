@@ -46,7 +46,7 @@ impl RrRevenueEstimator {
     pub fn new(arena: &RrArena, num_ads: usize, gamma: f64) -> Self {
         assert!(num_ads > 0);
         let mut index = CoverageIndex::new(arena.num_nodes(), num_ads);
-        index.extend_from(arena);
+        index.extend_from(arena, 1);
         Self::from_view(index.view(), gamma)
     }
 
@@ -276,10 +276,10 @@ mod tests {
         let mut rng = Pcg64Mcg::seed_from_u64(31);
         arena.generate(&g, &m, &sampler, 5_000, &mut rng);
         let mut index = CoverageIndex::new(g.num_nodes(), 2);
-        index.extend_from(&arena);
+        index.extend_from(&arena, 1);
         let est1 = RrRevenueEstimator::from_view(index.view(), sampler.gamma());
         arena.generate(&g, &m, &sampler, 5_000, &mut rng);
-        index.extend_from(&arena);
+        index.extend_from(&arena, 1);
         let est2 = RrRevenueEstimator::from_view(index.view(), sampler.gamma());
         let fresh = RrRevenueEstimator::new(&arena, 2, sampler.gamma());
         assert_eq!(est1.num_rr(), 5_000);

@@ -471,7 +471,7 @@ fn ti_report(
         // The TI baselines own all their sample structures on the heap —
         // nothing is borrowed from a mapped snapshot.
         mapped_bytes: 0,
-        index_time: Duration::ZERO,
+        index_time: result.index_time,
         loaded_from_snapshot: 0,
         snapshot_load_time: Duration::ZERO,
         elapsed: result.elapsed,
@@ -525,6 +525,7 @@ impl Solver for TiCarm {
             &instance,
             &self.config,
             TiRule::CostAgnostic,
+            ctx.cache.num_threads(),
         )?;
         Ok(ti_report(self.name(), ctx, result))
     }
@@ -570,6 +571,7 @@ impl Solver for TiCsrm {
             &instance,
             &self.config,
             TiRule::CostSensitive,
+            ctx.cache.num_threads(),
         )?;
         Ok(ti_report(self.name(), ctx, result))
     }
@@ -670,6 +672,10 @@ mod tests {
             assert_eq!(report.solver, solver.name());
             assert!(report.seeding_cost >= 0.0);
             assert!(!report.summary().is_empty());
+            if report.solver.starts_with("TI-") {
+                // The private index over every generated set took time.
+                assert!(report.index_time > Duration::ZERO, "{}", report.solver);
+            }
         }
         // The sampled solvers shared the cache's optimize stream: total
         // generation is bounded by the largest request, not the sum.

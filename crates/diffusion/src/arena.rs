@@ -31,6 +31,16 @@
 //! and shards concatenate in order — so the result is bit-identical to
 //! unsharded generation for any shard count.
 //!
+//! [`RrArena::generate_for`] cannot key chunks: its sets are one parse of
+//! the caller's RNG stream (the TI baselines' pinned per-advertiser
+//! collections). It runs on several threads all the same, by speculating
+//! on later stretches of the stream and splicing each parse in where it
+//! joins the true one (see the `splice` module); the sets, the next draw
+//! and the footprint are the serial loop's at every thread count.
+//! [`CoverageIndex::extend_to`] builds a segment by a counting sort over
+//! contiguous ranges of sets, one per thread, byte-equal at every thread
+//! count too.
+//!
 //! All three arena columns and both CSR columns of every coverage segment
 //! are [`rmsa_store::Column`]s: owned when generated or decoded from
 //! in-memory bytes, borrowed zero-copy when restored from an aligned v2
@@ -44,13 +54,28 @@ use rand_pcg::Pcg64Mcg;
 use rmsa_graph::{DirectedGraph, NodeId};
 use rmsa_store::Column;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// RR-sets per generation chunk. Each chunk owns an RNG derived from
 /// `(seed, chunk_index)`, making parallel generation a deterministic
 /// function of `(seed, count)` regardless of the worker-thread count.
 pub const GENERATION_CHUNK: usize = 1024;
+
+/// Fewest sets a [`RrArena::generate_for`] call splits across threads;
+/// smaller calls draw serially. On flixster-syn's TIC rows (about 13
+/// draws and 80–100 ns a set), two threads lost to one up to 4,096 sets,
+/// broke even around 8,192 and won by 1.1–1.4× at 16,384 and 1.5–1.9× at
+/// 100,000 (2 vCPUs; `bench_rr_generation`'s `tic_flixster/splice_gate`
+/// points time both sides).
+pub const MIN_SPLICED_SETS: usize = 16_384;
+
+/// Fewest member entries a thread of [`CoverageIndex::extend_to`] indexes;
+/// a smaller extension is indexed on fewer threads, down to one. On the
+/// TI baselines' flixster-syn index (15,000 groups), two threads broke
+/// even at about 25,000 entries and ran 1.8–1.9× faster from 120,000 on
+/// (`bench_coverage`'s `extend` points).
+const MIN_INDEX_ENTRIES_PER_THREAD: usize = 1 << 15;
 
 /// Columnar store of RR-sets: flat member buffer + CSR offsets + a
 /// parallel advertiser column. Append-only; set `i`'s members are
@@ -224,20 +249,33 @@ impl RrArena {
     }
 
     /// Append `count` RR-sets for the fixed advertiser `ad`, drawing each
-    /// root and then its reverse BFS from the caller's `rng`. This is the
-    /// per-advertiser collection of the TI baselines: the sets of one
-    /// advertiser occupy one contiguous id range.
-    pub fn generate_for<M: PropagationModel + ?Sized, R: Rng>(
+    /// root and then its reverse BFS from the caller's `rng`, and leave
+    /// `rng` after the last draw. This is the per-advertiser collection of
+    /// the TI baselines: the sets of one advertiser occupy one contiguous
+    /// id range.
+    ///
+    /// The sets are one parse of `rng`'s stream, whatever `num_threads`
+    /// is: with one thread (or fewer than [`MIN_SPLICED_SETS`] sets) the
+    /// loop draws them in order; with more, threads parse later stretches
+    /// of the stream speculatively and the calling thread splices them in
+    /// where they join its own parse (see the `splice` module). Sets, the
+    /// next draw and `memory_bytes` are identical either way.
+    pub fn generate_for<M: PropagationModel + ?Sized>(
         &mut self,
         graph: &DirectedGraph,
         model: &M,
         ad: AdId,
         count: usize,
-        rng: &mut R,
+        num_threads: usize,
+        rng: &mut Pcg64Mcg,
     ) {
         let source = ResolvedModel::new(graph, model, self.strategy, [ad], count);
-        let mut gen = RrGenerator::new(graph.num_nodes(), self.strategy);
         self.reserve_for(count);
+        if num_threads > 1 && count >= MIN_SPLICED_SETS {
+            self.generate_spliced(&source, ad, count, num_threads, rng);
+            return;
+        }
+        let mut gen = RrGenerator::new(graph.num_nodes(), self.strategy);
         for _ in 0..count {
             self.emit_for(&source, ad, &mut gen, rng);
         }
@@ -310,29 +348,25 @@ impl RrArena {
         }
         let strategy = self.strategy;
         let next = AtomicUsize::new(chunk_from);
-        let produced = parking_lot::Mutex::new(Vec::with_capacity(chunk_to - chunk_from));
-        std::thread::scope(|scope| {
-            for _ in 0..num_threads {
-                let next = &next;
-                let produced = &produced;
-                scope.spawn(move || {
-                    let mut gen = RrGenerator::new(graph.num_nodes(), strategy);
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= chunk_to {
-                            break;
-                        }
-                        let mut chunk = Chunk::with_capacity(chunk_len(k));
-                        let mut rng = chunk_rng(seed, k);
-                        for _ in 0..chunk_len(k) {
-                            chunk.emit_one(source, sampler, &mut gen, &mut rng);
-                        }
-                        produced.lock().push((k, chunk));
-                    }
-                });
+        let mut produced: Vec<(usize, Chunk)> = fork(0..num_threads, |_| {
+            let mut gen = RrGenerator::new(graph.num_nodes(), strategy);
+            let mut mine = Vec::new();
+            loop {
+                let k = next.fetch_add(1, Ordering::Relaxed);
+                if k >= chunk_to {
+                    return mine;
+                }
+                let mut chunk = Chunk::with_capacity(chunk_len(k));
+                let mut rng = chunk_rng(seed, k);
+                for _ in 0..chunk_len(k) {
+                    chunk.emit_one(source, sampler, &mut gen, &mut rng);
+                }
+                mine.push((k, chunk));
             }
-        });
-        let mut produced = produced.into_inner();
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         produced.sort_unstable_by_key(|(k, _)| *k);
         for (_, chunk) in produced {
             self.append_chunk(chunk);
@@ -344,15 +378,15 @@ impl RrArena {
         self.offsets.to_mut().reserve(count);
     }
 
-    fn emit_for<M: PropagationModel + ?Sized, R: Rng>(
+    /// Append the set that starts at `rng`'s position.
+    pub(crate) fn emit_for<M: PropagationModel + ?Sized, R: Rng>(
         &mut self,
         source: &ResolvedModel<'_, M>,
         ad: AdId,
         gen: &mut RrGenerator,
         rng: &mut R,
     ) {
-        let root = rng.gen_range(0..source.graph().num_nodes() as NodeId);
-        gen.generate_rooted_into(source, ad, root, rng, self.nodes.to_mut());
+        gen.draw_into(source, ad, rng, self.nodes.to_mut());
         self.offsets.push(self.nodes.len());
         // Ads are `< num_ads`, far below u32::MAX.
         self.ads.push(ad as u32);
@@ -442,31 +476,17 @@ impl RrArena {
             let strategy = self.strategy;
             let per_shard_threads = (num_threads.max(1) / spans.len().max(1)).max(1);
             let source = &ResolvedModel::new(graph, model, strategy, 0..sampler.num_ads(), count);
-            let shards: Vec<RrArena> = std::thread::scope(|scope| {
-                let handles: Vec<_> = spans
-                    .iter()
-                    .map(|&span| {
-                        scope.spawn(move || {
-                            let mut shard = RrArena::new(graph.num_nodes(), strategy);
-                            shard.generate_chunks(
-                                source,
-                                sampler,
-                                count,
-                                span.chunk_from..span.chunk_to,
-                                per_shard_threads,
-                                seed,
-                            );
-                            shard
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(shard) => shard,
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .collect()
+            let shards = fork(spans, |span| {
+                let mut shard = RrArena::new(graph.num_nodes(), strategy);
+                shard.generate_chunks(
+                    source,
+                    sampler,
+                    count,
+                    span.chunk_from..span.chunk_to,
+                    per_shard_threads,
+                    seed,
+                );
+                shard
             });
             for shard in &shards {
                 self.append_arena(shard);
@@ -551,8 +571,7 @@ impl Chunk {
         rng: &mut R,
     ) {
         let ad = sampler.sample_ad(rng);
-        let root = rng.gen_range(0..source.graph().num_nodes() as NodeId);
-        gen.generate_rooted_into(source, ad, root, rng, &mut self.nodes);
+        gen.draw_into(source, ad, rng, &mut self.nodes);
         self.ends.push(self.nodes.len());
         // Sampled ads are `< num_ads`, far below u32::MAX.
         self.ads.push(ad as u32);
@@ -561,6 +580,29 @@ impl Chunk {
 
 fn chunk_rng(seed: u64, chunk: usize) -> Pcg64Mcg {
     Pcg64Mcg::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(chunk as u64 + 1))
+}
+
+/// Run `f` on every input, the first on the calling thread and each of
+/// the others on a scoped thread of its own; the outputs come back in
+/// input order, and a panic in any of them resumes on the caller.
+fn fork<I: Send, O: Send>(
+    inputs: impl IntoIterator<Item = I>,
+    f: impl Fn(I) -> O + Sync,
+) -> Vec<O> {
+    let mut inputs = inputs.into_iter();
+    let Some(first) = inputs.next() else {
+        return Vec::new();
+    };
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = inputs.map(|input| scope.spawn(move || f(input))).collect();
+        let mut outputs = vec![f(first)];
+        outputs.extend(handles.into_iter().map(|h| match h.join() {
+            Ok(output) => output,
+            Err(payload) => std::panic::resume_unwind(payload),
+        }));
+        outputs
+    })
 }
 
 /// One immutable CSR block of the inverted index, covering RR-sets
@@ -669,16 +711,26 @@ impl CoverageIndex {
 
     /// Index every set the arena holds beyond the current position, in one
     /// segment (a sharded extension is indexed here once, after its shards
-    /// were merged into the arena). Returns the number of newly indexed
-    /// sets.
-    pub fn extend_from(&mut self, arena: &RrArena) -> usize {
-        self.extend_to(arena, arena.len())
+    /// were merged into the arena), on up to `num_threads` threads.
+    /// Returns the number of newly indexed sets.
+    pub fn extend_from(&mut self, arena: &RrArena, num_threads: usize) -> usize {
+        self.extend_to(arena, arena.len(), num_threads)
     }
 
     /// Index arena sets `[self.num_rr(), upto)`, appending one immutable
     /// segment; already-indexed sets are never revisited. Returns the
     /// number of newly indexed sets.
-    pub fn extend_to(&mut self, arena: &RrArena, upto: usize) -> usize {
+    ///
+    /// A counting sort keyed by group `ad · n + u`, over contiguous ranges
+    /// of the new sets, one per thread. Each range counts its group sizes;
+    /// the counts are prefix-summed group by group and, within a group,
+    /// range by range; each range then writes its postings from its own
+    /// cursors. A range's postings of a group follow those of the ranges
+    /// before it, so ids ascend within every group and the segment is
+    /// byte-equal for any `num_threads`. Each range must hold at least
+    /// 32,768 member entries, and no fewer than there are groups, to repay
+    /// its private counts.
+    pub fn extend_to(&mut self, arena: &RrArena, upto: usize, num_threads: usize) -> usize {
         assert_eq!(
             arena.num_nodes(),
             self.num_nodes,
@@ -702,41 +754,62 @@ impl CoverageIndex {
              (split the request into smaller extensions)"
         );
 
-        // Counting sort keyed by group `ad · n + u`. Pass 1 (fused): group
-        // sizes plus the singleton-count bumps, one walk over the new sets.
-        // `to_mut` promotes a column still borrowed from a snapshot mapping
-        // to owned before writing.
         let n = self.num_nodes;
         let groups = self.num_ads * n;
-        let singleton = Arc::make_mut(&mut self.singleton).to_mut();
-        let mut offsets = vec![0u32; groups + 1];
-        for i in from..to {
+        let per_thread = groups.max(MIN_INDEX_ENTRIES_PER_THREAD);
+        let threads = (segment_entries / per_thread).clamp(1, num_threads.max(1));
+        let ranges = (0..threads).map(|t| {
+            let span = to - from;
+            from + span * t / threads..from + span * (t + 1) / threads
+        });
+        let group_of = |i: usize| {
             let ad = arena.ad_of(i);
             debug_assert!(ad < self.num_ads, "advertiser id out of range");
-            let base = ad * n;
-            for &u in arena.nodes_of(i) {
-                offsets[base + u as usize + 1] += 1;
-                singleton[base + u as usize] += 1;
+            ad * n
+        };
+        // Pass 1: each range's group sizes.
+        let mut cursors = fork(ranges.clone(), |sets| {
+            let mut counts = vec![0u32; groups];
+            for i in sets {
+                let base = group_of(i);
+                for &u in arena.nodes_of(i) {
+                    counts[base + u as usize] += 1;
+                }
             }
-        }
+            counts
+        });
+        // Prefix sums, group-major then range-major, turn each range's
+        // counts into its write cursors; a group's total bumps its
+        // singleton count. `to_mut` promotes a column still borrowed from
+        // a snapshot mapping to owned before writing.
+        let singleton = Arc::make_mut(&mut self.singleton).to_mut();
+        let mut offsets = vec![0u32; groups + 1];
+        let mut next = 0u32;
         for g in 0..groups {
-            offsets[g + 1] += offsets[g];
-        }
-        // Pass 2: fill the groups in RR order, so ids ascend within each,
-        // using `offsets[g]` as group g's cursor. That leaves `offsets[g]`
-        // at group g's end, so one shift restores the starts — no second
-        // offsets-sized buffer.
-        let mut entries = vec![0u32; segment_entries];
-        for i in from..to {
-            let base = arena.ad_of(i) * n;
-            for &u in arena.nodes_of(i) {
-                let c = &mut offsets[base + u as usize];
-                entries[*c as usize] = i as u32;
-                *c += 1;
+            offsets[g] = next;
+            for cursor in &mut cursors {
+                let count = cursor[g];
+                cursor[g] = next;
+                next += count;
             }
+            singleton[g] += next - offsets[g];
         }
-        offsets.copy_within(0..groups, 1);
-        offsets[0] = 0;
+        offsets[groups] = next;
+        // Pass 2: each range writes its postings at its own cursors. The
+        // ranges write disjoint slots and the scope joins every thread
+        // before the entries are read, so relaxed stores suffice.
+        let entries: Vec<AtomicU32> = (0..segment_entries).map(|_| AtomicU32::new(0)).collect();
+        fork(ranges.zip(cursors), |(sets, mut cursor)| {
+            for i in sets {
+                let base = group_of(i);
+                for &u in arena.nodes_of(i) {
+                    let c = &mut cursor[base + u as usize];
+                    entries[*c as usize].store(i as u32, Ordering::Relaxed);
+                    *c += 1;
+                }
+            }
+        });
+        let entries: Vec<u32> = entries.into_iter().map(AtomicU32::into_inner).collect();
         self.segments.push(Arc::new(CoverageSegment {
             rr_base: from as u32,
             num_sets: (to - from) as u32,
@@ -966,7 +1039,7 @@ impl CoverBitset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::{UniformIc, WeightedCascade};
+    use crate::models::{MaterializedModel, UniformIc, WeightedCascade};
     use rmsa_graph::generators::barabasi_albert;
     use rmsa_graph::graph_from_edges;
 
@@ -985,7 +1058,7 @@ mod tests {
         let mut arena = RrArena::new(g.num_nodes(), RrStrategy::Standard);
         arena.push_set(0, &[5]);
         let mut r = rng();
-        arena.generate_for(&g, &m, 2, 40, &mut r);
+        arena.generate_for(&g, &m, 2, 40, 1, &mut r);
         assert_eq!(arena.len(), 41);
 
         let mut expected = rng();
@@ -1003,6 +1076,51 @@ mod tests {
             rand::RngCore::next_u64(&mut r),
             rand::RngCore::next_u64(&mut expected)
         );
+    }
+
+    /// `generate_for` on 2–5 threads appends the serial loop's sets,
+    /// leaves the RNG where the loop leaves it and has its footprint: on
+    /// TIC rows, on the row-less per-edge path and under SUBSIM's jumps,
+    /// below and above the splice gate, into an arena already holding
+    /// another advertiser's sets.
+    #[test]
+    fn spliced_generate_for_is_the_serial_loop_at_every_thread_count() {
+        let mut graph_rng = rng();
+        let g = barabasi_albert(400, 4, &mut graph_rng);
+        let rows = (0..2)
+            .map(|_| {
+                (0..g.num_edges())
+                    .map(|_| match graph_rng.gen_range(0..5u32) {
+                        0 => 0.0,
+                        _ => graph_rng.gen_range(0.0f32..0.4),
+                    })
+                    .collect()
+            })
+            .collect();
+        let tic = MaterializedModel::from_rows(rows);
+        let uniform = UniformIc::new(2, 0.15);
+        let models: [(&str, &dyn PropagationModel); 2] = [("tic", &tic), ("per-edge", &uniform)];
+        for strategy in [RrStrategy::Standard, RrStrategy::Subsim] {
+            for (name, model) in models {
+                for count in [MIN_SPLICED_SETS - 1, 2 * MIN_SPLICED_SETS + 17] {
+                    let run = |threads| {
+                        let mut arena = RrArena::new(g.num_nodes(), strategy);
+                        let mut r = Pcg64Mcg::seed_from_u64(count as u64);
+                        arena.generate_for(&g, model, 0, 100, threads, &mut r);
+                        arena.generate_for(&g, model, 1, count, threads, &mut r);
+                        (arena, rand::RngCore::next_u64(&mut r))
+                    };
+                    let (serial, serial_next) = run(1);
+                    for threads in 2..=5 {
+                        let (spliced, next) = run(threads);
+                        let what = format!("{name}, {strategy:?}, {count} sets, {threads} threads");
+                        assert_eq!(collect_sets(&spliced), collect_sets(&serial), "{what}");
+                        assert_eq!(next, serial_next, "{what}: next draw");
+                        assert_eq!(spliced.memory_bytes(), serial.memory_bytes(), "{what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1115,9 +1233,9 @@ mod tests {
         unsharded.generate_parallel(&g, &m, &sampler, count, 2, 17);
 
         let mut sharded_index = CoverageIndex::new(g.num_nodes(), 2);
-        assert_eq!(sharded_index.extend_from(&sharded), count);
+        assert_eq!(sharded_index.extend_from(&sharded, 1), count);
         let mut fresh = CoverageIndex::new(g.num_nodes(), 2);
-        fresh.extend_from(&unsharded);
+        fresh.extend_from(&unsharded, 1);
         assert_eq!(sharded_index.num_segments(), 1);
         assert_eq!(sharded_index.num_rr(), count);
         let (a, b) = (&sharded_index.segments[0], &fresh.segments[0]);
@@ -1125,6 +1243,39 @@ mod tests {
         assert_eq!(a.entries[..], b.entries[..]);
         assert_eq!(sharded_index.singleton[..], fresh.singleton[..]);
         assert_eq!(sharded_index.memory_bytes(), fresh.memory_bytes());
+    }
+
+    /// The index side of thread-count independence: an extension indexed
+    /// on 2–5 threads, onto a warm segment, is byte-equal to the one
+    /// indexed on one thread.
+    #[test]
+    fn parallel_extension_indexes_byte_equal_to_serial() {
+        let mut graph_rng = rng();
+        let g = barabasi_albert(2_000, 3, &mut graph_rng);
+        let m = UniformIc::new(3, 0.2);
+        let sampler = UniformRrSampler::new(&[1.0, 2.0, 1.5]);
+        let mut arena = RrArena::new(g.num_nodes(), RrStrategy::Standard);
+        arena.generate_parallel(&g, &m, &sampler, 100_000, 2, 23);
+        let warm = 3_000;
+        assert!(arena.nodes_of_range(warm, arena.len()).len() >= 5 * MIN_INDEX_ENTRIES_PER_THREAD);
+        let index_on = |threads| {
+            let mut index = CoverageIndex::new(g.num_nodes(), 3);
+            index.extend_to(&arena, warm, threads);
+            index.extend_from(&arena, threads);
+            index
+        };
+        let serial = index_on(1);
+        for threads in 2..=5 {
+            let parallel = index_on(threads);
+            assert_eq!(parallel.num_segments(), 2);
+            for (a, b) in parallel.segments.iter().zip(&serial.segments) {
+                assert_eq!((a.rr_base, a.num_sets), (b.rr_base, b.num_sets));
+                assert_eq!(a.offsets[..], b.offsets[..], "{threads} threads");
+                assert_eq!(a.entries[..], b.entries[..], "{threads} threads");
+            }
+            assert_eq!(parallel.singleton[..], serial.singleton[..]);
+            assert_eq!(parallel.memory_bytes(), serial.memory_bytes());
+        }
     }
 
     /// The advertiser-major layout, stated per posting group: across the
@@ -1165,9 +1316,9 @@ mod tests {
                 let mut arena = RrArena::new(graph.num_nodes(), strategy);
                 let mut index = CoverageIndex::new(graph.num_nodes(), num_ads);
                 arena.generate_parallel(graph, &model, &sampler, 600, 2, 3);
-                index.extend_from(&arena);
+                index.extend_from(&arena, 1);
                 arena.generate_parallel(graph, &model, &sampler, 500, 2, 4);
-                index.extend_from(&arena);
+                index.extend_from(&arena, 1);
                 assert_eq!(index.num_segments(), 2);
 
                 let mut w = SnapshotWriter::new();
@@ -1265,7 +1416,7 @@ mod tests {
         let mut arena = RrArena::new(2, RrStrategy::Standard);
         arena.generate(&g, &m, &sampler, 2000, &mut rng());
         let mut index = CoverageIndex::new(2, 2);
-        index.extend_from(&arena);
+        index.extend_from(&arena, 1);
         let view = index.view();
         assert_eq!(view.num_rr(), 2000);
         // Node 0 reverse-reaches every root, so seeding node 0 for ad 0
@@ -1288,7 +1439,7 @@ mod tests {
         let mut arena = RrArena::new(2, RrStrategy::Standard);
         arena.generate(&g, &m, &sampler, 1000, &mut rng());
         let mut index = CoverageIndex::new(2, 2);
-        index.extend_from(&arena);
+        index.extend_from(&arena, 1);
         let view = index.view();
         let alloc = vec![vec![0], vec![0]];
         // Node 0 covers every RR-set regardless of which ad it belongs to.
@@ -1309,10 +1460,10 @@ mod tests {
 
         // Index the θ₁ prefix, snapshot, then extend to θ₂.
         let mut index = CoverageIndex::new(g.num_nodes(), 2);
-        assert_eq!(index.extend_to(&arena, 1500), 1500);
+        assert_eq!(index.extend_to(&arena, 1500, 1), 1500);
         let theta1_view = index.view();
         arena.generate_parallel(&g, &m, &sampler, 1500, 2, 13);
-        assert_eq!(index.extend_from(&arena), 1500);
+        assert_eq!(index.extend_from(&arena, 1), 1500);
         assert_eq!(index.num_segments(), 2);
         let theta2_view = index.view();
 
@@ -1326,7 +1477,7 @@ mod tests {
 
         // Counts at θ₂ equal a from-scratch single-segment build.
         let mut fresh = CoverageIndex::new(g.num_nodes(), 2);
-        fresh.extend_from(&arena);
+        fresh.extend_from(&arena, 1);
         assert_eq!(fresh.num_segments(), 1);
         let fresh_view = fresh.view();
         for ad in 0..2 {
@@ -1358,14 +1509,14 @@ mod tests {
         let mut arena = RrArena::new(2, RrStrategy::Standard);
         arena.generate(&g, &m, &sampler, 400, &mut rng());
         let mut index = CoverageIndex::new(2, 1);
-        index.extend_from(&arena);
+        index.extend_from(&arena, 1);
         let early = index.view();
         let early_count = early.coverage_count(0, &[0]);
         assert_eq!(early_count, 400);
         // Extending while `early` is alive must copy-on-write the shared
         // columns instead of corrupting the snapshot.
         arena.generate(&g, &m, &sampler, 600, &mut rng());
-        index.extend_from(&arena);
+        index.extend_from(&arena, 1);
         assert_eq!(early.coverage_count(0, &[0]), early_count);
         assert_eq!(early.singleton_count(0, 0), 400);
         assert_eq!(index.view().coverage_count(0, &[0]), 1000);
@@ -1394,9 +1545,9 @@ mod tests {
         // Singleton coverage counts (normalised per collection size) must
         // agree node by node.
         let mut idx_a = CoverageIndex::new(g.num_nodes(), 2);
-        idx_a.extend_from(&standard);
+        idx_a.extend_from(&standard, 1);
         let mut idx_b = CoverageIndex::new(g.num_nodes(), 2);
-        idx_b.extend_from(&subsim);
+        idx_b.extend_from(&subsim, 1);
         let (va, vb) = (idx_a.view(), idx_b.view());
         let mut total_gap = 0.0f64;
         for ad in 0..2usize {
@@ -1420,7 +1571,7 @@ mod tests {
         assert!(arena.is_empty());
         assert_eq!(arena.mean_size(), 0.0);
         let mut index = CoverageIndex::new(5, 2);
-        assert_eq!(index.extend_from(&arena), 0);
+        assert_eq!(index.extend_from(&arena, 1), 0);
         let view = index.view();
         assert_eq!(view.num_rr(), 0);
         assert_eq!(view.coverage_count(0, &[1, 2]), 0);
@@ -1457,7 +1608,7 @@ mod tests {
     /// is decided by the node and advertiser tie-breaks.
     fn tie_heavy_index(seed: u64, sets: usize) -> CoverageIndex {
         let mut index = CoverageIndex::new(200, 3);
-        index.extend_from(&tie_heavy_arena(seed, sets));
+        index.extend_from(&tie_heavy_arena(seed, sets), 1);
         index
     }
 
@@ -1493,7 +1644,7 @@ mod tests {
         // A second segment over fresh sets: the counts change.
         let mut arena = tie_heavy_arena(5, 150);
         arena.append_arena(&tie_heavy_arena(6, 400));
-        index.extend_from(&arena);
+        index.extend_from(&arena, 1);
         let late = index.view();
         // The early view keeps its own order; the late one is sorted anew.
         assert_eq!(early.singleton_order(), early_order);

@@ -254,6 +254,12 @@ impl RrCache {
         self.strategy
     }
 
+    /// Threads every generation and index extension may use; solvers that
+    /// sample outside the cache (the TI baselines) take their budget here.
+    pub fn num_threads(&self) -> usize {
+        self.num_threads
+    }
+
     /// Snapshot of the accounting counters, with the current
     /// resident/mapped memory split filled in.
     pub fn stats(&self) -> RrCacheStats {
@@ -621,7 +627,7 @@ impl RrCache {
         // fully warm stream reports exactly zero index time (not timer
         // noise), so "no index work" is testable as `== Duration::ZERO`.
         let index_span = Span::child(names::INDEX);
-        let index_extended = state.index.extend_from(&state.arena);
+        let index_extended = state.index.extend_from(&state.arena, self.num_threads);
         let index_measured = index_span.finish();
         let index_extend_time = if index_extended == 0 {
             Duration::ZERO

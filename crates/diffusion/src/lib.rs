@@ -35,6 +35,7 @@ pub mod rr;
 pub mod sampler;
 pub mod simulate;
 pub mod snapshot;
+mod splice;
 
 pub use arena::{
     shard_plan, CoverBitset, CoverageIndex, CoverageSegment, CoverageView, RrArena, RrSetRef,

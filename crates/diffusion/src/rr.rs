@@ -312,6 +312,20 @@ impl RrGenerator {
         out.len() - start
     }
 
+    /// Draw a uniform root from `rng`, then its set, appending the members
+    /// to `out` as [`Self::generate_rooted_into`] does: one set of a
+    /// stream parsed into sets.
+    pub(crate) fn draw_into<M: PropagationModel + ?Sized, R: Rng>(
+        &mut self,
+        source: &ResolvedModel<'_, M>,
+        ad: AdId,
+        rng: &mut R,
+        out: &mut Vec<NodeId>,
+    ) {
+        let root = rng.gen_range(0..source.graph.num_nodes() as NodeId);
+        self.generate_rooted_into(source, ad, root, rng, out);
+    }
+
     #[inline]
     fn try_visit(&mut self, u: NodeId, out: &mut Vec<NodeId>) {
         let seen = &mut self.visited[u as usize];

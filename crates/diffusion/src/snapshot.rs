@@ -462,9 +462,9 @@ mod tests {
                     let mut index = CoverageIndex::new(graph.num_nodes(), 2);
                     // Two extensions, so segment history is non-trivial.
                     arena.generate_parallel(graph, &model, &sampler, 400, 2, seed ^ 0xA1);
-                    index.extend_from(&arena);
+                    index.extend_from(&arena, 1);
                     arena.generate_parallel(graph, &model, &sampler, 300, 2, seed ^ 0xB2);
-                    index.extend_from(&arena);
+                    index.extend_from(&arena, 1);
 
                     let serialize =
                         |g: &rmsa_graph::DirectedGraph, a: &RrArena, i: &CoverageIndex| {
@@ -559,7 +559,7 @@ mod tests {
                 let mut arena = RrArena::new(graph.num_nodes(), strategy);
                 let mut index = CoverageIndex::new(graph.num_nodes(), 2);
                 arena.generate_parallel(graph, &model, &sampler, 500, 2, 91);
-                index.extend_from(&arena);
+                index.extend_from(&arena, 1);
 
                 let mut w = SnapshotWriter::new();
                 rmsa_graph::snapshot::write_graph(graph, w.section(section::GRAPH));
@@ -674,9 +674,9 @@ mod tests {
         let m = crate::models::WeightedCascade::new(&g, 2);
         let sampler = UniformRrSampler::new(&[1.0, 2.0]);
         let mut index = CoverageIndex::new(g.num_nodes(), 2);
-        index.extend_to(&arena, 700);
+        index.extend_to(&arena, 700, 1);
         arena.generate_parallel(&g, &m, &sampler, 800, 2, 78);
-        index.extend_from(&arena);
+        index.extend_from(&arena, 1);
         assert_eq!(index.num_segments(), 2);
 
         let mut w = SnapshotWriter::new();

@@ -53,7 +53,7 @@ fn rr_sets_only_contain_reverse_reachable_nodes() {
         let g = graph_from_edges(n, &edges);
         let m = UniformIc::new(1, 0.7);
         let mut arena = RrArena::new(n, RrStrategy::Standard);
-        arena.generate_for(&g, &m, 0, 1, &mut rng);
+        arena.generate_for(&g, &m, 0, 1, 1, &mut rng);
         let rr = arena.set(0);
         // Every member must reverse-reach the root in the *deterministic*
         // graph (a superset of any sampled world).

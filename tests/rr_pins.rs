@@ -45,7 +45,8 @@ fn sampler(h: usize) -> UniformRrSampler {
     UniformRrSampler::new(&cpe)
 }
 
-/// `(digest, next draw)` of `count` sets for `ad` through `generate_for`.
+/// `(digest, next draw)` of `count` sets for `ad` through `generate_for`,
+/// the same on 1, 2 and 5 threads.
 fn for_pin<M: PropagationModel + ?Sized>(
     graph: &DirectedGraph,
     model: &M,
@@ -54,11 +55,21 @@ fn for_pin<M: PropagationModel + ?Sized>(
     count: usize,
     seed: u64,
 ) -> (u64, u64) {
-    let mut rng = Pcg64Mcg::seed_from_u64(seed);
-    let mut arena = RrArena::new(graph.num_nodes(), strategy);
-    arena.generate_for(graph, model, ad, count, &mut rng);
-    assert_eq!(arena.len(), count);
-    (arena_digest(&arena), rng.next_u64())
+    let pins: Vec<(u64, u64)> = [1, 2, 5]
+        .into_iter()
+        .map(|threads| {
+            let mut rng = Pcg64Mcg::seed_from_u64(seed);
+            let mut arena = RrArena::new(graph.num_nodes(), strategy);
+            arena.generate_for(graph, model, ad, count, threads, &mut rng);
+            assert_eq!(arena.len(), count);
+            (arena_digest(&arena), rng.next_u64())
+        })
+        .collect();
+    assert!(
+        pins.iter().all(|&pin| pin == pins[0]),
+        "generate_for depends on the thread count: {pins:x?}"
+    );
+    pins[0]
 }
 
 /// Digest of `count` sets through `generate_parallel` on `threads` workers.
@@ -233,8 +244,8 @@ fn row_kernel_matches_the_per_edge_reference_set_for_set() {
                 let mut ref_rng = fast_rng.clone();
                 let mut fast = RrArena::new(g.num_nodes(), strategy);
                 let mut reference = RrArena::new(g.num_nodes(), strategy);
-                fast.generate_for(&g, &model, ad, 3_000, &mut fast_rng);
-                reference.generate_for(&g, &PerEdge(&model), ad, 3_000, &mut ref_rng);
+                fast.generate_for(&g, &model, ad, 3_000, 1, &mut fast_rng);
+                reference.generate_for(&g, &PerEdge(&model), ad, 3_000, 1, &mut ref_rng);
                 assert_same_sets(&fast, &reference, &what);
                 assert_eq!(fast_rng.next_u64(), ref_rng.next_u64(), "{what}: next draw");
             }

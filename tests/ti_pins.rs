@@ -53,7 +53,14 @@ fn lastfm_instance(h: usize, seed: u64, budget: f64) -> (Dataset, RmInstance) {
     (dataset, instance)
 }
 
-fn ti_pin(h: usize, seed: u64, budget: f64, max_rr_per_ad: usize, rule: TiRule) -> TiPin {
+fn ti_pin(
+    h: usize,
+    seed: u64,
+    budget: f64,
+    max_rr_per_ad: usize,
+    rule: TiRule,
+    threads: usize,
+) -> (TiPin, usize) {
     let (dataset, instance) = lastfm_instance(h, seed, budget);
     let config = TiConfig {
         epsilon: 0.5,
@@ -63,13 +70,22 @@ fn ti_pin(h: usize, seed: u64, budget: f64, max_rr_per_ad: usize, rule: TiRule) 
         max_rr_per_ad,
         seed: seed ^ 0xBA5E,
     };
-    let res = ti_baseline(&dataset.graph, &dataset.model, &instance, &config, rule).unwrap();
-    (
+    let res = ti_baseline(
+        &dataset.graph,
+        &dataset.model,
+        &instance,
+        &config,
+        rule,
+        threads,
+    )
+    .unwrap();
+    let pin = (
         allocation_digest(&res.allocation),
         res.revenue_estimate.to_bits(),
         res.total_rr_sets,
         res.capped,
-    )
+    );
+    (pin, res.memory_bytes)
 }
 
 #[test]
@@ -90,14 +106,19 @@ fn ti_outputs_match_their_seeded_pins() {
         (3, 4, 10.0, 5_000, (0x87c9da1df8c14e1a, 0x4036b2b020c49ba6, 15_000, true), (0x82ef91c755aa57b4, 0x4039883126e978d5, 15_000, true)),
         (10, 4, 10.0, 5_000, (0x95c2058d8e32d9e1, 0x4062071a9fbe76c9, 50_000, true), (0x2c503cf497f20678, 0x40632bf7ced91688, 50_000, true)),
     ];
+    // Every pin holds at every thread count, and so does the footprint.
     let mut mismatches = Vec::new();
     for (h, seed, budget, max_rr, carm, csrm) in pins {
         for (rule, expected) in [(TiRule::CostAgnostic, carm), (TiRule::CostSensitive, csrm)] {
-            let actual = ti_pin(h, seed, budget, max_rr, rule);
-            if actual != expected {
-                mismatches.push(format!(
-                    "h = {h}, seed = {seed}, budget = {budget}, {rule:?}: {actual:?}"
-                ));
+            let mut serial_memory = None;
+            for threads in [1, 2, 5] {
+                let (actual, memory) = ti_pin(h, seed, budget, max_rr, rule, threads);
+                if actual != expected || memory != *serial_memory.get_or_insert(memory) {
+                    mismatches.push(format!(
+                        "h = {h}, seed = {seed}, budget = {budget}, {rule:?}, \
+                         {threads} threads: {actual:?}, {memory} bytes"
+                    ));
+                }
             }
         }
     }
