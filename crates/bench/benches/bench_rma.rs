@@ -3,6 +3,9 @@
 //! same solve on a warm workbench cache (the cost a sweep actually pays).
 //! The `_large_k` point runs TI-CSRM on a full-size lastfm-syn graph with
 //! budgets that buy every node, so each pilot greedy runs `k_i = n` steps.
+//! The `ti_carm_` pair times TI-CARM on a new workbench per solve (`_cold`:
+//! a fresh sample arena every time) and on one workbench whose spare arena
+//! an earlier solve left (`_warm_workspace`); both generate every set.
 //!
 //! Set `RMSA_BENCH_QUICK=1` to shrink the workload for CI smoke runs.
 
@@ -73,6 +76,26 @@ fn bench_rma(c: &mut Criterion) {
     group.bench_function("rma_lastfm_mini_warm_cache", |b| {
         b.iter(|| {
             warm.run_solver(&Rma::new(rma_cfg.clone()), &instance)
+                .unwrap()
+                .allocation
+                .total_seeds()
+        });
+    });
+    group.bench_function("ti_carm_lastfm_mini_cold", |b| {
+        b.iter(|| {
+            let wb = workbench(&dataset);
+            wb.run_solver(&TiCarm::new(ti_cfg.clone()), &instance)
+                .unwrap()
+                .allocation
+                .total_seeds()
+        });
+    });
+    let warm = workbench(&dataset);
+    warm.run_solver(&TiCarm::new(ti_cfg.clone()), &instance)
+        .unwrap();
+    group.bench_function("ti_carm_lastfm_mini_warm_workspace", |b| {
+        b.iter(|| {
+            warm.run_solver(&TiCarm::new(ti_cfg.clone()), &instance)
                 .unwrap()
                 .allocation
                 .total_seeds()

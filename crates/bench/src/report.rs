@@ -9,7 +9,8 @@
 //! committed baseline self-describing.
 //!
 //! [`compare_reports`] diffs two reports: revenue-style metrics regress
-//! when the new value drops below `old · (1 − tolerance)`; wall-clock
+//! when the new value drops below `old · (1 − tolerance)`, `memory_bytes`
+//! when it rises above `old · (1 + tolerance)`; wall-clock
 //! metrics regress when the new value exceeds `old · (1 + time tolerance)`
 //! *and* the absolute slowdown exceeds a floor (so sub-100 ms points never
 //! flake a CI gate).
@@ -311,7 +312,8 @@ fn point_from_json(p: &Json) -> Result<BenchPoint, String> {
 /// Regression thresholds for [`compare_reports`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Tolerance {
-    /// Allowed fractional drop in revenue-style metrics (0.1 = 10 %).
+    /// Allowed fractional drop in revenue-style metrics, and rise in
+    /// `memory_bytes` (0.1 = 10 %).
     pub metric_frac: f64,
     /// Allowed fractional wall-clock slowdown.
     pub time_frac: f64,
@@ -338,8 +340,8 @@ pub struct Regression {
     /// `(job, key, algorithm)` location, or `"totals"`.
     pub location: String,
     /// The offending metric (`revenue`, `revenue_lower_bound`,
-    /// `wall_secs`, `total_wall_secs`, or `point` when the whole point
-    /// vanished).
+    /// `memory_bytes`, `wall_secs`, `total_wall_secs`, or `point` when the
+    /// whole point vanished).
     pub metric: String,
     /// Baseline value, when the baseline had one.
     pub old_value: Option<f64>,
@@ -421,6 +423,17 @@ pub fn compare_reports(old: &BenchReport, new: &BenchReport, tol: &Tolerance) ->
                     detail: format!("dropped beyond tolerance {:.1} %", tol.metric_frac * 100.0),
                 });
             }
+        }
+        // The footprint is a closed form of column capacities, as
+        // deterministic as revenue, so it takes the metric tolerance.
+        if n.memory_bytes as f64 > o.memory_bytes as f64 * (1.0 + tol.metric_frac) {
+            regressions.push(Regression {
+                location: locate(old_point),
+                metric: "memory_bytes".to_string(),
+                old_value: Some(o.memory_bytes as f64),
+                new_value: Some(n.memory_bytes as f64),
+                detail: format!("grew beyond tolerance {:.1} %", tol.metric_frac * 100.0),
+            });
         }
         if n.time_secs > o.time_secs * (1.0 + tol.time_frac)
             && n.time_secs - o.time_secs > tol.min_time_secs
@@ -590,6 +603,33 @@ mod tests {
         assert!(lines
             .iter()
             .any(|l| l.contains("totals: total_wall_secs 1.000 -> 9.000")));
+    }
+
+    #[test]
+    fn memory_growth_beyond_tolerance_fails_and_shrinking_passes() {
+        let tol = Tolerance {
+            metric_frac: 0.05,
+            time_frac: 10.0,
+            min_time_secs: 60.0,
+        };
+        let old = report(vec![point("a,", 0.1, outcome("TI-CARM", 100.0, 1.0))], 2.0);
+        let with_memory = |bytes: usize| {
+            let mut r = old.clone();
+            r.points[0].outcome.memory_bytes = bytes;
+            r
+        };
+        // +5 % exactly passes, and so does any shrink…
+        assert!(compare_reports(&old, &with_memory(1_101_004), &tol).is_empty());
+        assert!(compare_reports(&old, &with_memory(1_000), &tol).is_empty());
+        // …one byte more fails, naming the metric and both footprints.
+        let regs = compare_reports(&old, &with_memory(1_101_005), &tol);
+        assert_eq!(regs.len(), 1, "{regs:?}");
+        assert_eq!(regs[0].metric, "memory_bytes");
+        assert_eq!(regs[0].old_value, Some(1_048_576.0));
+        assert_eq!(regs[0].new_value, Some(1_101_005.0));
+        assert!(regs[0]
+            .to_string()
+            .contains("memory_bytes 1048576.000 -> 1101005.000"));
     }
 
     #[test]

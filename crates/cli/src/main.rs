@@ -10,7 +10,8 @@
 //! * `rmsa bench <manifest>...` — run scenarios (usually `--quick`) and
 //!   emit only the `BENCH_*.json` trajectory reports;
 //! * `rmsa compare old.json new.json --tolerance 10%` — exit non-zero
-//!   when the new report regresses wall-clock or revenue bounds;
+//!   when the new report regresses wall-clock, revenue bounds or the
+//!   `memory_bytes` footprint;
 //! * `rmsa serve` — the long-running solving daemon (epoll event loop,
 //!   pipelined connections, warm session pool, request batching)
 //!   speaking newline-delimited JSON over TCP;
@@ -131,7 +132,8 @@ timing block, and gate the attributed share of end-to-end latency
 through `rmsa compare`.
 
 compare exits 0 when the new report is within tolerance of the old one,
-1 on regression, 2 on usage or IO errors. Every failure line names the
+1 on regression, 2 on usage or IO errors. --tolerance bounds both a
+revenue drop and a memory_bytes rise. Every failure line names the
 offending metric and prints both values. compare only reads BENCH_*.json
 trajectory reports — to gate LINT_report.json, rerun `rmsa lint`, which
 re-derives the report from the sources.

@@ -59,27 +59,38 @@ pub fn baseline_greedy<O: RevenueOracle>(
         }
     }
     let mut queue = LazyQueue::from_entries(entries);
+    // The exact gain behind each refreshed key, at `ad · n + node`.
+    let mut gains = vec![0.0f64; n * h];
 
     while let Some(entry) = queue.pop() {
-        let ad = entry.ad;
-        if saturated[ad] || assigned[entry.node as usize] {
+        let (ad, node) = (entry.ad, entry.node);
+        if saturated[ad] || assigned[node as usize] {
             continue;
         }
-        let gain = oracle.marginal_gain(&states[ad], entry.node);
-        let cost = instance.cost(ad, entry.node);
-        let key = match rule {
-            BaselineRule::CostAgnostic => gain,
-            BaselineRule::CostSensitive => marginal_rate(gain, cost),
-        };
+        let cost = instance.cost(ad, node);
+        let group = ad * n + node as usize;
         if entry.version != versions[ad] {
-            queue.push(key, entry.node, ad, versions[ad]);
+            let gain = oracle.marginal_gain(&states[ad], node);
+            gains[group] = gain;
+            let key = match rule {
+                BaselineRule::CostAgnostic => gain,
+                BaselineRule::CostSensitive => marginal_rate(gain, cost),
+            };
+            queue.push(key, node, ad, versions[ad]);
             continue;
         }
+        // A fresh key's gain is already exact: the singleton revenue at
+        // version 0, the stored refresh after that.
+        let gain = if entry.version == 0 {
+            oracle.singleton_revenue(ad, node)
+        } else {
+            gains[group]
+        };
         if cost_sums[ad] + cost + states[ad].revenue() + gain <= instance.budget(ad) {
-            oracle.add_seed(&mut states[ad], entry.node);
+            oracle.add_seed(&mut states[ad], node);
             cost_sums[ad] += cost;
             versions[ad] += 1;
-            assigned[entry.node as usize] = true;
+            assigned[node as usize] = true;
         } else if rule == BaselineRule::CostAgnostic {
             saturated[ad] = true;
         }
@@ -195,6 +206,93 @@ mod tests {
         // hub never being considered, CA and CS both end up with leaves, but
         // CS keeps adding until the budget is tight.
         assert!(o.allocation_revenue(&cs.seed_sets) >= o.allocation_revenue(&ca.seed_sets) - 1e-9);
+    }
+
+    /// The loop before fresh pops kept their gain: every pop that survives
+    /// the saturation and assignment checks evaluates `marginal_gain`.
+    fn reevaluating_every_pop<O: RevenueOracle>(
+        instance: &RmInstance,
+        oracle: &O,
+        rule: BaselineRule,
+    ) -> Allocation {
+        let h = instance.num_ads();
+        let n = instance.num_nodes;
+        let mut states: Vec<O::State> = (0..h).map(|i| oracle.new_state(i)).collect();
+        let mut versions = vec![0u32; h];
+        let mut cost_sums = vec![0.0f64; h];
+        let mut saturated = vec![false; h];
+        let mut assigned = vec![false; n];
+        let key_of = |gain: f64, cost: f64| match rule {
+            BaselineRule::CostAgnostic => gain,
+            BaselineRule::CostSensitive => marginal_rate(gain, cost),
+        };
+        let mut entries = Vec::new();
+        for ad in 0..h {
+            for v in 0..n as NodeId {
+                let (rev, cost) = (oracle.singleton_revenue(ad, v), instance.cost(ad, v));
+                if cost + rev <= instance.budget(ad) {
+                    entries.push(LazyEntry {
+                        key: key_of(rev, cost),
+                        node: v,
+                        ad,
+                        version: 0,
+                    });
+                }
+            }
+        }
+        let mut queue = LazyQueue::from_entries(entries);
+        while let Some(entry) = queue.pop() {
+            let ad = entry.ad;
+            if saturated[ad] || assigned[entry.node as usize] {
+                continue;
+            }
+            let gain = oracle.marginal_gain(&states[ad], entry.node);
+            let cost = instance.cost(ad, entry.node);
+            if entry.version != versions[ad] {
+                queue.push(key_of(gain, cost), entry.node, ad, versions[ad]);
+                continue;
+            }
+            if cost_sums[ad] + cost + states[ad].revenue() + gain <= instance.budget(ad) {
+                oracle.add_seed(&mut states[ad], entry.node);
+                cost_sums[ad] += cost;
+                versions[ad] += 1;
+                assigned[entry.node as usize] = true;
+            } else if rule == BaselineRule::CostAgnostic {
+                saturated[ad] = true;
+            }
+        }
+        Allocation {
+            seed_sets: states.iter().map(|s| s.seeds().to_vec()).collect(),
+        }
+    }
+
+    #[test]
+    fn fresh_pops_select_what_reevaluating_them_selects() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_pcg::Pcg64Mcg::seed_from_u64(17);
+        let mut selected = 0;
+        for trial in 0..12u64 {
+            let g = rmsa_graph::generators::barabasi_albert(40, 2, &mut rng);
+            let h = 1 + trial as usize % 3;
+            let m = UniformIc::new(h, 0.15 + 0.05 * (trial % 4) as f64);
+            let costs: Vec<f64> = (0..40).map(|_| rng.gen_range(0.5..3.0)).collect();
+            let advertisers = (0..h)
+                .map(|ad| Advertiser::try_new(8.0 + 6.0 * ad as f64, 1.0 + 0.5 * ad as f64))
+                .collect::<Result<Vec<_>, _>>()
+                .unwrap();
+            let inst = RmInstance::try_new(40, advertisers, SeedCosts::Shared(costs)).unwrap();
+            let o = crate::oracle::McRevenueOracle::new(&g, &m, &inst, 32, trial);
+            for rule in [BaselineRule::CostAgnostic, BaselineRule::CostSensitive] {
+                let lazy = baseline_greedy(&inst, &o, rule);
+                assert_eq!(
+                    lazy,
+                    reevaluating_every_pop(&inst, &o, rule),
+                    "trial {trial}, {rule:?}"
+                );
+                selected += lazy.total_seeds();
+            }
+        }
+        assert!(selected > 24, "the instances must select seeds");
     }
 
     #[test]

@@ -6,4 +6,4 @@ pub mod greedy_baselines;
 pub mod ti;
 
 pub use greedy_baselines::{baseline_greedy, BaselineRule};
-pub use ti::{ti_baseline, TiConfig, TiResult, TiRule};
+pub use ti::{ti_baseline, ti_baseline_in, TiConfig, TiResult, TiRule};

@@ -22,6 +22,14 @@
 //! coverage index is built by the same parallel counting sort as a cache
 //! extension. Sets, selections, revenues and `memory_bytes` are the same
 //! at every thread count.
+//!
+//! Through the `Solver` API ([`ti_baseline_in`]) the sample is drawn into
+//! the session's spare arena, kept by its [`RrCache`] between solves: a
+//! warm solve refills buffers it already holds instead of growing a fresh
+//! arena by doubling and faulting every page back in. All sets are still
+//! generated on every solve. `memory_bytes` stays the footprint of a fresh
+//! run ([`FreshFootprint`]), so Fig. 4's memory does not depend on which
+//! solves ran on the session before.
 
 use crate::error::RmError;
 use crate::oracle::marginal_rate;
@@ -29,7 +37,10 @@ use crate::problem::{Allocation, RmInstance};
 use crate::util::{LazyEntry, LazyQueue};
 use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
-use rmsa_diffusion::{AdId, CoverBitset, CoverageIndex, PropagationModel, RrArena, RrStrategy};
+use rmsa_diffusion::{
+    AdId, CoverBitset, CoverageIndex, FreshFootprint, PropagationModel, RrArena, RrCache,
+    RrStrategy,
+};
 use rmsa_graph::{DirectedGraph, NodeId};
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -184,12 +195,12 @@ fn check_u32_cap(name: &'static str, count: usize, what: &str) -> Result<(), RmE
 /// Run TI-CARM (`rule = CostAgnostic`) or TI-CSRM (`rule = CostSensitive`).
 ///
 /// The TI baselines keep one RR-set collection *per advertiser* with TIM's
-/// per-ad scaling, so they do not share the uniform-sampler [`rmsa_diffusion::RrCache`]
+/// per-ad scaling, so they do not share the uniform-sampler [`RrCache`]
 /// used by RMA; their sampling cost is part of what the paper measures
 /// against. Advertiser `i`'s collection is one contiguous range of a
 /// private [`RrArena`], indexed once by a private [`CoverageIndex`].
 /// Generation and indexing run on up to `num_threads` threads; the result
-/// does not depend on how many.
+/// does not depend on how many. The arena is allocated for this run.
 pub fn ti_baseline<M: PropagationModel + ?Sized>(
     graph: &DirectedGraph,
     model: &M,
@@ -197,6 +208,40 @@ pub fn ti_baseline<M: PropagationModel + ?Sized>(
     config: &TiConfig,
     rule: TiRule,
     num_threads: usize,
+) -> Result<TiResult, RmError> {
+    let arena = &mut RrArena::new(instance.num_nodes, config.strategy);
+    run(graph, model, instance, config, rule, num_threads, arena)
+}
+
+/// [`ti_baseline`] on `cache`'s thread budget, sampling into the session's
+/// spare arena ([`RrCache::take_workspace`]) and handing it back when the
+/// run ends. Every set is still generated; only the buffers are reused,
+/// and the result, `memory_bytes` included, is [`ti_baseline`]'s whatever
+/// ran on the session before.
+pub fn ti_baseline_in<M: PropagationModel + ?Sized>(
+    graph: &DirectedGraph,
+    model: &M,
+    instance: &RmInstance,
+    config: &TiConfig,
+    rule: TiRule,
+    cache: &RrCache,
+) -> Result<TiResult, RmError> {
+    let threads = cache.num_threads();
+    let mut arena = cache.take_workspace(instance.num_nodes, config.strategy);
+    let result = run(graph, model, instance, config, rule, threads, &mut arena);
+    cache.restore_workspace(arena);
+    result
+}
+
+/// The run behind both entry points, sampling into the empty `arena`.
+fn run<M: PropagationModel + ?Sized>(
+    graph: &DirectedGraph,
+    model: &M,
+    instance: &RmInstance,
+    config: &TiConfig,
+    rule: TiRule,
+    num_threads: usize,
+    arena: &mut RrArena,
 ) -> Result<TiResult, RmError> {
     let start = Instant::now();
     let h = instance.num_ads();
@@ -212,7 +257,13 @@ pub fn ti_baseline<M: PropagationModel + ?Sized>(
     let mut rng = Pcg64Mcg::seed_from_u64(config.seed);
 
     // Phase 1: per-advertiser sample-size estimation and RR generation.
-    let mut arena = RrArena::new(n, config.strategy);
+    // `memory_bytes` reports a fresh arena's footprint, so a reused
+    // arena's pooled capacity never leaks into Fig. 4's number.
+    let mut footprint = FreshFootprint::default();
+    let mut generate = |arena: &mut RrArena, ad: AdId, count: usize, rng: &mut Pcg64Mcg| {
+        arena.generate_for(graph, model, ad, count, num_threads, rng);
+        footprint.generate_for(count);
+    };
     let mut sets_per_ad = Vec::with_capacity(h);
     let mut capped = false;
     // The upper-bound slack used in the conservative feasibility check.
@@ -224,8 +275,8 @@ pub fn ti_baseline<M: PropagationModel + ?Sized>(
         // Pilot sample to lower-bound OPT_i.
         let pilot_len = config.pilot_sets.min(config.max_rr_per_ad);
         check_u32_cap("pilot_sets", first + pilot_len, "RR-sets")?;
-        arena.generate_for(graph, model, ad, pilot_len, num_threads, &mut rng);
-        let pilot_cov = pilot_greedy_coverage(&arena, first..arena.len(), k_i).max(1);
+        generate(arena, ad, pilot_len, &mut rng);
+        let pilot_cov = pilot_greedy_coverage(arena, first..arena.len(), k_i).max(1);
         let opt_lb = (n as f64 * pilot_cov as f64 / pilot_len.max(1) as f64).max(1.0);
         // TIM-style sample size with ln C(n, k) ≤ k ln n.
         let theta = (8.0 + 2.0 * config.epsilon)
@@ -236,7 +287,7 @@ pub fn ti_baseline<M: PropagationModel + ?Sized>(
         let theta = theta_raw.min(config.max_rr_per_ad);
         capped |= theta < theta_raw;
         check_u32_cap("max_rr_per_ad", first + theta, "RR-sets")?;
-        arena.generate_for(graph, model, ad, theta - pilot_len, num_threads, &mut rng);
+        generate(arena, ad, theta - pilot_len, &mut rng);
         sets_per_ad.push(theta);
     }
     check_u32_cap("max_rr_per_ad", arena.total_entries(), "member entries")?;
@@ -247,11 +298,10 @@ pub fn ti_baseline<M: PropagationModel + ?Sized>(
     // advertiser, so one bitset holds every advertiser's covered sets.
     let index_start = Instant::now();
     let mut index = CoverageIndex::new(n, h);
-    index.extend_from(&arena, num_threads);
+    index.extend_from(arena, num_threads);
     let index_time = index_start.elapsed();
-    let memory = arena.memory_bytes() + index.memory_bytes();
+    let memory = footprint.memory_bytes(arena) + index.memory_bytes();
     let total_rr = arena.len();
-    drop(arena);
     let view = index.view();
     let mut covered = CoverBitset::new(total_rr);
     let marginal_count = |covered: &CoverBitset, ad: AdId, u: NodeId| {

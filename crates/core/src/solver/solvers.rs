@@ -2,7 +2,7 @@
 
 use super::{RrAccounting, SolveContext, SolveReport, Solver};
 use crate::algorithms::rm_oracle::rm_with_oracle;
-use crate::baselines::{baseline_greedy, ti_baseline, BaselineRule, TiConfig, TiRule};
+use crate::baselines::{baseline_greedy, ti_baseline_in, BaselineRule, TiConfig, TiRule};
 use crate::error::RmError;
 use crate::oracle::{ExactRevenueOracle, McRevenueOracle, RevenueOracle};
 use crate::problem::Allocation;
@@ -485,7 +485,11 @@ fn ti_report(
 /// Per the paper's comparison protocol the baselines may receive budgets
 /// scaled by `(1 + ϱ)` relative to RMA's; set `budget_scale` accordingly.
 /// The per-ad collections cannot reuse the uniform-sampler cache — their
-/// generation cost is part of what the experiments measure.
+/// generation cost is part of what the experiments measure — so every
+/// solve regenerates all of its sets. Only the buffers are reused: the
+/// sample is drawn into the context cache's spare arena
+/// ([`rmsa_diffusion::RrCache::take_workspace`]), and the report's
+/// `memory_bytes` is still a fresh run's footprint.
 #[derive(Clone, Debug)]
 pub struct TiCarm {
     /// TIM-style sampling parameters.
@@ -519,13 +523,13 @@ impl Solver for TiCarm {
 
     fn solve(&self, ctx: &SolveContext<'_>) -> Result<SolveReport, RmError> {
         let instance = scaled(ctx, self.budget_scale)?;
-        let result = ti_baseline(
+        let result = ti_baseline_in(
             ctx.graph,
             &ctx.model,
             &instance,
             &self.config,
             TiRule::CostAgnostic,
-            ctx.cache.num_threads(),
+            ctx.cache,
         )?;
         Ok(ti_report(self.name(), ctx, result))
     }
@@ -565,13 +569,13 @@ impl Solver for TiCsrm {
 
     fn solve(&self, ctx: &SolveContext<'_>) -> Result<SolveReport, RmError> {
         let instance = scaled(ctx, self.budget_scale)?;
-        let result = ti_baseline(
+        let result = ti_baseline_in(
             ctx.graph,
             &ctx.model,
             &instance,
             &self.config,
             TiRule::CostSensitive,
-            ctx.cache.num_threads(),
+            ctx.cache,
         )?;
         Ok(ti_report(self.name(), ctx, result))
     }

@@ -129,6 +129,14 @@ impl RrArena {
         }
     }
 
+    /// Drop every set but keep the columns' capacity, so refilling the
+    /// arena allocates and faults in nothing it already held.
+    pub fn clear(&mut self) {
+        self.nodes.to_mut().clear();
+        self.offsets.to_mut().truncate(1);
+        self.ads.to_mut().clear();
+    }
+
     /// Number of RR-sets currently held.
     pub fn len(&self) -> usize {
         self.ads.len()
@@ -492,6 +500,67 @@ impl RrArena {
                 self.append_arena(shard);
             }
         }
+    }
+}
+
+/// The `memory_bytes` a fresh [`RrArena`] reaches under a sequence of
+/// [`RrArena::generate_for`] calls, whatever arena the calls ran in.
+///
+/// A reused arena keeps the capacity of its largest fill, so its own
+/// footprint depends on what it held before. This ledger replays what a
+/// fresh arena allocates instead: `ads` and `offsets` grow as
+/// `Vec::reserve` grows them for each call's count, and `nodes`, filled
+/// one push at a time from empty, doubles to `max(4, len.next_power_of_two())`.
+#[derive(Clone, Copy, Debug)]
+pub struct FreshFootprint {
+    sets: usize,
+    ads_capacity: usize,
+    offsets_capacity: usize,
+}
+
+impl Default for FreshFootprint {
+    fn default() -> Self {
+        // A fresh arena's `offsets` is `vec![0]`.
+        FreshFootprint {
+            sets: 0,
+            ads_capacity: 0,
+            offsets_capacity: 1,
+        }
+    }
+}
+
+impl FreshFootprint {
+    /// Record one `generate_for` call of `count` sets.
+    pub fn generate_for(&mut self, count: usize) {
+        self.ads_capacity = reserved(self.ads_capacity, self.sets, count);
+        self.offsets_capacity = reserved(self.offsets_capacity, self.sets + 1, count);
+        self.sets += count;
+    }
+
+    /// What a fresh arena's [`RrArena::memory_bytes`] would read, given the
+    /// `arena` those calls filled.
+    pub fn memory_bytes(&self, arena: &RrArena) -> usize {
+        debug_assert_eq!(arena.len(), self.sets, "a call went unrecorded");
+        let entries = arena.total_entries();
+        let nodes_capacity = if entries == 0 {
+            0
+        } else {
+            entries.next_power_of_two().max(4)
+        };
+        nodes_capacity * std::mem::size_of::<NodeId>()
+            + self.offsets_capacity * std::mem::size_of::<usize>()
+            + self.ads_capacity * std::mem::size_of::<u32>()
+    }
+}
+
+/// The capacity `Vec::reserve(additional)` leaves a vector of `len`
+/// elements in `capacity`: unchanged when the room is there, else the
+/// larger of double and exact need, and at least 4.
+fn reserved(capacity: usize, len: usize, additional: usize) -> usize {
+    if capacity - len >= additional {
+        capacity
+    } else {
+        (2 * capacity).max(len + additional).max(4)
     }
 }
 
@@ -1049,6 +1118,45 @@ mod tests {
 
     fn collect_sets(arena: &RrArena) -> Vec<(AdId, Vec<NodeId>)> {
         arena.iter().map(|s| (s.ad, s.nodes.to_vec())).collect()
+    }
+
+    #[test]
+    fn fresh_footprint_replays_a_fresh_arenas_growth() {
+        let g = barabasi_albert(300, 3, &mut rng());
+        let m = UniformIc::new(2, 0.2);
+        let strategy = RrStrategy::Standard;
+        let mut counts = rng();
+        // A reused arena, first filled past every sequence below.
+        let mut reused = RrArena::new(300, strategy);
+        reused.generate_for(&g, &m, 0, 5 * (MIN_SPLICED_SETS + 4_000), 1, &mut rng());
+        for trial in 0..24 {
+            let threads = 1 + trial % 2;
+            let calls = counts.gen_range(0..6);
+            let sequence: Vec<usize> = (0..calls)
+                .map(|_| match counts.gen_range(0..4) {
+                    0 => 0,
+                    1 => counts.gen_range(1..10),
+                    2 => counts.gen_range(10..3_000),
+                    _ => counts.gen_range(MIN_SPLICED_SETS..MIN_SPLICED_SETS + 4_000),
+                })
+                .collect();
+            let mut fresh = RrArena::new(300, strategy);
+            let mut ledger = FreshFootprint::default();
+            reused.clear();
+            let (mut a, mut b) = (rng(), rng());
+            for (call, &count) in sequence.iter().enumerate() {
+                let ad = call % 2;
+                fresh.generate_for(&g, &m, ad, count, threads, &mut a);
+                reused.generate_for(&g, &m, ad, count, threads, &mut b);
+                ledger.generate_for(count);
+            }
+            assert_eq!(collect_sets(&reused), collect_sets(&fresh), "{sequence:?}");
+            assert_eq!(
+                ledger.memory_bytes(&reused),
+                fresh.memory_bytes(),
+                "{threads} threads, {sequence:?}"
+            );
+        }
     }
 
     #[test]

@@ -24,6 +24,14 @@
 //! distribution — graph shape, advertiser-CPE line-up, and a probe of the
 //! model's edge probabilities — and invalidates itself when any of them
 //! changes (correctness first, reuse second).
+//!
+//! Beside its streams the cache keeps at most one spare [`RrArena`], the
+//! *workspace* of solvers that draw a private sample per solve (the TI
+//! baselines): [`RrCache::take_workspace`] lends it out emptied with its
+//! capacity kept and [`RrCache::restore_workspace`] takes it back, so a
+//! warm solve refills buffers the session already holds instead of
+//! growing and faulting in new ones. Only memory is reused: every set is
+//! still generated on every solve.
 
 use crate::arena::{CoverageIndex, CoverageView, RrArena};
 use crate::models::PropagationModel;
@@ -105,6 +113,9 @@ pub struct RrCacheStats {
     /// stats were taken (0 for caches built cold or loaded via the owned
     /// decode path).
     pub mapped_bytes: usize,
+    /// Owned heap bytes of the spare workspace arena kept for the next
+    /// private-sample solve (0 when none is kept); not in `resident_bytes`.
+    pub workspace_bytes: usize,
 }
 
 /// Accounting of one [`RrCache::with_at_least`] call. Unlike the global
@@ -221,6 +232,8 @@ pub struct RrCache {
     num_threads: usize,
     base_seed: u64,
     inner: Mutex<Inner>,
+    /// The spare private-sample arena; empty while lent out or never made.
+    workspace: Mutex<Option<RrArena>>,
 }
 
 impl RrCache {
@@ -241,6 +254,7 @@ impl RrCache {
                 streams: Vec::new(),
                 stats: RrCacheStats::default(),
             }),
+            workspace: Mutex::new(None),
         }
     }
 
@@ -272,7 +286,36 @@ impl RrCache {
             stats.resident_bytes += s.arena.resident_bytes() + s.index.resident_bytes();
             stats.mapped_bytes += s.arena.mapped_bytes() + s.index.mapped_bytes();
         }
+        stats.workspace_bytes = self
+            .workspace
+            .lock()
+            .as_ref()
+            .map_or(0, RrArena::resident_bytes);
         stats
+    }
+
+    /// Lend out the cache's spare arena for a solve that draws its own
+    /// sample, emptied with its capacity kept. A fresh arena is returned
+    /// instead when the spare is out on another solve or was never made;
+    /// a spare made for another `num_nodes` or `strategy` is dropped.
+    pub fn take_workspace(&self, num_nodes: usize, strategy: RrStrategy) -> RrArena {
+        match self.workspace.lock().take() {
+            Some(mut arena) if arena.num_nodes() == num_nodes && arena.strategy() == strategy => {
+                arena.clear();
+                arena
+            }
+            _ => RrArena::new(num_nodes, strategy),
+        }
+    }
+
+    /// Keep `arena` as the spare for the next [`RrCache::take_workspace`].
+    /// The cache holds one: when a concurrent solve restored its arena
+    /// first, `arena` is dropped.
+    pub fn restore_workspace(&self, arena: RrArena) {
+        let mut slot = self.workspace.lock();
+        if slot.is_none() {
+            *slot = Some(arena);
+        }
     }
 
     /// Current size of a stream's collection (0 when never touched).
@@ -344,8 +387,10 @@ impl RrCache {
             .sum()
     }
 
-    /// Drop every cached collection (accounting counters are kept).
+    /// Drop every cached collection and the spare workspace (accounting
+    /// counters are kept).
     pub fn clear(&self) {
+        *self.workspace.lock() = None;
         let mut inner = self.inner.lock();
         let (resident, mapped) = streams_bytes(&inner.streams);
         Gauge::ArenaResidentBytes.add(-resident);
@@ -519,6 +564,7 @@ impl RrCache {
                 streams,
                 stats,
             }),
+            workspace: Mutex::new(None),
         })
     }
 
@@ -883,6 +929,46 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().generated, 200);
+    }
+
+    #[test]
+    fn one_workspace_is_lent_out_emptied_and_kept_at_capacity() {
+        let (g, m, _) = setup();
+        let n = g.num_nodes();
+        let cache = RrCache::new(n, RrStrategy::Standard, 1, 7);
+        let mut rng = <rand_pcg::Pcg64Mcg as rand::SeedableRng>::seed_from_u64(3);
+        let mut first = cache.take_workspace(n, RrStrategy::Standard);
+        assert_eq!(
+            first.memory_bytes(),
+            RrArena::new(n, RrStrategy::Standard).memory_bytes()
+        );
+        first.generate_for(&g, &m, 0, 500, 1, &mut rng);
+        let held = first.resident_bytes();
+        // A concurrent solve gets its own arena rather than waiting.
+        let second = cache.take_workspace(n, RrStrategy::Standard);
+        assert!(second.is_empty());
+        cache.restore_workspace(first);
+        cache.restore_workspace(second);
+        let stats = cache.stats();
+        assert_eq!(
+            stats.workspace_bytes, held,
+            "the first restored arena is kept"
+        );
+        assert_eq!(stats.resident_bytes, 0, "the workspace is not a stream");
+
+        let again = cache.take_workspace(n, RrStrategy::Standard);
+        assert!(again.is_empty());
+        assert_eq!(again.resident_bytes(), held);
+        assert_eq!(cache.stats().workspace_bytes, 0, "lent out");
+        cache.restore_workspace(again);
+        // A spare for another strategy is dropped, not lent out.
+        let other = cache.take_workspace(n, RrStrategy::Subsim);
+        assert_eq!(other.strategy(), RrStrategy::Subsim);
+        assert!(other.resident_bytes() < held);
+        assert_eq!(cache.stats().workspace_bytes, 0);
+        cache.restore_workspace(other);
+        cache.clear();
+        assert_eq!(cache.stats().workspace_bytes, 0);
     }
 
     #[test]

@@ -38,8 +38,8 @@ pub mod snapshot;
 mod splice;
 
 pub use arena::{
-    shard_plan, CoverBitset, CoverageIndex, CoverageSegment, CoverageView, RrArena, RrSetRef,
-    ShardSpan,
+    shard_plan, CoverBitset, CoverageIndex, CoverageSegment, CoverageView, FreshFootprint, RrArena,
+    RrSetRef, ShardSpan,
 };
 pub use cache::{
     distribution_fingerprint, RrCache, RrCacheStats, RrRequestStats, RrStream, RrStreamView,

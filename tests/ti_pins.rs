@@ -2,9 +2,10 @@
 //!
 //! Each pin records what a seeded run produces, bit for bit: a digest of
 //! the TI allocation, the bits of its revenue estimate, the number of RR
-//! sets it generated and whether any advertiser's sample size was capped;
-//! and a digest of the bits of every singleton spread. A change to how the
-//! baselines store or scan their RR sets must leave every pin unchanged.
+//! sets it generated, whether any advertiser's sample size was capped and
+//! its `memory_bytes`; and a digest of the bits of every singleton spread.
+//! A change to how the baselines store or scan their RR sets must leave
+//! every pin unchanged, on a fresh arena or on a session's reused one.
 
 use rmsa::core::baselines::{ti_baseline, TiRule};
 use rmsa::prelude::*;
@@ -53,6 +54,19 @@ fn lastfm_instance(h: usize, seed: u64, budget: f64) -> (Dataset, RmInstance) {
     (dataset, instance)
 }
 
+fn ti_config(seed: u64, max_rr_per_ad: usize, strategy: RrStrategy) -> TiConfig {
+    TiConfig {
+        epsilon: 0.5,
+        delta: 0.01,
+        strategy,
+        pilot_sets: 512,
+        max_rr_per_ad,
+        seed: seed ^ 0xBA5E,
+    }
+}
+
+/// A pinned run through the free function, which allocates a fresh arena:
+/// its pin and `memory_bytes`.
 fn ti_pin(
     h: usize,
     seed: u64,
@@ -62,19 +76,11 @@ fn ti_pin(
     threads: usize,
 ) -> (TiPin, usize) {
     let (dataset, instance) = lastfm_instance(h, seed, budget);
-    let config = TiConfig {
-        epsilon: 0.5,
-        delta: 0.01,
-        strategy: RrStrategy::Standard,
-        pilot_sets: 512,
-        max_rr_per_ad,
-        seed: seed ^ 0xBA5E,
-    };
     let res = ti_baseline(
         &dataset.graph,
         &dataset.model,
         &instance,
-        &config,
+        &ti_config(seed, max_rr_per_ad, RrStrategy::Standard),
         rule,
         threads,
     )
@@ -88,32 +94,60 @@ fn ti_pin(
     (pin, res.memory_bytes)
 }
 
+/// A pinned run through the `Solver` API on `cache`, whose spare arena
+/// holds whatever earlier solves left in it: its pin and `memory_bytes`.
+fn solver_pin(
+    cache: &RrCache,
+    (h, seed, budget, max_rr_per_ad): (usize, u64, f64, usize),
+    rule: TiRule,
+    strategy: RrStrategy,
+) -> (TiPin, usize) {
+    let (dataset, instance) = lastfm_instance(h, seed, budget);
+    let ctx = SolveContext::new(&dataset.graph, &dataset.model, &instance, cache).unwrap();
+    let config = ti_config(seed, max_rr_per_ad, strategy);
+    let report = match rule {
+        TiRule::CostAgnostic => TiCarm::new(config).solve(&ctx),
+        TiRule::CostSensitive => TiCsrm::new(config).solve(&ctx),
+    }
+    .unwrap();
+    assert_eq!(report.rr.used, report.rr.generated, "every set is drawn");
+    let pin = (
+        allocation_digest(&report.allocation),
+        report.revenue_estimate.to_bits(),
+        report.rr.generated,
+        report.capped,
+    );
+    (pin, report.memory_bytes)
+}
+
+/// (h, seed, budget, max RR sets per advertiser, memory bytes, TI-CARM
+/// pin, TI-CSRM pin). The footprint is the rule's and the thread count's
+/// alike.
+#[rustfmt::skip]
+const PINS: [(usize, u64, f64, usize, usize, TiPin, TiPin); 12] = [
+    (2, 1, 3.0, 60_000, 512_744, (0x21d5da20be4e4609, 0x400eb713518e17be, 22_405, false), (0xdf624fe1e7fdd47f, 0x400dd909f5b52fae, 22_405, false)),
+    (2, 2, 30.0, 60_000, 1_549_764, (0xedb4b116cf583e23, 0x404a8a3172aa12a8, 45_467, false), (0x9de01480e3ef63cf, 0x404b6f7512a9385c, 45_467, false)),
+    (2, 3, 2_000.0, 60_000, 1_026_960, (0x8405906b2ac1fffe, 0x4068b17ef41c521d, 45_992, false), (0x13966d0d75ca7616, 0x40681fb08f34f210, 45_992, false)),
+    (3, 1, 3.0, 60_000, 981_628, (0x94f4c4a063dd2d3a, 0x400eeb6cd817f53b, 35_110, false), (0x3e56e777abf2438b, 0x4019e926807b6876, 35_110, false)),
+    (3, 2, 30.0, 60_000, 1_918_204, (0xdc41785533ee6578, 0x40564e7fe6d12be4, 68_507, false), (0xb5f81e113421dd97, 0x405713046b83d540, 68_507, false)),
+    (3, 3, 2_000.0, 60_000, 1_948_636, (0x9d8ec2e8457a8efe, 0x4070b7e78655f3e0, 69_033, false), (0x3e2cb63eaedd6358, 0x4070346e0cb47309, 69_033, false)),
+    (10, 1, 3.0, 60_000, 3_913_144, (0xfe3746af37235364, 0x40407acce81a9bb1, 130_512, false), (0xfa4a6b330418ffc7, 0x40451be4cb3cddf9, 130_512, false)),
+    (10, 2, 30.0, 60_000, 6_427_916, (0x1f039ad67e05aa0c, 0x40714c80e64294ee, 230_014, false), (0xf3197fdc746964fe, 0x4070a89182f70166, 230_014, false)),
+    (10, 3, 2_000.0, 60_000, 7_590_108, (0x43bfc4a703b9efc6, 0x4072f53a6301aa68, 230_540, false), (0xda113c65ef2afc82, 0x4072750570ee6ed2, 230_540, false)),
+    (2, 4, 10.0, 5_000, 233_600, (0xacca42f764ad60e3, 0x402b178d4fdf3b64, 10_000, true), (0xfad5f5d425521184, 0x402ef0a3d70a3d70, 10_000, true)),
+    (3, 4, 10.0, 5_000, 442_964, (0x87c9da1df8c14e1a, 0x4036b2b020c49ba6, 15_000, true), (0x82ef91c755aa57b4, 0x4039883126e978d5, 15_000, true)),
+    (10, 4, 10.0, 5_000, 1_462_456, (0x95c2058d8e32d9e1, 0x4062071a9fbe76c9, 50_000, true), (0x2c503cf497f20678, 0x40632bf7ced91688, 50_000, true)),
+];
+
 #[test]
 fn ti_outputs_match_their_seeded_pins() {
-    // (h, seed, budget, max RR sets per advertiser, TI-CARM pin, TI-CSRM pin)
-    #[rustfmt::skip]
-    let pins: [(usize, u64, f64, usize, TiPin, TiPin); 12] = [
-        (2, 1, 3.0, 60_000, (0x21d5da20be4e4609, 0x400eb713518e17be, 22_405, false), (0xdf624fe1e7fdd47f, 0x400dd909f5b52fae, 22_405, false)),
-        (2, 2, 30.0, 60_000, (0xedb4b116cf583e23, 0x404a8a3172aa12a8, 45_467, false), (0x9de01480e3ef63cf, 0x404b6f7512a9385c, 45_467, false)),
-        (2, 3, 2_000.0, 60_000, (0x8405906b2ac1fffe, 0x4068b17ef41c521d, 45_992, false), (0x13966d0d75ca7616, 0x40681fb08f34f210, 45_992, false)),
-        (3, 1, 3.0, 60_000, (0x94f4c4a063dd2d3a, 0x400eeb6cd817f53b, 35_110, false), (0x3e56e777abf2438b, 0x4019e926807b6876, 35_110, false)),
-        (3, 2, 30.0, 60_000, (0xdc41785533ee6578, 0x40564e7fe6d12be4, 68_507, false), (0xb5f81e113421dd97, 0x405713046b83d540, 68_507, false)),
-        (3, 3, 2_000.0, 60_000, (0x9d8ec2e8457a8efe, 0x4070b7e78655f3e0, 69_033, false), (0x3e2cb63eaedd6358, 0x4070346e0cb47309, 69_033, false)),
-        (10, 1, 3.0, 60_000, (0xfe3746af37235364, 0x40407acce81a9bb1, 130_512, false), (0xfa4a6b330418ffc7, 0x40451be4cb3cddf9, 130_512, false)),
-        (10, 2, 30.0, 60_000, (0x1f039ad67e05aa0c, 0x40714c80e64294ee, 230_014, false), (0xf3197fdc746964fe, 0x4070a89182f70166, 230_014, false)),
-        (10, 3, 2_000.0, 60_000, (0x43bfc4a703b9efc6, 0x4072f53a6301aa68, 230_540, false), (0xda113c65ef2afc82, 0x4072750570ee6ed2, 230_540, false)),
-        (2, 4, 10.0, 5_000, (0xacca42f764ad60e3, 0x402b178d4fdf3b64, 10_000, true), (0xfad5f5d425521184, 0x402ef0a3d70a3d70, 10_000, true)),
-        (3, 4, 10.0, 5_000, (0x87c9da1df8c14e1a, 0x4036b2b020c49ba6, 15_000, true), (0x82ef91c755aa57b4, 0x4039883126e978d5, 15_000, true)),
-        (10, 4, 10.0, 5_000, (0x95c2058d8e32d9e1, 0x4062071a9fbe76c9, 50_000, true), (0x2c503cf497f20678, 0x40632bf7ced91688, 50_000, true)),
-    ];
     // Every pin holds at every thread count, and so does the footprint.
     let mut mismatches = Vec::new();
-    for (h, seed, budget, max_rr, carm, csrm) in pins {
+    for (h, seed, budget, max_rr, memory_pin, carm, csrm) in PINS {
         for (rule, expected) in [(TiRule::CostAgnostic, carm), (TiRule::CostSensitive, csrm)] {
-            let mut serial_memory = None;
             for threads in [1, 2, 5] {
                 let (actual, memory) = ti_pin(h, seed, budget, max_rr, rule, threads);
-                if actual != expected || memory != *serial_memory.get_or_insert(memory) {
+                if actual != expected || memory != memory_pin {
                     mismatches.push(format!(
                         "h = {h}, seed = {seed}, budget = {budget}, {rule:?}, \
                          {threads} threads: {actual:?}, {memory} bytes"
@@ -125,6 +159,45 @@ fn ti_outputs_match_their_seeded_pins() {
     assert!(
         mismatches.is_empty(),
         "TI pins moved:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+#[test]
+fn warm_session_solves_match_the_cold_pins() {
+    // One session serves every pin, so each solve but the first refills
+    // the spare arena an earlier solve left: the largest sample first, then
+    // every pin twice, with a solve under the other strategy in between
+    // (which swaps the spare for a fresh one).
+    let mut mismatches = Vec::new();
+    for threads in [1, 2] {
+        let cache = RrCache::new(130, RrStrategy::Standard, threads, 1);
+        let largest = (10, 3, 2_000.0, 60_000);
+        solver_pin(&cache, largest, TiRule::CostAgnostic, RrStrategy::Standard);
+        assert!(cache.stats().workspace_bytes >= 7_590_108 / 2);
+        for (k, (h, seed, budget, max_rr, memory_pin, carm, csrm)) in PINS.into_iter().enumerate() {
+            let run = (h, seed, budget, max_rr);
+            if k % 4 == 3 {
+                solver_pin(&cache, run, TiRule::CostSensitive, RrStrategy::Subsim);
+            }
+            for (rule, expected) in [(TiRule::CostAgnostic, carm), (TiRule::CostSensitive, csrm)] {
+                for pass in ["first", "repeat"] {
+                    let (actual, memory) = solver_pin(&cache, run, rule, RrStrategy::Standard);
+                    if actual != expected || memory != memory_pin {
+                        mismatches.push(format!(
+                            "h = {h}, seed = {seed}, budget = {budget}, {rule:?}, \
+                             {threads} threads, {pass} warm solve: {actual:?}, {memory} bytes"
+                        ));
+                    }
+                }
+            }
+        }
+        assert!(cache.stats().workspace_bytes > 0, "the spare is kept");
+        assert_eq!(cache.stats().resident_bytes, 0, "TI fills no stream");
+    }
+    assert!(
+        mismatches.is_empty(),
+        "warm TI solves moved:\n{}",
         mismatches.join("\n")
     );
 }
