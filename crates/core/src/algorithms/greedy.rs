@@ -77,14 +77,16 @@ pub fn greedy_single<O: RevenueOracle>(
     let mut cost_sum = 0.0f64;
     let mut stopple: Option<NodeId> = None;
     let mut stopple_revenue = 0.0;
-    // The exact gain behind each refreshed key, by node.
+    // The exact gain behind each refreshed key, and whether the node is
+    // a seed, by node.
     let mut gains = vec![0.0f64; instance.num_nodes];
+    let mut seeded = vec![false; instance.num_nodes];
 
     while let Some(entry) = queue.pop() {
         if stopple.is_some() {
             break;
         }
-        if state.contains(entry.node) {
+        if seeded[entry.node as usize] {
             continue;
         }
         let cost = instance.cost(ad, entry.node);
@@ -105,6 +107,7 @@ pub fn greedy_single<O: RevenueOracle>(
         };
         if cost_sum + cost + state.revenue() + gain <= budget {
             oracle.add_seed(&mut state, entry.node);
+            seeded[entry.node as usize] = true;
             cost_sum += cost;
             version += 1;
         } else {

@@ -9,7 +9,7 @@
 //! interval is relatively short (`(1+τ)γ_1 ≥ γ_2`) or γ_2 has become
 //! negligible (`γ_2 ≤ min_i cpe(i) / (h+6)`).
 
-use crate::algorithms::threshold_greedy::{threshold_greedy_over, SingletonCandidates};
+use crate::algorithms::threshold_greedy::{threshold_greedy_over, SingletonCandidates, Workspace};
 use crate::oracle::RevenueOracle;
 use crate::problem::{Allocation, RmInstance};
 
@@ -62,8 +62,10 @@ pub fn search<O: RevenueOracle>(
     let min_cpe = (0..h)
         .map(|i| instance.cpe(i))
         .fold(f64::INFINITY, f64::min);
-    // Every probe starts from the same singleton candidates; scan them once.
+    // Every probe starts from the same singleton candidates, scanned once,
+    // and works in the same buffers.
     let candidates = SingletonCandidates::scan(instance, oracle);
+    let mut workspace = Workspace::new(instance);
 
     let mut gamma1 = 0.0f64;
     let mut gamma2 = (1.0 + tau) * candidates.gamma_max;
@@ -78,8 +80,8 @@ pub fn search<O: RevenueOracle>(
 
     loop {
         iterations += 1;
-        let outcome = threshold_greedy_over(instance, oracle, gamma, &candidates);
-        let revenue = oracle.allocation_revenue(&outcome.allocation.seed_sets);
+        let outcome = threshold_greedy_over(instance, oracle, gamma, &candidates, &mut workspace);
+        let revenue = outcome.revenue;
         if revenue > best_revenue {
             best_revenue = revenue;
             best = Some(outcome.allocation.clone());

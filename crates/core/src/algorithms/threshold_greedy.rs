@@ -17,7 +17,9 @@
 //! decision needs it. A queue key bounds the current gain (or rate) from
 //! above, and it is exact while its version is current. So the main loop
 //! checks the threshold on the key, and both loops take a fresh key's gain
-//! as exact instead of evaluating it again. Both start from singleton runs
+//! as exact instead of evaluating it again, as they take a stale key that
+//! the oracle's private revenue (a lower bound) reaches. `Fill` continues
+//! from the main loop's seed states. Both start from singleton runs
 //! scanned once per solve: the main loop from the revenue-keyed run, whose
 //! order the RR estimator caches per coverage view, stepping past every
 //! pair whose singleton rate already fails the probe's threshold; `Fill`
@@ -28,9 +30,12 @@
 use crate::algorithms::greedy::greedy_single;
 use crate::oracle::{marginal_rate, RevenueOracle, SeedState};
 use crate::problem::{Allocation, RmInstance};
-use crate::util::{pack, LazyQueue, SortedRun};
-use rmsa_diffusion::AdId;
+use crate::util::{
+    pack, packed_ad, packed_group, packed_node, sort_nearly_sorted, LazyQueue, SortedRun,
+};
+use rmsa_diffusion::{AdId, RateOrders};
 use rmsa_graph::NodeId;
+use std::sync::Arc;
 
 /// Every singleton-feasible `(node, ad)` pair, sorted once in two orders:
 /// by singleton revenue for `ThresholdGreedy`'s line 1 and by singleton
@@ -49,10 +54,12 @@ pub(crate) struct SingletonCandidates {
 }
 
 impl SingletonCandidates {
-    /// One pass over all `n·h` singleton revenues, then one sort by rate.
-    /// The revenue order is the oracle's cached
+    /// One pass over all `n·h` singleton revenues, then the two runs. The
+    /// revenue order is the oracle's cached
     /// [`RevenueOracle::singleton_order`] filtered to the feasible pairs,
-    /// or a second sort when the oracle caches none.
+    /// or a sort when the oracle caches none; the rate order starts from
+    /// one of the oracle's [`RevenueOracle::rate_orders`] when it keeps
+    /// any (see [`rate_run`]).
     pub(crate) fn scan<O: RevenueOracle>(instance: &RmInstance, oracle: &O) -> Self {
         let (h, n) = (instance.num_ads(), instance.num_nodes);
         let order = oracle.singleton_order();
@@ -64,32 +71,34 @@ impl SingletonCandidates {
             let fits = cost + rev <= instance.budget(ad);
             (rev, marginal_rate(rev, cost), fits)
         };
-        let mut by_rate = Vec::with_capacity(n * h);
+        // Every group's rate, and whether its pair fits.
+        let mut rates = Vec::with_capacity(n * h);
+        let mut fits = Vec::with_capacity(n * h);
         let mut by_gain = Vec::with_capacity(if order.is_some() { 0 } else { n * h });
         let mut gamma_max = 0.0f64;
         for ad in 0..h {
             let budget = instance.budget(ad);
             for v in 0..n as NodeId {
-                let (rev, rate, fits) = single(ad, v);
+                let (rev, rate, fit) = single(ad, v);
                 gamma_max = gamma_max.max(budget * rate);
-                if fits {
-                    by_rate.push(pack(rate, v, ad));
-                    if order.is_none() {
-                        by_gain.push(pack(rev, v, ad));
-                    }
+                rates.push(rate);
+                fits.push(fit);
+                if fit && order.is_none() {
+                    by_gain.push(pack(rev, v, ad));
                 }
             }
         }
-        let mut gain_rates = Vec::with_capacity(by_rate.len());
+        let fitting = fits.iter().filter(|&&fit| fit).count();
+        let mut gain_rates = Vec::with_capacity(fitting);
         let by_gain = match order {
             Some(order) => {
-                by_gain.reserve_exact(by_rate.len());
+                by_gain.reserve_exact(fitting);
                 for &group in order {
-                    let (ad, v) = (group as usize / n, group % n as u32);
-                    let (rev, rate, fits) = single(ad, v);
-                    if fits {
-                        by_gain.push(pack(rev, v, ad));
-                        gain_rates.push(rate);
+                    let g = group as usize;
+                    if fits[g] {
+                        let (ad, v) = split_group(group, n);
+                        by_gain.push(pack(oracle.singleton_revenue(ad, v), v, ad));
+                        gain_rates.push(rates[g]);
                     }
                 }
                 SortedRun::from_sorted(by_gain)
@@ -107,8 +116,86 @@ impl SingletonCandidates {
         SingletonCandidates {
             by_gain,
             gain_rates,
-            by_rate: SortedRun::from_packed(by_rate),
+            by_rate: rate_run(oracle.rate_orders(), &rates, &fits, n),
             gamma_max,
+        }
+    }
+}
+
+/// Positions a rate order is probed at for how nearly sorted it leaves
+/// the keys.
+const ORDER_PROBES: usize = 64;
+
+/// The rate run: the rate keys of the pairs that fit, in descending order.
+///
+/// `rates` and `fits` are indexed by group. Over `orders`, every group's
+/// key is laid out in the cached order that leaves the fewest descents
+/// among [`ORDER_PROBES`] evenly spaced positions, then sorted by
+/// [`sort_nearly_sorted`]. Keys are distinct, so the run is the same
+/// whichever order it started from. An order the pass repaired is
+/// replaced by the repaired one; one it gave up on stays, and the new
+/// order joins it.
+fn rate_run(orders: Option<&RateOrders>, rates: &[f64], fits: &[bool], n: usize) -> SortedRun {
+    let key = |group: u32| {
+        let (ad, v) = split_group(group, n);
+        pack(rates[group as usize], v, ad)
+    };
+    let Some(cache) = orders else {
+        let groups = 0..rates.len() as u32;
+        return SortedRun::from_packed(groups.filter(|&g| fits[g as usize]).map(key).collect());
+    };
+    let cached = cache.orders();
+    let descents = |order: &[u32]| {
+        let step = (order.len() / ORDER_PROBES).max(1);
+        let probed: Vec<u128> = (order.iter().step_by(step)).map(|&g| key(g)).collect();
+        probed.windows(2).filter(|w| w[0] < w[1]).count()
+    };
+    let best = (cached.iter())
+        .filter(|order| order.len() == rates.len())
+        .min_by_key(|order| descents(order));
+    let mut sorted: Vec<u128>;
+    let moves = match best {
+        Some(order) => {
+            sorted = order.iter().map(|&g| key(g)).collect();
+            sort_nearly_sorted(&mut sorted)
+        }
+        None => {
+            sorted = (0..rates.len() as u32).map(key).collect();
+            sorted.sort_unstable_by(|a, b| b.cmp(a));
+            usize::MAX
+        }
+    };
+    if moves > 0 {
+        let order: Arc<[u32]> = sorted.iter().map(|&k| packed_group(k, n) as u32).collect();
+        cache.record(order, best.filter(|_| moves != usize::MAX));
+    }
+    sorted.retain(|&k| fits[packed_group(k, n)]);
+    SortedRun::from_sorted(sorted)
+}
+
+/// The advertiser and node of posting group `ad · n + node`, by one
+/// 32-bit division: a 64-bit one costs several times as much.
+fn split_group(group: u32, n: usize) -> (AdId, NodeId) {
+    let n = n as u32;
+    ((group / n) as AdId, group % n)
+}
+
+/// Buffers one `Search` call lends to each of its probes in turn.
+pub(crate) struct Workspace {
+    /// `Fill`'s exact gain behind each refreshed key, at `ad·n + node`. A
+    /// slot is written when its pair's key is refreshed and read only
+    /// while that key is current, so it is never cleared.
+    gains: Vec<f64>,
+    /// Which nodes endorse some advertiser; cleared per loop.
+    assigned: Vec<bool>,
+}
+
+impl Workspace {
+    pub(crate) fn new(instance: &RmInstance) -> Self {
+        let n = instance.num_nodes;
+        Workspace {
+            gains: vec![0.0; n * instance.num_ads()],
+            assigned: vec![false; n],
         }
     }
 }
@@ -118,6 +205,9 @@ impl SingletonCandidates {
 pub struct ThresholdGreedyOutcome {
     /// The final allocation `S⃗*` (after the `Fill` pass).
     pub allocation: Allocation,
+    /// Its revenue, [`RevenueOracle::allocation_revenue`], summed from the
+    /// advertisers' final seed states.
+    pub revenue: f64,
     /// Advertisers whose budgets were depleted during the main loop (`I`).
     pub depleted: Vec<AdId>,
     /// `b = |I|`.
@@ -131,21 +221,32 @@ pub fn threshold_greedy<O: RevenueOracle>(
     gamma: f64,
 ) -> ThresholdGreedyOutcome {
     let candidates = SingletonCandidates::scan(instance, oracle);
-    threshold_greedy_over(instance, oracle, gamma, &candidates)
+    let mut workspace = Workspace::new(instance);
+    threshold_greedy_over(instance, oracle, gamma, &candidates, &mut workspace)
 }
 
-/// [`threshold_greedy`] over singleton candidates scanned beforehand.
+/// [`threshold_greedy`] over singleton candidates scanned beforehand, in
+/// a borrowed workspace.
 pub(crate) fn threshold_greedy_over<O: RevenueOracle>(
     instance: &RmInstance,
     oracle: &O,
     gamma: f64,
     candidates: &SingletonCandidates,
+    workspace: &mut Workspace,
 ) -> ThresholdGreedyOutcome {
-    let (states, stopples) = main_loop(instance, oracle, gamma, candidates);
+    let (mut states, stopples) = main_loop(instance, oracle, gamma, candidates, workspace);
     let (chosen, depleted) = best_of(instance, oracle, &states, &stopples);
-    // Line 12: spend remaining budget.
+    // Line 12: spend remaining budget. `Fill` continues from every S_j
+    // that line 11 kept whole, and seeds the others afresh.
+    for (ad, seeds) in chosen.seed_sets.iter().enumerate() {
+        if states[ad].seeds() != seeds.as_slice() {
+            states[ad] = seeded_state(oracle, ad, seeds);
+        }
+    }
+    let states = fill_states(instance, oracle, states, candidates, workspace);
     ThresholdGreedyOutcome {
-        allocation: fill_over(instance, oracle, chosen, candidates),
+        allocation: allocation_of(&states),
+        revenue: states.iter().map(|s| s.revenue()).sum(),
         b: depleted.len(),
         depleted,
     }
@@ -158,6 +259,7 @@ fn main_loop<O: RevenueOracle>(
     oracle: &O,
     gamma: f64,
     candidates: &SingletonCandidates,
+    workspace: &mut Workspace,
 ) -> (Vec<O::State>, Vec<Option<NodeId>>) {
     let h = instance.num_ads();
     assert_eq!(oracle.num_ads(), h);
@@ -167,7 +269,8 @@ fn main_loop<O: RevenueOracle>(
     let mut versions = vec![0u32; h];
     let mut cost_sums = vec![0.0f64; h];
     let mut stopples: Vec<Option<NodeId>> = vec![None; h];
-    let mut assigned = vec![false; instance.num_nodes];
+    let assigned = &mut workspace.assigned;
+    assigned.fill(false);
     let mut depleted_count = 0usize;
 
     // Line 5's rate threshold γ / B_j, per advertiser.
@@ -175,16 +278,20 @@ fn main_loop<O: RevenueOracle>(
 
     // Line 1: M holds every singleton-feasible (node, ad) pair, keyed by the
     // marginal gain π_j(v | S_j), initially the singleton revenue. The
-    // queue steps past a pair whose singleton rate is below its threshold
-    // without popping it: its key only falls, so line 5 would reject it at
-    // every pop.
+    // queue steps past a pair that line 5 or 6 rejects at every pop
+    // without popping it: its singleton rate is below its threshold (its
+    // key only falls), its advertiser is depleted or its node assigned.
     let mut queue = LazyQueue::borrowing(&candidates.by_gain);
-    let live = |i: usize, ad: AdId| candidates.gain_rates[i] >= thresholds[ad];
 
     // Lines 3–8: greedy main loop over marginal gains with the rate
     // threshold, the partition constraint, and the budget check.
     while depleted_count < h {
-        let Some(entry) = queue.pop_live(live) else {
+        let Some(entry) = queue.pop_live(|i, key| {
+            let ad = packed_ad(key);
+            (candidates.gain_rates[i] >= thresholds[ad])
+                & stopples[ad].is_none()
+                & !assigned[packed_node(key) as usize]
+        }) else {
             break;
         };
         let (node, ad) = (entry.node, entry.ad);
@@ -204,10 +311,16 @@ fn main_loop<O: RevenueOracle>(
             // so the pair's rate stays below the threshold.
             continue;
         }
-        if entry.version != versions[ad] {
-            // Stale upper bound: refresh and re-queue (CELF).
+        // Stale upper bound: refresh and re-queue (CELF), unless the
+        // refreshed key already fails line 5. Unless, too, the pair's
+        // private revenue, a lower bound, reaches the key: then the key
+        // is the gain, and the re-queued entry would pop next, so it is
+        // taken as fresh.
+        if entry.version != versions[ad] && oracle.private_revenue(ad, node) != Some(entry.key) {
             let gain = oracle.marginal_gain(&states[ad], node);
-            queue.push(gain, node, ad, versions[ad]);
+            if marginal_rate(gain, cost) >= thresholds[ad] {
+                queue.push(gain, node, ad, versions[ad]);
+            }
             continue;
         }
         // A fresh key is the exact gain: the singleton revenue at version
@@ -316,24 +429,49 @@ pub fn fill<O: RevenueOracle>(
     allocation: Allocation,
 ) -> Allocation {
     let candidates = SingletonCandidates::scan(instance, oracle);
-    fill_over(instance, oracle, allocation, &candidates)
+    let states = (allocation.seed_sets.iter().enumerate())
+        .map(|(ad, seeds)| seeded_state(oracle, ad, seeds))
+        .collect();
+    let mut workspace = Workspace::new(instance);
+    allocation_of(&fill_states(
+        instance,
+        oracle,
+        states,
+        &candidates,
+        &mut workspace,
+    ))
 }
 
-/// [`fill`] over singleton candidates scanned beforehand.
-fn fill_over<O: RevenueOracle>(
+/// Advertiser `ad`'s state after committing `seeds` in order.
+fn seeded_state<O: RevenueOracle>(oracle: &O, ad: AdId, seeds: &[NodeId]) -> O::State {
+    let mut state = oracle.new_state(ad);
+    for &u in seeds {
+        oracle.add_seed(&mut state, u);
+    }
+    state
+}
+
+fn allocation_of<S: SeedState>(states: &[S]) -> Allocation {
+    Allocation {
+        seed_sets: states.iter().map(|s| s.seeds().to_vec()).collect(),
+    }
+}
+
+/// [`fill`] from the advertisers' seed states, over singleton candidates
+/// scanned beforehand.
+fn fill_states<O: RevenueOracle>(
     instance: &RmInstance,
     oracle: &O,
-    allocation: Allocation,
+    mut states: Vec<O::State>,
     candidates: &SingletonCandidates,
-) -> Allocation {
-    let h = instance.num_ads();
+    workspace: &mut Workspace,
+) -> Vec<O::State> {
     let n = instance.num_nodes;
-    let mut states: Vec<O::State> = (0..h).map(|i| oracle.new_state(i)).collect();
-    let mut cost_sums = vec![0.0f64; h];
-    let mut assigned = vec![false; n];
-    for (ad, seeds) in allocation.seed_sets.iter().enumerate() {
-        for &u in seeds {
-            oracle.add_seed(&mut states[ad], u);
+    let Workspace { gains, assigned } = workspace;
+    assigned.fill(false);
+    let mut cost_sums = vec![0.0f64; states.len()];
+    for (ad, state) in states.iter().enumerate() {
+        for &u in state.seeds() {
             cost_sums[ad] += instance.cost(ad, u);
             assigned[u as usize] = true;
         }
@@ -345,50 +483,63 @@ fn fill_over<O: RevenueOracle>(
         .iter()
         .map(|s| u32::from(!s.seeds().is_empty()))
         .collect();
-    // The exact gain behind each refreshed key, at `ad·n + node`.
-    let mut gains = vec![0.0f64; n * h];
 
     // Line 1: all singleton-feasible pairs, keyed by marginal rate. A pair
     // that does not fit is dropped for good, since π(S ∪ {v}) + c(S ∪ {v})
-    // only grows with S: without evaluating its gain once the spend alone
-    // overflows, and right after its refresh otherwise.
+    // only grows with S: without evaluating its gain once the spend alone,
+    // or with the pair's private revenue, overflows, and right after its
+    // refresh otherwise.
     let mut queue = LazyQueue::borrowing(&candidates.by_rate);
-    while let Some(entry) = queue.pop() {
+    let spend = |states: &[O::State], cost_sums: &[f64], ad: AdId, node: NodeId| {
+        cost_sums[ad] + instance.cost(ad, node) + states[ad].revenue()
+    };
+    while let Some(entry) = queue.pop_live(|_, key| {
+        let (node, ad) = (packed_node(key), packed_ad(key));
+        !assigned[node as usize] & (spend(&states, &cost_sums, ad, node) <= instance.budget(ad))
+    }) {
         let (node, ad) = (entry.node, entry.ad);
         if assigned[node as usize] {
             continue;
         }
         let cost = instance.cost(ad, node);
         let budget = instance.budget(ad);
-        let spent = cost_sums[ad] + cost + states[ad].revenue();
+        let spent = spend(&states, &cost_sums, ad, node);
         if spent > budget {
             continue;
         }
         let slot = ad * n + node as usize;
-        if entry.version != versions[ad] {
-            let gain = oracle.marginal_gain(&states[ad], node);
-            if spent + gain <= budget {
-                gains[slot] = gain;
-                queue.push(marginal_rate(gain, cost), node, ad, versions[ad]);
-            }
-            continue;
-        }
-        let gain = if entry.version == 0 {
+        // The gain behind the key: the singleton revenue at version 0, the
+        // one stored at its refresh after that.
+        let keyed = if entry.version == 0 {
             oracle.singleton_revenue(ad, node)
         } else {
             gains[slot]
         };
-        if spent + gain <= budget {
+        if entry.version != versions[ad] {
+            // A private revenue that reaches the keyed gain is the gain,
+            // and the refreshed key would be this one, popping next: the
+            // entry is taken as fresh. Otherwise it bounds the gain below.
+            let private = oracle.private_revenue(ad, node);
+            if private != Some(keyed) {
+                if private.is_some_and(|p| spent + p > budget) {
+                    continue;
+                }
+                let gain = oracle.marginal_gain(&states[ad], node);
+                if spent + gain <= budget {
+                    gains[slot] = gain;
+                    queue.push(marginal_rate(gain, cost), node, ad, versions[ad]);
+                }
+                continue;
+            }
+        }
+        if spent + keyed <= budget {
             oracle.add_seed(&mut states[ad], node);
             cost_sums[ad] += cost;
             versions[ad] += 1;
             assigned[node as usize] = true;
         }
     }
-
-    Allocation {
-        seed_sets: states.iter().map(|s| s.seeds().to_vec()).collect(),
-    }
+    states
 }
 
 #[cfg(test)]
@@ -397,9 +548,12 @@ mod tests {
     use crate::oracle::ExactRevenueOracle;
     use crate::problem::{Advertiser, SeedCosts};
     use crate::sampling::RrRevenueEstimator;
+    use rand::Rng;
     use rand::SeedableRng;
     use rand_pcg::Pcg64Mcg;
-    use rmsa_diffusion::{RrArena, RrStrategy, UniformIc, UniformRrSampler};
+    use rmsa_diffusion::{
+        CoverageIndex, RrArena, RrStrategy, UniformIc, UniformRrSampler, RATE_ORDERS,
+    };
     use rmsa_graph::generators::barabasi_albert;
     use rmsa_graph::{graph_from_edges, DirectedGraph};
     use std::cell::Cell;
@@ -558,8 +712,10 @@ mod tests {
         ) -> ThresholdGreedyOutcome {
             let (states, stopples) = main_loop(instance, oracle, gamma);
             let (chosen, depleted) = best_of(instance, oracle, &states, &stopples);
+            let allocation = fill(instance, oracle, chosen);
             ThresholdGreedyOutcome {
-                allocation: fill(instance, oracle, chosen),
+                revenue: oracle.allocation_revenue(&allocation.seed_sets),
+                allocation,
                 b: depleted.len(),
                 depleted,
             }
@@ -691,29 +847,30 @@ mod tests {
         }
     }
 
-    /// Forwards every call and counts `marginal_gain` evaluations.
+    /// Forwards every call and counts `marginal_gain` evaluations. The
+    /// oracle's cached orders and its private revenues are forwarded only
+    /// when asked for: without the orders every scan sorts, and without
+    /// the private revenues no stale key is taken as fresh.
     struct CountingGains<'a, O> {
         inner: &'a O,
         gains: Cell<u64>,
-        /// Whether `singleton_order` is forwarded too; without it, every
-        /// scan takes the sorting fallback.
-        forward_order: bool,
+        forward_orders: bool,
+        forward_private: bool,
     }
 
     impl<'a, O: RevenueOracle> CountingGains<'a, O> {
-        fn new(inner: &'a O) -> Self {
+        fn new(inner: &'a O, forward_orders: bool, forward_private: bool) -> Self {
             CountingGains {
                 inner,
                 gains: Cell::new(0),
-                forward_order: true,
+                forward_orders,
+                forward_private,
             }
         }
 
-        fn without_order(inner: &'a O) -> Self {
-            CountingGains {
-                forward_order: false,
-                ..CountingGains::new(inner)
-            }
+        /// Forwards the private revenues but no cached order.
+        fn sorting(inner: &'a O) -> Self {
+            CountingGains::new(inner, false, true)
         }
 
         /// Gains evaluated since the last call.
@@ -738,7 +895,15 @@ mod tests {
             self.inner.singleton_revenue(ad, u)
         }
         fn singleton_order(&self) -> Option<&[u32]> {
-            self.inner.singleton_order().filter(|_| self.forward_order)
+            self.inner.singleton_order().filter(|_| self.forward_orders)
+        }
+        fn rate_orders(&self) -> Option<&RateOrders> {
+            self.inner.rate_orders().filter(|_| self.forward_orders)
+        }
+        fn private_revenue(&self, ad: AdId, u: NodeId) -> Option<f64> {
+            self.inner
+                .private_revenue(ad, u)
+                .filter(|_| self.forward_private)
         }
         fn new_state(&self, ad: AdId) -> O::State {
             self.inner.new_state(ad)
@@ -778,37 +943,29 @@ mod tests {
     /// over `[0, (1+τ)·γ_max]` that `Search`'s bisection probes (τ = 0.1),
     /// then lazy against eager `Fill` from an empty allocation and from
     /// the first half of each probe's seed sets. The lazy loops see the
-    /// oracle's cached singleton order only when `forward_order` is set.
-    /// Returns the gain evaluations of the lazy and the eager runs.
+    /// oracle's cached orders and private revenues only as `counting`
+    /// forwards them; the eager ones see neither. Returns the gain
+    /// evaluations of the lazy and the eager runs.
     fn assert_lazy_matches_eager<O: RevenueOracle>(
         instance: &RmInstance,
-        oracle: &O,
-        forward_order: bool,
+        counting: &CountingGains<'_, O>,
         label: &str,
     ) -> (u64, u64) {
-        let counting = if forward_order {
-            CountingGains::new(oracle)
-        } else {
-            CountingGains::without_order(oracle)
-        };
+        let eager_oracle = CountingGains::new(counting.inner, false, false);
         let (mut lazy_gains, mut eager_gains) = (0, 0);
-        let gamma_top = 1.1 * SingletonCandidates::scan(instance, oracle).gamma_max;
+        let gamma_top = 1.1 * SingletonCandidates::scan(instance, counting).gamma_max;
         let mut starts = vec![Allocation::empty(instance.num_ads())];
         for k in 0..=32 {
             let gamma = gamma_top * f64::from(k) / 32.0;
-            let lazy = threshold_greedy(instance, &counting, gamma);
+            let lazy = threshold_greedy(instance, counting, gamma);
             lazy_gains += counting.take();
-            let eager = eager::threshold_greedy(instance, &counting, gamma);
-            eager_gains += counting.take();
+            let eager = eager::threshold_greedy(instance, &eager_oracle, gamma);
+            eager_gains += eager_oracle.take();
             assert_eq!(lazy.allocation, eager.allocation, "{label}, γ = {gamma}");
             assert_eq!(lazy.depleted, eager.depleted, "{label}, γ = {gamma}");
             assert_eq!(
-                oracle
-                    .allocation_revenue(&lazy.allocation.seed_sets)
-                    .to_bits(),
-                oracle
-                    .allocation_revenue(&eager.allocation.seed_sets)
-                    .to_bits(),
+                lazy.revenue.to_bits(),
+                eager.revenue.to_bits(),
                 "{label}, γ = {gamma}"
             );
             let mut partial = lazy.allocation;
@@ -819,10 +976,10 @@ mod tests {
         }
         assert!(starts.iter().any(|s| s.total_seeds() > 0), "{label}");
         for start in starts {
-            let lazy = fill(instance, &counting, start.clone());
+            let lazy = fill(instance, counting, start.clone());
             lazy_gains += counting.take();
-            let eager = eager::fill(instance, &counting, start.clone());
-            eager_gains += counting.take();
+            let eager = eager::fill(instance, &eager_oracle, start.clone());
+            eager_gains += eager_oracle.take();
             assert_eq!(lazy, eager, "{label}, Fill from {start:?}");
         }
         (lazy_gains, eager_gains)
@@ -833,13 +990,80 @@ mod tests {
         for h in [2, 3, 10] {
             for seed in 1..=3 {
                 let (estimator, inst) = rr_instance(h, seed);
-                // One case keeps the sorting fallback.
-                let forward_order = (h, seed) != (3, 1);
-                let label = format!("h = {h}, seed = {seed}, cached order {forward_order}");
-                let (lazy, eager) =
-                    assert_lazy_matches_eager(&inst, &estimator, forward_order, &label);
+                // One case keeps the sorting fallback, one walks every
+                // stale key.
+                let orders = (h, seed) != (3, 1);
+                let private = (h, seed) != (2, 2);
+                let label = format!("h = {h}, seed = {seed}, orders {orders}, private {private}");
+                let counting = CountingGains::new(&estimator, orders, private);
+                let (lazy, eager) = assert_lazy_matches_eager(&inst, &counting, &label);
                 assert!(lazy < eager, "{label}: {lazy} lazy vs {eager} eager gains");
             }
+        }
+    }
+
+    /// An estimator over hand-made sets that partly overlap: per
+    /// advertiser, nodes `0..8` appear only in sets of their own (their
+    /// gain is fixed at the singleton revenue), nodes `8..16` also in sets
+    /// shared with a neighbour (a private revenue below the singleton one)
+    /// and nodes `16..24` only in shared sets (no private revenue).
+    fn overlapping_instance(h: usize, seed: u64) -> (RrRevenueEstimator, RmInstance) {
+        let n = 24u32;
+        let mut rng = Pcg64Mcg::seed_from_u64(seed);
+        let mut arena = RrArena::new(n as usize, RrStrategy::Standard);
+        for _ in 0..3_000 {
+            let ad = rng.gen_range(0..h);
+            let u = rng.gen_range(0..n);
+            match u {
+                0..=7 => arena.push_set(ad, &[u]),
+                8..=15 if rng.gen_bool(0.5) => arena.push_set(ad, &[u]),
+                _ => {
+                    let v = 8 + (u - 8 + rng.gen_range(1..16u32)) % 16;
+                    arena.push_set(ad, &[u, v]);
+                }
+            }
+        }
+        let cpes: Vec<f64> = (0..h).map(|i| 1.0 + i as f64 * 0.5).collect();
+        let gamma: f64 = cpes.iter().sum();
+        let estimator = RrRevenueEstimator::new(&arena, h, gamma);
+        let advertisers = (0..h)
+            .map(|i| Advertiser::try_new(30.0 + 25.0 * (i % 3) as f64, cpes[i]).unwrap())
+            .collect();
+        let costs = SeedCosts::Shared((0..n).map(|u| 1.0 + (u % 5) as f64).collect());
+        (
+            estimator,
+            RmInstance::try_new(n as usize, advertisers, costs).unwrap(),
+        )
+    }
+
+    /// The private shortcut and the floor are exact: over estimators whose
+    /// sets partly overlap, the lazy loops with and without them match the
+    /// eager reference, and with them evaluate fewer gains.
+    #[test]
+    fn private_revenues_are_exact_where_sets_overlap() {
+        for (h, seed) in [(2, 1), (3, 2), (5, 3)] {
+            let (estimator, inst) = overlapping_instance(h, seed);
+            let (mut fixed, mut floored, mut unbounded) = (0, 0, 0);
+            for ad in 0..h {
+                for u in 0..24 {
+                    let private = estimator.coverage().private_count(ad, u);
+                    let single = estimator.singleton_count(ad, u);
+                    assert!(private <= single);
+                    fixed += usize::from(private == single && single > 0);
+                    floored += usize::from(0 < private && private < single);
+                    unbounded += usize::from(private == 0 && single > 0);
+                }
+            }
+            assert!(fixed > 0 && floored > 0 && unbounded > 0, "h = {h}");
+            let label = format!("h = {h}, overlapping sets");
+            let with = CountingGains::new(&estimator, true, true);
+            let (lazy, eager) = assert_lazy_matches_eager(&inst, &with, &label);
+            let without = CountingGains::new(&estimator, true, false);
+            let (walking, _) = assert_lazy_matches_eager(&inst, &without, &label);
+            assert!(
+                lazy < walking && walking < eager,
+                "{label}: {lazy} with private revenues, {walking} without, {eager} eager"
+            );
         }
     }
 
@@ -861,7 +1085,8 @@ mod tests {
         )
         .unwrap();
         let o = ExactRevenueOracle::new(&g, &m, &inst);
-        let (lazy, eager) = assert_lazy_matches_eager(&inst, &o, true, "exact oracle");
+        let counting = CountingGains::new(&o, true, true);
+        let (lazy, eager) = assert_lazy_matches_eager(&inst, &counting, "exact oracle");
         assert!(lazy < eager, "{lazy} lazy vs {eager} eager gains");
     }
 
@@ -874,8 +1099,7 @@ mod tests {
                 let (estimator, inst) = rr_instance(h, seed);
                 assert!(estimator.singleton_order().is_some());
                 let cached = SingletonCandidates::scan(&inst, &estimator);
-                let sorted =
-                    SingletonCandidates::scan(&inst, &CountingGains::without_order(&estimator));
+                let sorted = SingletonCandidates::scan(&inst, &CountingGains::sorting(&estimator));
                 assert_eq!(cached, sorted, "h = {h}, seed = {seed}");
                 assert!(cached.by_gain.entries().count() > 0);
             }
@@ -891,5 +1115,94 @@ mod tests {
             fallback.by_gain.entries().map(|e| (e.node, e.ad)).collect();
         let expected: Vec<(NodeId, AdId)> = (0..12).rev().flat_map(|u| [(u, 1), (u, 0)]).collect();
         assert_eq!(nodes, expected);
+    }
+
+    /// Per-advertiser costs `α · g(s)` of the paper's three incentive
+    /// models, over spreads `s` read off the estimator as the serving
+    /// path reads them: many pairs share a ratio of revenue to spread, so
+    /// their rate order shifts in the last bit from one α to the next.
+    fn incentive_instance(estimator: &RrRevenueEstimator, model: usize, alpha: f64) -> RmInstance {
+        let (h, n) = (estimator.num_ads(), estimator.num_nodes());
+        let cpes: Vec<f64> = (0..h).map(|i| 1.0 + i as f64 * 0.25).collect();
+        let costs = (0..h)
+            .map(|ad| {
+                (0..n as NodeId)
+                    .map(|u| {
+                        let s = estimator.approx_singleton_spread(ad, u, cpes[ad]).max(1.0);
+                        let g = [s, s * s.ln(), s * s][model];
+                        (alpha * g).max(1e-6)
+                    })
+                    .collect()
+            })
+            .collect();
+        let advertisers = (0..h)
+            .map(|i| Advertiser::try_new(10.0 + 4.0 * (i % 3) as f64, cpes[i]).unwrap())
+            .collect();
+        RmInstance::try_new(n, advertisers, SeedCosts::PerAd(costs)).unwrap()
+    }
+
+    /// The scan that starts from a cached rate order builds the sorting
+    /// scan's candidates: over an α grid of all three incentive models,
+    /// after deliberately wrong orders, and from an order taken before an
+    /// index extension.
+    #[test]
+    fn cached_rate_order_scan_matches_the_sorting_scan() {
+        let scans_agree = |estimator: &RrRevenueEstimator, label: &str| {
+            for model in 0..3 {
+                for k in 0..6 {
+                    let inst = incentive_instance(estimator, model, 0.1 + 0.07 * f64::from(k));
+                    let cached = SingletonCandidates::scan(&inst, estimator);
+                    let sorted =
+                        SingletonCandidates::scan(&inst, &CountingGains::sorting(estimator));
+                    assert_eq!(cached, sorted, "{label}: model {model}, α step {k}");
+                }
+            }
+        };
+        let (estimator, _) = rr_instance(3, 2);
+        let cache = estimator.coverage().rate_orders();
+        assert!(cache.orders().is_empty());
+        scans_agree(&estimator, "fresh cache");
+        let learned = cache.orders();
+        assert!(
+            (2..=RATE_ORDERS).contains(&learned.len()),
+            "{}",
+            learned.len()
+        );
+        // Repeating the grid starts every scan from a learned order.
+        scans_agree(&estimator, "learned orders");
+
+        // Wrong orders: reversed, and shuffled.
+        let groups = learned[0].len() as u32;
+        let mut shuffled: Vec<u32> = (0..groups).collect();
+        let mut rng = Pcg64Mcg::seed_from_u64(9);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..=i));
+        }
+        for old in cache.orders() {
+            cache.record(old.iter().rev().copied().collect(), Some(&old));
+        }
+        cache.record(shuffled.into(), None);
+        scans_agree(&estimator, "wrong orders");
+
+        // An order learned over a smaller index, handed to the view of the
+        // extended one.
+        let mut graph_rng = Pcg64Mcg::seed_from_u64(2);
+        let graph = barabasi_albert(120, 3, &mut graph_rng);
+        let model = UniformIc::new(3, 0.15);
+        let sampler = UniformRrSampler::new(&[1.0, 1.25, 1.5]);
+        let mut arena = RrArena::new(graph.num_nodes(), RrStrategy::Standard);
+        let mut index = CoverageIndex::new(graph.num_nodes(), 3);
+        arena.generate(&graph, &model, &sampler, 5_000, &mut graph_rng);
+        index.extend_from(&arena, 1);
+        let before = RrRevenueEstimator::from_view(index.view(), sampler.gamma());
+        scans_agree(&before, "before the extension");
+        arena.generate(&graph, &model, &sampler, 15_000, &mut graph_rng);
+        index.extend_from(&arena, 1);
+        let after = RrRevenueEstimator::from_view(index.view(), sampler.gamma());
+        assert!(after.coverage().rate_orders().orders().is_empty());
+        for old in before.coverage().rate_orders().orders() {
+            after.coverage().rate_orders().record(old, None);
+        }
+        scans_agree(&after, "orders from before the extension");
     }
 }

@@ -67,13 +67,7 @@ impl IndependentEvaluator {
 
     /// Full evaluation report for an allocation under `instance`.
     pub fn report(&self, instance: &RmInstance, allocation: &Allocation) -> EvaluationReport {
-        use crate::oracle::RevenueOracle;
-        let per_ad_revenue: Vec<f64> = allocation
-            .seed_sets
-            .iter()
-            .enumerate()
-            .map(|(ad, s)| self.estimator.revenue(ad, s))
-            .collect();
+        let per_ad_revenue = self.estimator.per_ad_estimates(&allocation.seed_sets);
         let per_ad_cost: Vec<f64> = allocation
             .seed_sets
             .iter()
@@ -142,6 +136,30 @@ mod tests {
         let spend = rep.revenue + rep.seeding_cost;
         assert!((rep.budget_usage_pct - 100.0 * spend / 20.0).abs() < 1e-9);
         assert!((rep.rate_of_return_pct - 100.0 * rep.revenue / spend).abs() < 1e-9);
+    }
+
+    /// The one-bitset report matches per-advertiser revenue queries bit
+    /// for bit, seeds shared across advertisers included.
+    #[test]
+    fn report_revenues_match_per_ad_queries_bit_for_bit() {
+        use crate::oracle::RevenueOracle;
+        let (g, m, inst) = setup();
+        let ev = IndependentEvaluator::build(&g, &m, &inst, 20_000, 2, 5);
+        for seed_sets in [
+            vec![vec![0, 4], vec![3, 1]],
+            vec![vec![0, 3], vec![0, 3, 5]],
+            vec![vec![], vec![2]],
+        ] {
+            let alloc = Allocation { seed_sets };
+            let rep = ev.report(&inst, &alloc);
+            let expected: Vec<u64> = (alloc.seed_sets.iter().enumerate())
+                .map(|(ad, s)| ev.estimator.revenue(ad, s).to_bits())
+                .collect();
+            let got: Vec<u64> = rep.per_ad_revenue.iter().map(|r| r.to_bits()).collect();
+            assert_eq!(got, expected, "{:?}", alloc.seed_sets);
+            let sum: f64 = rep.per_ad_revenue.iter().sum();
+            assert_eq!(rep.revenue.to_bits(), sum.to_bits());
+        }
     }
 
     #[test]

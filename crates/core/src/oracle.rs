@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
 use rmsa_diffusion::exact::ExactOracle;
-use rmsa_diffusion::{estimate_spread, AdId, PropagationModel};
+use rmsa_diffusion::{estimate_spread, AdId, PropagationModel, RateOrders};
 use rmsa_graph::{DirectedGraph, NodeId};
 
 /// Incremental evaluation state for one advertiser's growing seed set.
@@ -72,6 +72,21 @@ pub trait RevenueOracle {
     /// filter it instead of sorting all `n·h` pairs; `None`, the default,
     /// makes the solve sort.
     fn singleton_order(&self) -> Option<&[u32]> {
+        None
+    }
+    /// Recent orders of all `(node, ad)` groups `ad · num_nodes + u` by
+    /// singleton rate, for a solve to start its rate sort from. Any order
+    /// gives the same sorted run, only faster or slower; `None`, the
+    /// default, makes the solve sort from scratch.
+    fn rate_orders(&self) -> Option<&RateOrders> {
+        None
+    }
+    /// The part of `singleton_revenue(ad, u)` no seed but `u` earns: a
+    /// lower bound on `marginal_gain(state, u)` for every state of `ad`
+    /// that does not hold `u`. Where it equals a bound on the gain from
+    /// above (such as the singleton revenue), it is the gain. `None`, the
+    /// default, when the oracle does not know it.
+    fn private_revenue(&self, _ad: AdId, _u: NodeId) -> Option<f64> {
         None
     }
     /// Fresh empty state for advertiser `ad`.

@@ -186,8 +186,8 @@ impl RmInstance {
             .map(|u| self.cost(ad, u))
             .collect();
         // Costs are validated finite at construction; total_cmp orders any
-        // float either way.
-        costs.sort_by(|a, b| a.total_cmp(b));
+        // float either way, and equal costs add up alike in any order.
+        costs.sort_unstable_by(|a, b| a.total_cmp(b));
         let mut total = 0.0;
         let mut count = 0usize;
         for c in costs {

@@ -21,7 +21,7 @@
 //! advertiser, so other advertisers' sets are never visited.
 
 use crate::oracle::{RevenueOracle, SeedState};
-use rmsa_diffusion::{AdId, CoverBitset, CoverageIndex, CoverageView, RrArena};
+use rmsa_diffusion::{AdId, CoverBitset, CoverageIndex, CoverageView, RateOrders, RrArena};
 use rmsa_graph::NodeId;
 
 /// Revenue estimator over a coverage-index snapshot of a uniform-sampler
@@ -95,6 +95,14 @@ impl RrRevenueEstimator {
         self.scale * self.view.allocation_coverage_count(allocation) as f64
     }
 
+    /// Estimated revenue `π̃_i(S_i, R)` of every advertiser's seed set in
+    /// `allocation`, each equal to [`RevenueOracle::revenue`] bit for bit.
+    pub fn per_ad_estimates(&self, allocation: &[Vec<NodeId>]) -> Vec<f64> {
+        (self.view.allocation_coverage_counts(allocation).into_iter())
+            .map(|count| self.scale * count as f64)
+            .collect()
+    }
+
     /// Estimated per-ad spread `σ̃_i(S)` (revenue divided by the advertiser's
     /// CPE is up to the caller; spread here is `n · covered / |R_i|` with
     /// `|R_i|` approximated by `|R| · cpe_i / Γ`, which is exactly how the
@@ -158,6 +166,15 @@ impl RevenueOracle for RrRevenueEstimator {
         // scale is normal and positive: counts are below 2³², so distinct
         // counts stay distinct revenues. With no RR-set the scale is 0.
         self.scale.is_normal().then(|| self.view.singleton_order())
+    }
+
+    fn rate_orders(&self) -> Option<&RateOrders> {
+        Some(self.view.rate_orders())
+    }
+
+    fn private_revenue(&self, ad: AdId, u: NodeId) -> Option<f64> {
+        // The sets `u` alone covers stay uncovered until `u` is a seed.
+        Some(self.scale * self.view.private_count(ad, u) as f64)
     }
 
     fn new_state(&self, ad: AdId) -> RrSeedState {

@@ -3,7 +3,6 @@
 use rmsa_diffusion::AdId;
 use rmsa_graph::NodeId;
 use std::borrow::Cow;
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// A `(key, node, ad)` queue entry with a per-advertiser version stamp
@@ -24,8 +23,8 @@ pub struct LazyEntry {
 }
 
 impl LazyEntry {
-    /// The entry's position in [`LazyEntry::cmp`] order packed into one
-    /// integer: see [`pack`].
+    /// The entry's position in queue order packed into one integer: see
+    /// [`pack`].
     fn packed(&self) -> u128 {
         pack(self.key, self.node, self.ad)
     }
@@ -49,8 +48,8 @@ impl LazyEntry {
 }
 
 /// A `(key, node, ad)` triple packed into one integer whose unsigned order
-/// is [`LazyEntry::cmp`]'s: the `f64::total_cmp` bits of the key, then the
-/// node, then the advertiser (advertiser ids are below 2³²).
+/// is the queue order: the key under `f64::total_cmp`, then the node, then
+/// the advertiser (advertiser ids are below 2³²).
 pub fn pack(key: f64, node: NodeId, ad: AdId) -> u128 {
     let bits = key.to_bits();
     // Negative floats order by reversed magnitude: flipping every bit
@@ -66,37 +65,49 @@ pub fn pack(key: f64, node: NodeId, ad: AdId) -> u128 {
 }
 
 /// The advertiser of a [`pack`]ed key.
-fn packed_ad(packed: u128) -> AdId {
+pub fn packed_ad(packed: u128) -> AdId {
     (packed as u32) as AdId
 }
 
-impl PartialEq for LazyEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.node == other.node && self.ad == other.ad
-    }
+/// The node of a [`pack`]ed key.
+pub fn packed_node(packed: u128) -> NodeId {
+    (packed >> 32) as NodeId
 }
 
-impl Eq for LazyEntry {}
-
-impl PartialOrd for LazyEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// The posting group `ad · num_nodes + node` of a [`pack`]ed key.
+pub fn packed_group(packed: u128, num_nodes: usize) -> usize {
+    packed_ad(packed) * num_nodes + packed_node(packed) as usize
 }
 
-impl Ord for LazyEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Largest first by key; NaN keys are rejected at construction time, and
-        // total_cmp gives every float a total order regardless.
-        self.key
-            .total_cmp(&other.key)
-            .then_with(|| self.node.cmp(&other.node))
-            .then_with(|| self.ad.cmp(&other.ad))
+/// Sort `keys` into descending order, cheaply when they nearly are: each
+/// key that rises above its predecessor is moved into place by a binary
+/// search and a block shift, until the shifts reach [`SHIFT_BUDGET`]
+/// times the length, when `sort_unstable` takes over. Returns the keys
+/// moved, or `usize::MAX` when the sort took over.
+pub fn sort_nearly_sorted(keys: &mut [u128]) -> usize {
+    let (mut moved, mut shifted) = (0usize, 0usize);
+    for i in 1..keys.len() {
+        let key = keys[i];
+        if keys[i - 1] >= key {
+            continue;
+        }
+        let j = keys[..i].partition_point(|&k| k > key);
+        keys[j..=i].rotate_right(1);
+        moved += 1;
+        shifted += i - j;
+        if shifted > SHIFT_BUDGET * keys.len() {
+            keys.sort_unstable_by(|a, b| b.cmp(a));
+            return usize::MAX;
+        }
     }
+    moved
 }
+
+/// Keys [`sort_nearly_sorted`] may shift, per key, before it sorts.
+const SHIFT_BUDGET: usize = 4;
 
 /// Version-0 queue entries as [`pack`]ed keys, sorted once into
-/// descending [`LazyEntry::cmp`] order, so several queues can start from
+/// descending queue order, so several queues can start from
 /// the same candidates without re-sorting. A packed key is 16 bytes
 /// against an entry's 24 and compares as one integer.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -137,8 +148,8 @@ impl SortedRun {
 ///
 /// The initial candidates live in a [`SortedRun`] read through a cursor
 /// and unpacked on pop, always at version 0; only CELF re-pushes go into a
-/// binary heap, which stays small. `pop` returns the larger of the run
-/// head and the heap top. Callers keep at most one live entry per
+/// binary heap of packed keys and their versions, which stays small. `pop`
+/// returns the larger of the run head and the heap top. Callers keep at most one live entry per
 /// `(node, ad)` pair and the order is total, so no two live entries
 /// compare equal and the pop sequence is exactly that of one max-heap
 /// holding every entry.
@@ -146,7 +157,14 @@ impl SortedRun {
 pub struct LazyQueue<'a> {
     run: Cow<'a, [u128]>,
     next: usize,
-    refresh: BinaryHeap<LazyEntry>,
+    /// Run positions `[live_from, live_to)` whose [`Self::pop_live`]
+    /// verdicts are cached in `live_mask`, bit `i - live_from` for `i`.
+    live_from: usize,
+    live_to: usize,
+    live_mask: u64,
+    /// Re-pushed entries: the [`pack`]ed key, then the version. Live
+    /// keys never tie, so the version never decides the order.
+    refresh: BinaryHeap<(u128, u32)>,
 }
 
 impl LazyQueue<'static> {
@@ -166,6 +184,9 @@ impl<'a> LazyQueue<'a> {
         LazyQueue {
             run,
             next: 0,
+            live_from: 0,
+            live_to: 0,
+            live_mask: 0,
             refresh: BinaryHeap::new(),
         }
     }
@@ -179,35 +200,52 @@ impl<'a> LazyQueue<'a> {
     /// Re-insert a candidate with a refreshed key.
     pub fn push(&mut self, key: f64, node: NodeId, ad: AdId, version: u32) {
         debug_assert!(!key.is_nan(), "queue keys must not be NaN");
-        self.refresh.push(LazyEntry {
-            key,
-            node,
-            ad,
-            version,
-        });
+        self.refresh.push((pack(key, node, ad), version));
     }
 
     /// [`Self::pop`] after stepping the run's cursor past every entry for
-    /// which `live(position, ad)` is false.
-    pub fn pop_live(&mut self, mut live: impl FnMut(usize, AdId) -> bool) -> Option<LazyEntry> {
-        while let Some(&head) = self.run.get(self.next) {
-            if live(self.next, packed_ad(head)) {
+    /// which `live(position, packed key)` is false. Only an entry that
+    /// could never be taken again may be stepped past: the pops that
+    /// remain then keep their order. `live` is asked about blocks of 64
+    /// entries at once, ahead of the cursor, so an entry it passed must
+    /// still be checked when it pops.
+    pub fn pop_live(&mut self, mut live: impl FnMut(usize, u128) -> bool) -> Option<LazyEntry> {
+        let run: &[u128] = &self.run;
+        let mut next = self.next;
+        while next < run.len() {
+            if next >= self.live_to {
+                // One verdict per entry, gathered without a branch on it.
+                self.live_from = next;
+                self.live_to = (next + 64).min(run.len());
+                self.live_mask = (run[next..self.live_to].iter().enumerate())
+                    .fold(0, |mask, (j, &key)| {
+                        mask | u64::from(live(next + j, key)) << j
+                    });
+            }
+            let pending = self.live_mask >> (next - self.live_from);
+            if pending != 0 {
+                next += pending.trailing_zeros() as usize;
                 break;
             }
-            self.next += 1;
+            next = self.live_to;
         }
+        self.next = next;
         self.pop()
     }
 
     /// Pop the entry with the largest cached key.
     pub fn pop(&mut self) -> Option<LazyEntry> {
+        let refreshed = |(packed, version)| LazyEntry {
+            version,
+            ..LazyEntry::unpack(packed)
+        };
         match (self.run.get(self.next), self.refresh.peek()) {
-            (Some(&head), Some(top)) if top.packed() > head => self.refresh.pop(),
+            (Some(&head), Some(&(top, _))) if top > head => self.refresh.pop().map(refreshed),
             (Some(&head), _) => {
                 self.next += 1;
                 Some(LazyEntry::unpack(head))
             }
-            (None, _) => self.refresh.pop(),
+            (None, _) => self.refresh.pop().map(refreshed),
         }
     }
 }
@@ -217,6 +255,34 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
     use rand_pcg::Pcg64Mcg;
+    use std::cmp::Ordering;
+
+    // The reference order the packed keys implement: the key under
+    // `total_cmp`, then the node, then the advertiser.
+    impl PartialEq for LazyEntry {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key && self.node == other.node && self.ad == other.ad
+        }
+    }
+
+    impl Eq for LazyEntry {}
+
+    impl PartialOrd for LazyEntry {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for LazyEntry {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Largest first by key; NaN keys are rejected at construction time, and
+            // total_cmp gives every float a total order regardless.
+            self.key
+                .total_cmp(&other.key)
+                .then_with(|| self.node.cmp(&other.node))
+                .then_with(|| self.ad.cmp(&other.ad))
+        }
+    }
 
     fn entry(key: f64, node: NodeId, ad: AdId) -> LazyEntry {
         LazyEntry {
@@ -353,6 +419,48 @@ mod tests {
         assert_eq!(first, vec![(4.0, 1, 1), (2.0, 2, 0), (1.0, 0, 0)]);
     }
 
+    /// Verdicts taken 64 entries ahead of the cursor give the pops of a
+    /// queue that checks each entry as it pops, while entries die as the
+    /// pops go on (a node dies once taken, as an assigned node does) and
+    /// refreshed entries are re-pushed.
+    #[test]
+    fn pop_live_matches_checking_each_pop_under_a_growing_dead_set() {
+        for trial in 0..50u64 {
+            let mut rng = Pcg64Mcg::seed_from_u64(trial);
+            let entries: Vec<LazyEntry> = (0..rng.gen_range(1..300u32))
+                .map(|i| entry(f64::from(rng.gen_range(0..40i32)), i % 97, i as AdId % 3))
+                .collect();
+            let run = SortedRun::new(entries);
+            // Takes an entry unless its node is dead; refreshes a fresh
+            // entry once, at random, with a lower key.
+            let drive = |lookahead: bool| {
+                let mut rng = Pcg64Mcg::seed_from_u64(trial);
+                let mut queue = LazyQueue::borrowing(&run);
+                let mut dead = [false; 97];
+                let mut taken = Vec::new();
+                loop {
+                    let popped = if lookahead {
+                        queue.pop_live(|_, key| !dead[packed_node(key) as usize])
+                    } else {
+                        queue.pop()
+                    };
+                    let Some(e) = popped else { break };
+                    if dead[e.node as usize] {
+                        continue;
+                    }
+                    if e.version == 0 && rng.gen_bool(0.3) {
+                        queue.push(e.key - 0.5, e.node, e.ad, 1);
+                        continue;
+                    }
+                    dead[e.node as usize] = true;
+                    taken.push((e.key, e.node, e.ad, e.version));
+                }
+                taken
+            };
+            assert_eq!(drive(true), drive(false), "trial {trial}");
+        }
+    }
+
     #[test]
     fn pop_live_steps_past_dead_run_entries_only() {
         let run = SortedRun::new(vec![
@@ -363,7 +471,7 @@ mod tests {
         ]);
         let mut q = LazyQueue::borrowing(&run);
         // Positions count along the sorted run: 4.0, 3.0, 2.0, 1.0.
-        let live = |i: usize, ad: AdId| ad == 1 || i == 3;
+        let live = |i: usize, key: u128| packed_ad(key) == 1 || i == 3;
         let first = q.pop_live(live).unwrap();
         assert_eq!((first.key, first.node), (4.0, 1));
         // A re-pushed entry is never filtered, and still wins on its key.

@@ -55,7 +55,7 @@ use rmsa_graph::{DirectedGraph, NodeId};
 use rmsa_store::Column;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// RR-sets per generation chunk. Each chunk owns an RNG derived from
 /// `(seed, chunk_index)`, making parallel generation a deterministic
@@ -343,17 +343,8 @@ impl RrArena {
         let span_sets: usize = (chunk_from..chunk_to).map(chunk_len).sum();
         let num_threads = num_threads.max(1).min(chunk_to - chunk_from);
         self.reserve_for(span_sets);
-        if num_threads == 1 {
-            let mut gen = RrGenerator::new(graph.num_nodes(), self.strategy);
-            for k in chunk_from..chunk_to {
-                let mut rng = chunk_rng(seed, k);
-                for _ in 0..chunk_len(k) {
-                    let ad = sampler.sample_ad(&mut rng);
-                    self.emit_for(source, ad, &mut gen, &mut rng);
-                }
-            }
-            return;
-        }
+        // One thread takes the chunk path too, so the arena's capacities,
+        // and with them `memory_bytes`, do not depend on the thread count.
         let strategy = self.strategy;
         let next = AtomicUsize::new(chunk_from);
         let mut produced: Vec<(usize, Chunk)> = fork(0..num_threads, |_| {
@@ -737,10 +728,77 @@ pub struct CoverageIndex {
     /// `singleton[ad * num_nodes + u]` = #indexed RR-sets of `ad`
     /// containing `u`.
     pub(crate) singleton: Arc<Column<u32>>,
-    /// [`CoverageView::singleton_order`] of the current counts, built by
-    /// the first view that asks and shared with every view taken before
-    /// the next extension. Derived data: snapshots do not store it.
-    pub(crate) order: Arc<OnceLock<Vec<u32>>>,
+    /// What views of the current extension derive on first use and
+    /// share. Snapshots do not store it.
+    pub(crate) derived: Arc<Derived>,
+}
+
+/// Data a [`CoverageView`] derives from its counts and postings when first
+/// asked, shared by every view of the same index extension. An extension
+/// or a snapshot load starts afresh, so older views keep what they derived
+/// from their own counts. None of it is ever persisted, and none of it is
+/// needed for an exact answer: it only spares a solve work.
+#[derive(Debug, Default)]
+pub(crate) struct Derived {
+    /// [`CoverageView::singleton_order`].
+    order: OnceLock<Vec<u32>>,
+    /// [`CoverageView::private_count`], by posting group.
+    private: OnceLock<Vec<u32>>,
+    /// [`CoverageView::rate_orders`].
+    rate_orders: RateOrders,
+}
+
+/// Most rate orders a [`RateOrders`] keeps: one per incentive model of the
+/// paper's experiments.
+pub const RATE_ORDERS: usize = 3;
+
+/// The most recent orders of all posting groups `ad · n + u` that solves
+/// over one coverage view sorted their singleton rates into, at most
+/// [`RATE_ORDERS`], most recent first.
+///
+/// A rate `rev / (cost + rev)` with `cost = α · g(spread)` orders the
+/// groups almost the same way for every α of one incentive model, so a
+/// solve that starts from a recent order only has to repair it. The cache
+/// never decides an answer: a solve recomputes every key and sorts what
+/// the order leaves unsorted.
+#[derive(Debug, Default)]
+pub struct RateOrders(Mutex<Vec<Arc<[u32]>>>);
+
+impl RateOrders {
+    /// The cached orders, most recent first.
+    pub fn orders(&self) -> Vec<Arc<[u32]>> {
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    /// Record `order` as the most recent one. It takes the place of
+    /// `replaces` when that is still cached (compared by address),
+    /// otherwise of the least recent order once [`RATE_ORDERS`] are kept.
+    ///
+    /// # Panics
+    ///
+    /// When `order` is not a permutation of `0..order.len()`: a solve
+    /// that started from it would lose some groups' keys.
+    pub fn record(&self, order: Arc<[u32]>, replaces: Option<&Arc<[u32]>>) {
+        let mut seen = vec![false; order.len()];
+        for &g in order.iter() {
+            let slot = seen.get_mut(g as usize);
+            assert!(
+                slot.is_some_and(|s| !std::mem::replace(s, true)),
+                "a rate order must be a permutation of its groups"
+            );
+        }
+        // Every update below leaves a list of whole orders, so a poisoned
+        // lock still guards valid data.
+        let mut orders = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(old) = replaces {
+            orders.retain(|o| !Arc::ptr_eq(o, old));
+        }
+        orders.insert(0, order);
+        orders.truncate(RATE_ORDERS);
+    }
 }
 
 impl CoverageIndex {
@@ -754,7 +812,7 @@ impl CoverageIndex {
             num_rr: 0,
             segments: Vec::new(),
             singleton: Arc::new(vec![0u32; num_ads * num_nodes].into()),
-            order: Arc::default(),
+            derived: Arc::default(),
         }
     }
 
@@ -886,9 +944,9 @@ impl CoverageIndex {
             entries: entries.into(),
         }));
         self.num_rr = to;
-        // The counts changed: later views sort afresh, while older views
-        // keep the order of their own counts.
-        self.order = Arc::default();
+        // The counts changed: later views derive afresh, while older views
+        // keep what they derived from their own counts.
+        self.derived = Arc::default();
         to - from
     }
 
@@ -900,7 +958,7 @@ impl CoverageIndex {
             num_rr: self.num_rr,
             segments: self.segments.clone(),
             singleton: Arc::clone(&self.singleton),
-            order: Arc::clone(&self.order),
+            derived: Arc::clone(&self.derived),
         }
     }
 
@@ -942,7 +1000,7 @@ pub struct CoverageView {
     num_rr: usize,
     segments: Vec<Arc<CoverageSegment>>,
     singleton: Arc<Column<u32>>,
-    order: Arc<OnceLock<Vec<u32>>>,
+    derived: Arc<Derived>,
 }
 
 impl CoverageView {
@@ -981,8 +1039,26 @@ impl CoverageView {
     /// Sorted once, by the first caller, and shared by every view of the
     /// same extension; concurrent first callers get one identical order.
     pub fn singleton_order(&self) -> &[u32] {
-        self.order
+        self.derived
+            .order
             .get_or_init(|| order_by_count(&self.singleton, self.num_nodes, self.num_ads))
+    }
+
+    /// Number of RR-sets of `ad` whose only member is `u`: the part of
+    /// [`Self::singleton_count`] no other seed can cover. Derived from the
+    /// postings by the first caller and shared like
+    /// [`Self::singleton_order`].
+    pub fn private_count(&self, ad: AdId, u: NodeId) -> u32 {
+        self.derived
+            .private
+            .get_or_init(|| private_counts(&self.segments, self.num_rr, self.singleton.len()))
+            [ad * self.num_nodes + u as usize]
+    }
+
+    /// The rate orders solves over this view settled on; see
+    /// [`RateOrders`].
+    pub fn rate_orders(&self) -> &RateOrders {
+        &self.derived.rate_orders
     }
 
     /// Visit, in ascending order, the id of every RR-set generated for
@@ -1011,15 +1087,23 @@ impl CoverageView {
     /// Number of RR-sets covered by a full allocation `S⃗` (each RR-set is
     /// covered iff the seed set of *its own* advertiser intersects it).
     pub fn allocation_coverage_count(&self, allocation: &[Vec<NodeId>]) -> usize {
+        self.allocation_coverage_counts(allocation).iter().sum()
+    }
+
+    /// [`Self::coverage_count`] of every advertiser's seed set in
+    /// `allocation`, in one pass.
+    pub fn allocation_coverage_counts(&self, allocation: &[Vec<NodeId>]) -> Vec<usize> {
         // Advertisers own disjoint RR-sets, so one bitset serves them all.
         let mut covered = CoverBitset::new(self.num_rr);
-        let mut count = 0usize;
-        for (ad, seeds) in allocation.iter().enumerate() {
-            for &u in seeds {
-                self.for_each_rr_of(ad, u, |rr| count += usize::from(covered.set(rr)));
-            }
-        }
-        count
+        (allocation.iter().enumerate())
+            .map(|(ad, seeds)| {
+                let mut count = 0usize;
+                for &u in seeds {
+                    self.for_each_rr_of(ad, u, |rr| count += usize::from(covered.set(rr)));
+                }
+                count
+            })
+            .collect()
     }
 
     /// Approximate memory footprint in bytes of the shared index storage
@@ -1062,6 +1146,30 @@ fn order_by_count(singleton: &[u32], num_nodes: usize, num_ads: usize) -> Vec<u3
             ((pair % num_ads) * num_nodes + pair / num_ads) as u32
         })
         .collect()
+}
+
+/// Per posting group, the RR-sets whose only member is the group's node.
+/// A set has one posting per member, so a set of one member is an id that
+/// occurs once among the segments' entries.
+fn private_counts(segments: &[Arc<CoverageSegment>], num_rr: usize, groups: usize) -> Vec<u32> {
+    let mut sizes = vec![0u8; num_rr];
+    for segment in segments {
+        for &rr in segment.entries.iter() {
+            let size = &mut sizes[rr as usize];
+            *size = size.saturating_add(1);
+        }
+    }
+    let mut private = vec![0u32; groups];
+    for segment in segments {
+        for (g, count) in private.iter_mut().enumerate() {
+            *count += segment
+                .group(g)
+                .iter()
+                .filter(|&&rr| sizes[rr as usize] == 1)
+                .count() as u32;
+        }
+    }
+    private
 }
 
 /// Dense bitset over RR-set ids: 64 covered-flags per word instead of the
@@ -1456,6 +1564,19 @@ mod tests {
                 assert_eq!(built_order, expected_order(&index.view()));
                 assert_eq!(owned.view().singleton_order(), built_order);
                 assert_eq!(mapped.view().singleton_order(), built_order);
+                // So are the private counts: the sets of one member, read
+                // off the arena here.
+                let mut private = vec![0u32; num_ads * graph.num_nodes()];
+                for rr in (0..arena.len()).filter(|&rr| arena.nodes_of(rr).len() == 1) {
+                    private
+                        [arena.ad_of(rr) * graph.num_nodes() + arena.nodes_of(rr)[0] as usize] += 1;
+                }
+                for view in [index.view(), owned.view(), mapped.view()] {
+                    for (g, &count) in private.iter().enumerate() {
+                        let (ad, u) = (g / graph.num_nodes(), (g % graph.num_nodes()) as NodeId);
+                        assert_eq!(view.private_count(ad, u), count, "group {g}");
+                    }
+                }
 
                 let n = graph.num_nodes();
                 let mut expected = vec![Vec::new(); num_ads * n];
@@ -1763,6 +1884,27 @@ mod tests {
             late.singleton_order().as_ptr(),
             index.view().singleton_order().as_ptr()
         ));
+    }
+
+    #[test]
+    fn rate_orders_keep_the_latest_and_replace_by_address() {
+        let orders = RateOrders::default();
+        let order = |first: u32| -> Arc<[u32]> { (0..4).map(|g| (g + first) % 4).collect() };
+        for first in 0..4 {
+            orders.record(order(first), None);
+        }
+        let kept: Vec<u32> = orders.orders().iter().map(|o| o[0]).collect();
+        assert_eq!(kept, [3, 2, 1], "most recent first, at most {RATE_ORDERS}");
+        let middle = Arc::clone(&orders.orders()[1]);
+        orders.record(order(0), Some(&middle));
+        let kept: Vec<u32> = orders.orders().iter().map(|o| o[0]).collect();
+        assert_eq!(kept, [0, 3, 1], "the replaced order goes, the others stay");
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation")]
+    fn rate_orders_reject_an_order_that_repeats_a_group() {
+        RateOrders::default().record(Arc::from([0, 1, 1]), None);
     }
 
     #[test]

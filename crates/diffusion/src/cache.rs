@@ -886,6 +886,33 @@ mod tests {
         assert_eq!(a, b, "num_threads must not change the collection");
     }
 
+    /// One stream holds the same sets and reports the same footprint at
+    /// 1, 2 and 4 threads, over two extensions of several chunks each.
+    #[test]
+    fn a_streams_footprint_is_thread_count_independent() {
+        let (g, m, s) = setup();
+        let grow = |threads: usize| {
+            let cache = RrCache::new(g.num_nodes(), RrStrategy::Standard, threads, 7);
+            let mut seen = Vec::new();
+            for count in [5_000, 12_345] {
+                let (state, _) = cache.with_at_least(&g, &m, &s, RrStream::Optimize, count, |v| {
+                    let sets: Vec<(usize, Vec<u32>)> =
+                        v.arena().iter().map(|r| (r.ad, r.nodes.to_vec())).collect();
+                    (sets, v.memory_bytes())
+                });
+                seen.push(state);
+            }
+            seen
+        };
+        let serial = grow(1);
+        for threads in [2, 4] {
+            for ((sets, bytes), (serial_sets, serial_bytes)) in grow(threads).iter().zip(&serial) {
+                assert!(sets == serial_sets, "{threads} threads: other sets");
+                assert_eq!(bytes, serial_bytes, "{threads} threads: memory_bytes");
+            }
+        }
+    }
+
     #[test]
     fn sampler_change_invalidates() {
         let (g, m, s) = setup();

@@ -38,8 +38,8 @@ pub mod snapshot;
 mod splice;
 
 pub use arena::{
-    shard_plan, CoverBitset, CoverageIndex, CoverageSegment, CoverageView, FreshFootprint, RrArena,
-    RrSetRef, ShardSpan,
+    shard_plan, CoverBitset, CoverageIndex, CoverageSegment, CoverageView, FreshFootprint,
+    RateOrders, RrArena, RrSetRef, ShardSpan, RATE_ORDERS,
 };
 pub use cache::{
     distribution_fingerprint, RrCache, RrCacheStats, RrRequestStats, RrStream, RrStreamView,

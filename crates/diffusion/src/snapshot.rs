@@ -232,7 +232,7 @@ pub fn read_index(cur: &mut Cursor<'_>, arena: &RrArena) -> Result<CoverageIndex
         num_rr,
         segments,
         singleton: Arc::new(singleton),
-        order: Arc::default(),
+        derived: Arc::default(),
     })
 }
 

@@ -563,6 +563,50 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A session restored through the mapped, lazily verified path solves
+    /// the twelve classes of the `hot` mix (both RM algorithms, the three
+    /// incentive models, two α) exactly as a cold build does: first from
+    /// its mapped columns with nothing derived yet, then again with the
+    /// per-view caches filled by its own history, which differs from the
+    /// cold session's.
+    #[test]
+    fn mapped_restore_solves_every_hot_class_like_a_cold_build() {
+        use crate::test_util::solve_request;
+        use rmsa_datasets::IncentiveModel;
+        let ctx = tiny_ctx();
+        let cold = Session::build(key(), &ctx);
+        cold.ensure_warm(None);
+        let dir = temp_dir("hot_classes");
+        save_session(&cold, &dir).unwrap();
+        let warm = load_session_with(key(), &ctx, &dir, VerifyMode::Lazy)
+            .unwrap()
+            .expect("file exists");
+        assert!(warm.workbench().cache_stats().mapped_bytes > 0);
+        let mut classes = Vec::new();
+        for algorithm in [Algorithm::Rma, Algorithm::OneBatch] {
+            for incentive in IncentiveModel::all() {
+                for alpha in [0.2, 0.4] {
+                    let request = solve_request(0, algorithm, alpha);
+                    classes.push(crate::wire::SolveRequest {
+                        incentive,
+                        ..request
+                    });
+                }
+            }
+        }
+        let mut expected: Vec<_> = (classes.iter().rev())
+            .map(|request| cold.solve(request).unwrap())
+            .collect();
+        expected.reverse();
+        for pass in 0..2 {
+            for (request, cold_result) in classes.iter().zip(&expected) {
+                let warm_result = warm.solve(request).unwrap();
+                assert_eq!(&warm_result, cold_result, "pass {pass}: {request:?}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn missing_file_is_a_clean_cold_start() {
         let dir = temp_dir("missing");
