@@ -10,7 +10,7 @@
 //!
 //! [`compare_reports`] diffs two reports: revenue-style metrics regress
 //! when the new value drops below `old · (1 − tolerance)`, `memory_bytes`
-//! when it rises above `old · (1 + tolerance)`; wall-clock
+//! when it leaves `old · (1 ± tolerance)` either way; wall-clock
 //! metrics regress when the new value exceeds `old · (1 + time tolerance)`
 //! *and* the absolute slowdown exceeds a floor (so sub-100 ms points never
 //! flake a CI gate).
@@ -425,14 +425,27 @@ pub fn compare_reports(old: &BenchReport, new: &BenchReport, tol: &Tolerance) ->
             }
         }
         // The footprint is a closed form of column capacities, as
-        // deterministic as revenue, so it takes the metric tolerance.
-        if n.memory_bytes as f64 > o.memory_bytes as f64 * (1.0 + tol.metric_frac) {
+        // deterministic as revenue, so it takes the metric tolerance, both
+        // ways: a baseline that no longer matches the code would hide
+        // growth up to its own excess.
+        let (old_bytes, new_bytes) = (o.memory_bytes as f64, n.memory_bytes as f64);
+        let moved = if new_bytes > old_bytes * (1.0 + tol.metric_frac) {
+            Some("grew")
+        } else if new_bytes < old_bytes * (1.0 - tol.metric_frac) {
+            Some("shrank")
+        } else {
+            None
+        };
+        if let Some(moved) = moved {
             regressions.push(Regression {
                 location: locate(old_point),
                 metric: "memory_bytes".to_string(),
-                old_value: Some(o.memory_bytes as f64),
-                new_value: Some(n.memory_bytes as f64),
-                detail: format!("grew beyond tolerance {:.1} %", tol.metric_frac * 100.0),
+                old_value: Some(old_bytes),
+                new_value: Some(new_bytes),
+                detail: format!(
+                    "{moved} beyond tolerance {:.1} % (a shrink means the baseline is stale)",
+                    tol.metric_frac * 100.0
+                ),
             });
         }
         if n.time_secs > o.time_secs * (1.0 + tol.time_frac)
@@ -606,7 +619,7 @@ mod tests {
     }
 
     #[test]
-    fn memory_growth_beyond_tolerance_fails_and_shrinking_passes() {
+    fn memory_change_beyond_tolerance_fails_either_way() {
         let tol = Tolerance {
             metric_frac: 0.05,
             time_frac: 10.0,
@@ -618,18 +631,21 @@ mod tests {
             r.points[0].outcome.memory_bytes = bytes;
             r
         };
-        // +5 % exactly passes, and so does any shrink…
+        // ±5 % exactly passes…
         assert!(compare_reports(&old, &with_memory(1_101_004), &tol).is_empty());
-        assert!(compare_reports(&old, &with_memory(1_000), &tol).is_empty());
-        // …one byte more fails, naming the metric and both footprints.
-        let regs = compare_reports(&old, &with_memory(1_101_005), &tol);
-        assert_eq!(regs.len(), 1, "{regs:?}");
-        assert_eq!(regs[0].metric, "memory_bytes");
-        assert_eq!(regs[0].old_value, Some(1_048_576.0));
-        assert_eq!(regs[0].new_value, Some(1_101_005.0));
-        assert!(regs[0]
-            .to_string()
-            .contains("memory_bytes 1048576.000 -> 1101005.000"));
+        assert!(compare_reports(&old, &with_memory(996_148), &tol).is_empty());
+        // …one byte beyond fails either way, naming the metric and both
+        // footprints.
+        for (bytes, moved) in [(1_101_005, "grew"), (996_147, "shrank")] {
+            let regs = compare_reports(&old, &with_memory(bytes), &tol);
+            assert_eq!(regs.len(), 1, "{regs:?}");
+            assert_eq!(regs[0].metric, "memory_bytes");
+            assert_eq!(regs[0].old_value, Some(1_048_576.0));
+            assert_eq!(regs[0].new_value, Some(bytes as f64));
+            let line = regs[0].to_string();
+            assert!(line.contains(&format!("memory_bytes 1048576.000 -> {bytes}.000")));
+            assert!(line.contains(moved), "{line}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::oracle::{marginal_rate, RevenueOracle, SeedState};
 use crate::problem::RmInstance;
-use crate::util::{LazyEntry, LazyQueue};
+use crate::util::{LazyEntry, LazyQueue, SortedRun};
 use rmsa_diffusion::AdId;
 use rmsa_graph::NodeId;
 
@@ -56,7 +56,6 @@ pub fn greedy_single<O: RevenueOracle>(
     candidates: &[NodeId],
 ) -> GreedyOutcome {
     let budget = instance.budget(ad);
-    let mut state = oracle.new_state(ad);
     // Line 1: drop candidates that are infeasible even alone.
     let entries = candidates
         .iter()
@@ -71,7 +70,20 @@ pub fn greedy_single<O: RevenueOracle>(
             })
         })
         .collect();
-    let mut queue = LazyQueue::from_entries(entries);
+    greedy_from_run(instance, oracle, ad, SortedRun::new(entries))
+}
+
+/// [`greedy_single`] over its line-1 candidates already sorted: every
+/// candidate that fits the budget alone, keyed by its singleton rate.
+pub(crate) fn greedy_from_run<O: RevenueOracle>(
+    instance: &RmInstance,
+    oracle: &O,
+    ad: AdId,
+    run: SortedRun,
+) -> GreedyOutcome {
+    let budget = instance.budget(ad);
+    let mut state = oracle.new_state(ad);
+    let mut queue = LazyQueue::owning(run);
 
     let mut version = 0u32;
     let mut cost_sum = 0.0f64;

@@ -8,9 +8,17 @@
 //! endpoint, otherwise the new right endpoint. The loop stops when the
 //! interval is relatively short (`(1+τ)γ_1 ≥ γ_2`) or γ_2 has become
 //! negligible (`γ_2 ≤ min_i cpe(i) / (h+6)`).
+//!
+//! The bisection steers on `b` alone, which a probe knows once its main
+//! loop ends, before its `Fill`. So every probe runs its main loop in turn,
+//! and one sweep over the rate run then fills them all (see
+//! `fill_all`); the best allocation and the endpoints are picked after
+//! it, in probe order.
 
-use crate::algorithms::threshold_greedy::{threshold_greedy_over, SingletonCandidates, Workspace};
-use crate::oracle::RevenueOracle;
+use crate::algorithms::threshold_greedy::{
+    allocation_of, fill_all, probe, SingletonCandidates, Workspace,
+};
+use crate::oracle::{RevenueOracle, SeedState};
 use crate::problem::{Allocation, RmInstance};
 
 /// Hard cap on binary-search iterations; the theoretical bound is
@@ -42,6 +50,13 @@ pub struct SearchOutcome {
     pub b_min: usize,
     /// Number of `ThresholdGreedy` invocations.
     pub iterations: usize,
+    /// [`RevenueOracle::estimate_of`] `best`, read off its probe's final
+    /// states, so that a caller need not walk it again.
+    pub best_estimate: f64,
+    /// [`RevenueOracle::estimate_of`] `t1`; 0 when it is absent.
+    pub t1_estimate: f64,
+    /// [`RevenueOracle::estimate_of`] `t2`; 0 when it is absent.
+    pub t2_estimate: f64,
 }
 
 /// `γ_max = max { B_j · ζ_j(v | ∅) : v ∈ V, j ∈ [h] }` (Eq. 6).
@@ -65,55 +80,67 @@ pub fn search<O: RevenueOracle>(
     // Every probe starts from the same singleton candidates, scanned once,
     // and works in the same buffers.
     let candidates = SingletonCandidates::scan(instance, oracle);
-    let mut workspace = Workspace::new(instance);
+    let mut workspace = Workspace::new(instance, &candidates);
 
     let mut gamma1 = 0.0f64;
     let mut gamma2 = (1.0 + tau) * candidates.gamma_max;
     let mut gamma = gamma1;
-    let mut t1: Option<Allocation> = None;
-    let mut t2: Option<Allocation> = None;
     let mut b1 = 0usize;
     let mut b2 = 0usize;
-    let mut best: Option<Allocation> = None;
-    let mut best_revenue = f64::NEG_INFINITY;
-    let mut iterations = 0usize;
+    // Each probe's `Fill` start, and whether its `b` reached `b_min`.
+    let mut starts = Vec::new();
+    let mut left = Vec::new();
 
     loop {
-        iterations += 1;
-        let outcome = threshold_greedy_over(instance, oracle, gamma, &candidates, &mut workspace);
-        let revenue = outcome.revenue;
-        if revenue > best_revenue {
-            best_revenue = revenue;
-            best = Some(outcome.allocation.clone());
-        }
-        if outcome.b >= b_min {
-            t1 = Some(outcome.allocation);
-            b1 = outcome.b;
+        let (start, depleted) = probe(instance, oracle, gamma, &candidates, &mut workspace);
+        starts.push(start);
+        left.push(depleted.len() >= b_min);
+        if depleted.len() >= b_min {
+            b1 = depleted.len();
             gamma1 = gamma;
         } else {
-            t2 = Some(outcome.allocation);
-            b2 = outcome.b;
+            b2 = depleted.len();
             gamma2 = gamma;
         }
         gamma = (gamma1 + gamma2) / 2.0;
         let interval_small = (1.0 + tau) * gamma1 >= gamma2;
         let gamma2_negligible = gamma2 <= min_cpe / (h as f64 + 6.0);
-        if interval_small || gamma2_negligible || iterations >= MAX_SEARCH_ITERATIONS {
+        if interval_small || gamma2_negligible || starts.len() >= MAX_SEARCH_ITERATIONS {
             break;
         }
     }
+    let iterations = starts.len();
+    let filled = fill_all(instance, oracle, starts, &candidates, &mut workspace);
 
+    // In probe order: the first probe of the largest revenue, and the
+    // last probe on each side of `b_min`.
+    let mut best = None;
+    let mut best_revenue = f64::NEG_INFINITY;
+    let (mut t1, mut t2) = (None, None);
+    for (k, states) in filled.iter().enumerate() {
+        let revenue: f64 = states.iter().map(|s| s.revenue()).sum();
+        if revenue > best_revenue {
+            best_revenue = revenue;
+            best = Some(k);
+        }
+        *(if left[k] { &mut t1 } else { &mut t2 }) = Some(k);
+    }
+    let estimate = |k: Option<usize>| k.map_or(0.0, |k| oracle.estimate_of(&filled[k]));
+    let allocation = |k: Option<usize>| k.map(|k| allocation_of(&filled[k]));
     SearchOutcome {
-        best: best.unwrap_or_else(|| Allocation::empty(h)),
+        best: allocation(best).unwrap_or_else(|| Allocation::empty(h)),
         best_revenue: best_revenue.max(0.0),
-        t1,
+        t1: allocation(t1),
         b1,
         gamma1,
-        t2,
+        t2: allocation(t2),
         b2,
         gamma2,
         b_min,
         iterations,
+        best_estimate: estimate(best),
+        t1_estimate: estimate(t1),
+        t2_estimate: estimate(t2),
     }
 }
 

@@ -18,16 +18,18 @@
 //! above, and it is exact while its version is current. So the main loop
 //! checks the threshold on the key, and both loops take a fresh key's gain
 //! as exact instead of evaluating it again, as they take a stale key that
-//! the oracle's private revenue (a lower bound) reaches. `Fill` continues
-//! from the main loop's seed states. Both start from singleton runs
-//! scanned once per solve: the main loop from the revenue-keyed run, whose
-//! order the RR estimator caches per coverage view, stepping past every
-//! pair whose singleton rate already fails the probe's threshold; `Fill`
-//! from the rate-keyed run, dropping a pair for good once it cannot fit the
-//! budget. The selections are those of the eager loops, bit for bit; the
-//! tests keep the eager loops as a reference.
+//! the oracle's private revenue (a lower bound) reaches. Both start from
+//! singleton runs scanned once per solve. The main loop walks the
+//! revenue-keyed run, whose order the RR estimator caches per coverage
+//! view, visiting only the pairs whose singleton rate passes the probe's
+//! threshold: the scan splits the rate run by advertiser, so each
+//! advertiser's passing pairs are a prefix found by binary search. `Fill`
+//! continues from the main loop's seed states over the rate-keyed run; one
+//! pass over that run fills every probe of a `Search` at once (see
+//! `fill_all`). The selections are those of the eager loops, bit for
+//! bit; the tests keep the eager loops as a reference.
 
-use crate::algorithms::greedy::greedy_single;
+use crate::algorithms::greedy::greedy_from_run;
 use crate::oracle::{marginal_rate, RevenueOracle, SeedState};
 use crate::problem::{Allocation, RmInstance};
 use crate::util::{
@@ -35,6 +37,7 @@ use crate::util::{
 };
 use rmsa_diffusion::{AdId, RateOrders};
 use rmsa_graph::NodeId;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Every singleton-feasible `(node, ad)` pair, sorted once in two orders:
@@ -49,6 +52,11 @@ pub(crate) struct SingletonCandidates {
     /// probe's threshold is tested against.
     gain_rates: Vec<f64>,
     by_rate: SortedRun,
+    /// The rate run split by advertiser, as `by_gain` positions:
+    /// advertiser `ad`'s pairs, in descending singleton-rate order, are
+    /// `rate_positions[ad_starts[ad]..ad_starts[ad + 1]]`.
+    rate_positions: Vec<u32>,
+    ad_starts: Vec<usize>,
     /// `γ_max` (Eq. 6), taken from the same pass over the singletons.
     pub(crate) gamma_max: f64,
 }
@@ -71,9 +79,11 @@ impl SingletonCandidates {
             let fits = cost + rev <= instance.budget(ad);
             (rev, marginal_rate(rev, cost), fits)
         };
-        // Every group's rate, and whether its pair fits.
+        // Every group's rate, and whether its pair fits; the pairs that fit
+        // counted out by advertiser.
         let mut rates = Vec::with_capacity(n * h);
         let mut fits = Vec::with_capacity(n * h);
+        let mut ad_starts = vec![0usize; h + 1];
         let mut by_gain = Vec::with_capacity(if order.is_some() { 0 } else { n * h });
         let mut gamma_max = 0.0f64;
         for ad in 0..h {
@@ -83,13 +93,17 @@ impl SingletonCandidates {
                 gamma_max = gamma_max.max(budget * rate);
                 rates.push(rate);
                 fits.push(fit);
+                ad_starts[ad + 1] += usize::from(fit);
                 if fit && order.is_none() {
                     by_gain.push(pack(rev, v, ad));
                 }
             }
+            ad_starts[ad + 1] += ad_starts[ad];
         }
-        let fitting = fits.iter().filter(|&&fit| fit).count();
+        let fitting = ad_starts[h];
         let mut gain_rates = Vec::with_capacity(fitting);
+        // Each fitting group's `by_gain` position.
+        let mut positions = vec![0u32; n * h];
         let by_gain = match order {
             Some(order) => {
                 by_gain.reserve_exact(fitting);
@@ -97,6 +111,7 @@ impl SingletonCandidates {
                     let g = group as usize;
                     if fits[g] {
                         let (ad, v) = split_group(group, n);
+                        positions[g] = by_gain.len() as u32;
                         by_gain.push(pack(oracle.singleton_revenue(ad, v), v, ad));
                         gain_rates.push(rates[g]);
                     }
@@ -105,20 +120,56 @@ impl SingletonCandidates {
             }
             None => {
                 let by_gain = SortedRun::from_packed(by_gain);
-                gain_rates.extend(
-                    by_gain
-                        .entries()
-                        .map(|e| marginal_rate(e.key, instance.cost(e.ad, e.node))),
-                );
+                for (i, e) in by_gain.entries().enumerate() {
+                    positions[e.ad * n + e.node as usize] = i as u32;
+                    gain_rates.push(marginal_rate(e.key, instance.cost(e.ad, e.node)));
+                }
                 by_gain
             }
         };
+        let by_rate = rate_run(oracle.rate_orders(), &rates, &fits, n);
+        let mut next = ad_starts.clone();
+        let mut rate_positions = vec![0u32; fitting];
+        for &key in by_rate.keys() {
+            let slot = &mut next[packed_ad(key)];
+            rate_positions[*slot] = positions[packed_group(key, n)];
+            *slot += 1;
+        }
         SingletonCandidates {
             by_gain,
             gain_rates,
-            by_rate: rate_run(oracle.rate_orders(), &rates, &fits, n),
+            by_rate,
+            rate_positions,
+            ad_starts,
             gamma_max,
         }
+    }
+
+    /// Advertiser `ad`'s `by_gain` positions in descending singleton-rate
+    /// order.
+    fn rate_order(&self, ad: AdId) -> &[u32] {
+        &self.rate_positions[self.ad_starts[ad]..self.ad_starts[ad + 1]]
+    }
+
+    /// The prefix of [`Self::rate_order`] whose singleton rate reaches
+    /// `threshold`: the pairs line 5 can let through. Rates are never
+    /// negative or NaN, so the test holds on a prefix.
+    fn rate_alive(&self, ad: AdId, threshold: f64) -> &[u32] {
+        let order = self.rate_order(ad);
+        &order[..order.partition_point(|&i| self.gain_rates[i as usize] >= threshold)]
+    }
+
+    /// `Greedy`'s line-1 run for advertiser `ad` over the nodes not in
+    /// `excluded`, taken from the advertiser's part of the rate run
+    /// instead of sorted: the pairs that fit alone, by singleton rate.
+    fn greedy_run(&self, ad: AdId, excluded: &[bool]) -> SortedRun {
+        let keys = self.by_gain.keys();
+        let run = (self.rate_order(ad).iter())
+            .map(|&i| (packed_node(keys[i as usize]), i as usize))
+            .filter(|&(u, _)| !excluded[u as usize])
+            .map(|(u, i)| pack(self.gain_rates[i], u, ad))
+            .collect();
+        SortedRun::from_sorted(run)
     }
 }
 
@@ -180,22 +231,24 @@ fn split_group(group: u32, n: usize) -> (AdId, NodeId) {
     ((group / n) as AdId, group % n)
 }
 
-/// Buffers one `Search` call lends to each of its probes in turn.
+/// Buffers one `Search` call sizes once and lends to each of its probes.
 pub(crate) struct Workspace {
-    /// `Fill`'s exact gain behind each refreshed key, at `ad·n + node`. A
-    /// slot is written when its pair's key is refreshed and read only
-    /// while that key is current, so it is never cleared.
-    gains: Vec<f64>,
-    /// Which nodes endorse some advertiser; cleared per loop.
+    /// Which nodes endorse some advertiser in the main loop.
     assigned: Vec<bool>,
+    /// The main loop's rate-alive `by_gain` positions, one bit each.
+    alive: Vec<u64>,
+    /// Per node, bit `k` set once `Fill`'s probe `k` of a sweep chunk has
+    /// assigned it.
+    taken: Vec<u64>,
 }
 
 impl Workspace {
-    pub(crate) fn new(instance: &RmInstance) -> Self {
+    pub(crate) fn new(instance: &RmInstance, candidates: &SingletonCandidates) -> Self {
         let n = instance.num_nodes;
         Workspace {
-            gains: vec![0.0; n * instance.num_ads()],
             assigned: vec![false; n],
+            alive: vec![0; candidates.by_gain.keys().len().div_ceil(64)],
+            taken: vec![0; n],
         }
     }
 }
@@ -221,35 +274,37 @@ pub fn threshold_greedy<O: RevenueOracle>(
     gamma: f64,
 ) -> ThresholdGreedyOutcome {
     let candidates = SingletonCandidates::scan(instance, oracle);
-    let mut workspace = Workspace::new(instance);
-    threshold_greedy_over(instance, oracle, gamma, &candidates, &mut workspace)
+    let mut workspace = Workspace::new(instance, &candidates);
+    let (start, depleted) = probe(instance, oracle, gamma, &candidates, &mut workspace);
+    let filled = fill_all(instance, oracle, vec![start], &candidates, &mut workspace);
+    let states = &filled[0];
+    ThresholdGreedyOutcome {
+        allocation: allocation_of(states),
+        revenue: states.iter().map(|s| s.revenue()).sum(),
+        b: depleted.len(),
+        depleted,
+    }
 }
 
-/// [`threshold_greedy`] over singleton candidates scanned beforehand, in
-/// a borrowed workspace.
-pub(crate) fn threshold_greedy_over<O: RevenueOracle>(
+/// Lines 1–11 of `ThresholdGreedy(γ)` over singleton candidates scanned
+/// beforehand: the seed states line 12's `Fill` starts from, and the
+/// depleted advertisers `I`. `Fill` continues from every `S_j` that line
+/// 11 kept whole, and seeds the others afresh.
+pub(crate) fn probe<O: RevenueOracle>(
     instance: &RmInstance,
     oracle: &O,
     gamma: f64,
     candidates: &SingletonCandidates,
     workspace: &mut Workspace,
-) -> ThresholdGreedyOutcome {
+) -> (Vec<O::State>, Vec<AdId>) {
     let (mut states, stopples) = main_loop(instance, oracle, gamma, candidates, workspace);
-    let (chosen, depleted) = best_of(instance, oracle, &states, &stopples);
-    // Line 12: spend remaining budget. `Fill` continues from every S_j
-    // that line 11 kept whole, and seeds the others afresh.
+    let (chosen, depleted) = best_of(instance, oracle, &states, &stopples, candidates);
     for (ad, seeds) in chosen.seed_sets.iter().enumerate() {
         if states[ad].seeds() != seeds.as_slice() {
             states[ad] = seeded_state(oracle, ad, seeds);
         }
     }
-    let states = fill_states(instance, oracle, states, candidates, workspace);
-    ThresholdGreedyOutcome {
-        allocation: allocation_of(&states),
-        revenue: states.iter().map(|s| s.revenue()).sum(),
-        b: depleted.len(),
-        depleted,
-    }
+    (states, depleted)
 }
 
 /// Lines 1–8: the thresholded greedy main loop. Returns every
@@ -269,7 +324,9 @@ fn main_loop<O: RevenueOracle>(
     let mut versions = vec![0u32; h];
     let mut cost_sums = vec![0.0f64; h];
     let mut stopples: Vec<Option<NodeId>> = vec![None; h];
-    let assigned = &mut workspace.assigned;
+    let Workspace {
+        assigned, alive, ..
+    } = workspace;
     assigned.fill(false);
     let mut depleted_count = 0usize;
 
@@ -278,20 +335,24 @@ fn main_loop<O: RevenueOracle>(
 
     // Line 1: M holds every singleton-feasible (node, ad) pair, keyed by the
     // marginal gain π_j(v | S_j), initially the singleton revenue. The
-    // queue steps past a pair that line 5 or 6 rejects at every pop
-    // without popping it: its singleton rate is below its threshold (its
-    // key only falls), its advertiser is depleted or its node assigned.
+    // queue visits only the pairs whose bit is set in `alive`: `flip` sets
+    // an advertiser's pairs whose singleton rate passes line 5's threshold
+    // (a key only falls), and clears them again when it depletes.
+    alive.fill(0);
+    let flip = |ad: AdId, alive: &mut [u64]| {
+        for &i in candidates.rate_alive(ad, thresholds[ad]) {
+            alive[i as usize / 64] ^= 1 << (i % 64);
+        }
+    };
+    for ad in 0..h {
+        flip(ad, alive);
+    }
     let mut queue = LazyQueue::borrowing(&candidates.by_gain);
 
     // Lines 3–8: greedy main loop over marginal gains with the rate
     // threshold, the partition constraint, and the budget check.
     while depleted_count < h {
-        let Some(entry) = queue.pop_live(|i, key| {
-            let ad = packed_ad(key);
-            (candidates.gain_rates[i] >= thresholds[ad])
-                & stopples[ad].is_none()
-                & !assigned[packed_node(key) as usize]
-        }) else {
+        let Some(entry) = queue.pop_alive(alive) else {
             break;
         };
         let (node, ad) = (entry.node, entry.ad);
@@ -307,7 +368,7 @@ fn main_loop<O: RevenueOracle>(
         let budget = instance.budget(ad);
         if entry.version > 0 && marginal_rate(entry.key, cost) < thresholds[ad] {
             // Line 5, first clause, decided on a refreshed key (run keys
-            // passed it in `pop_live`): the key bounds the gain from above,
+            // passed it by their bit): the key bounds the gain from above,
             // so the pair's rate stays below the threshold.
             continue;
         }
@@ -333,10 +394,12 @@ fn main_loop<O: RevenueOracle>(
             versions[ad] += 1;
             assigned[node as usize] = true;
         } else {
-            // Line 8: stopple node; the advertiser's budget is depleted.
+            // Line 8: stopple node; the advertiser's budget is depleted,
+            // and its pairs leave the queue.
             stopples[ad] = Some(node);
             assigned[node as usize] = true;
             depleted_count += 1;
+            flip(ad, alive);
         }
     }
     (states, stopples)
@@ -350,6 +413,7 @@ fn best_of<O: RevenueOracle>(
     oracle: &O,
     states: &[O::State],
     stopples: &[Option<NodeId>],
+    candidates: &SingletonCandidates,
 ) -> (Allocation, Vec<AdId>) {
     let h = instance.num_ads();
     let n = instance.num_nodes;
@@ -366,10 +430,8 @@ fn best_of<O: RevenueOracle>(
                 in_some_s[u as usize] = true;
             }
         }
-        let candidates: Vec<NodeId> = (0..n as NodeId)
-            .filter(|&u| !in_some_s[u as usize])
-            .collect();
-        let out = greedy_single(instance, oracle, ad, &candidates);
+        let run = candidates.greedy_run(ad, &in_some_s);
+        let out = greedy_from_run(instance, oracle, ad, run);
         fallback_revenue[ad] = out.best_revenue();
         fallback[ad] = out.best();
     }
@@ -429,17 +491,11 @@ pub fn fill<O: RevenueOracle>(
     allocation: Allocation,
 ) -> Allocation {
     let candidates = SingletonCandidates::scan(instance, oracle);
-    let states = (allocation.seed_sets.iter().enumerate())
+    let mut workspace = Workspace::new(instance, &candidates);
+    let start = (allocation.seed_sets.iter().enumerate())
         .map(|(ad, seeds)| seeded_state(oracle, ad, seeds))
         .collect();
-    let mut workspace = Workspace::new(instance);
-    allocation_of(&fill_states(
-        instance,
-        oracle,
-        states,
-        &candidates,
-        &mut workspace,
-    ))
+    allocation_of(&fill_all(instance, oracle, vec![start], &candidates, &mut workspace)[0])
 }
 
 /// Advertiser `ad`'s state after committing `seeds` in order.
@@ -451,100 +507,225 @@ fn seeded_state<O: RevenueOracle>(oracle: &O, ad: AdId, seeds: &[NodeId]) -> O::
     state
 }
 
-fn allocation_of<S: SeedState>(states: &[S]) -> Allocation {
+pub(crate) fn allocation_of<S: SeedState>(states: &[S]) -> Allocation {
     Allocation {
         seed_sets: states.iter().map(|s| s.seeds().to_vec()).collect(),
     }
 }
 
-/// [`fill`] from the advertisers' seed states, over singleton candidates
-/// scanned beforehand.
-fn fill_states<O: RevenueOracle>(
+/// Probes one sweep of [`fill_all`] carries at once: one bit each of a
+/// node's `taken` mask.
+const SWEEP_WIDTH: usize = 64;
+
+/// [`fill`] from each of `starts` (every advertiser's seed state, per
+/// probe), over singleton candidates scanned beforehand, in one pass over
+/// the rate run per [`SWEEP_WIDTH`] probes.
+///
+/// Each probe's `Fill` pops the rate run merged with its own refresh
+/// heap, and only an entry it can take changes its state. So the pass
+/// walks the run once and hands each entry to the probes that can still
+/// take it, each after it has drained its own heap down to the entry's
+/// key: every probe pops what its own `Fill` would pop, in the same
+/// order. An entry is passed over for a probe that has assigned its node,
+/// or whose budget test already fails as `Fill` tests it. Such a probe
+/// can never take the entry: the node stays assigned and the spend only
+/// grows; a stale pair stays stale; and a fresh one stays fresh through
+/// the drain, since its advertiser has no refreshed entries before its
+/// first seed.
+pub(crate) fn fill_all<O: RevenueOracle>(
     instance: &RmInstance,
     oracle: &O,
-    mut states: Vec<O::State>,
+    starts: Vec<Vec<O::State>>,
     candidates: &SingletonCandidates,
     workspace: &mut Workspace,
-) -> Vec<O::State> {
-    let n = instance.num_nodes;
-    let Workspace { gains, assigned } = workspace;
-    assigned.fill(false);
-    let mut cost_sums = vec![0.0f64; states.len()];
-    for (ad, state) in states.iter().enumerate() {
-        for &u in state.seeds() {
-            cost_sums[ad] += instance.cost(ad, u);
-            assigned[u as usize] = true;
-        }
-    }
-    // An advertiser that enters with seeds starts at version 1: the run's
-    // singleton keys are then stale upper bounds, exact only for an
-    // advertiser that starts empty.
-    let mut versions: Vec<u32> = states
-        .iter()
-        .map(|s| u32::from(!s.seeds().is_empty()))
-        .collect();
-
-    // Line 1: all singleton-feasible pairs, keyed by marginal rate. A pair
-    // that does not fit is dropped for good, since π(S ∪ {v}) + c(S ∪ {v})
-    // only grows with S: without evaluating its gain once the spend alone,
-    // or with the pair's private revenue, overflows, and right after its
-    // refresh otherwise.
-    let mut queue = LazyQueue::borrowing(&candidates.by_rate);
-    let spend = |states: &[O::State], cost_sums: &[f64], ad: AdId, node: NodeId| {
-        cost_sums[ad] + instance.cost(ad, node) + states[ad].revenue()
-    };
-    while let Some(entry) = queue.pop_live(|_, key| {
-        let (node, ad) = (packed_node(key), packed_ad(key));
-        !assigned[node as usize] & (spend(&states, &cost_sums, ad, node) <= instance.budget(ad))
-    }) {
-        let (node, ad) = (entry.node, entry.ad);
-        if assigned[node as usize] {
-            continue;
-        }
-        let cost = instance.cost(ad, node);
-        let budget = instance.budget(ad);
-        let spent = spend(&states, &cost_sums, ad, node);
-        if spent > budget {
-            continue;
-        }
-        let slot = ad * n + node as usize;
-        // The gain behind the key: the singleton revenue at version 0, the
-        // one stored at its refresh after that.
-        let keyed = if entry.version == 0 {
-            oracle.singleton_revenue(ad, node)
-        } else {
-            gains[slot]
-        };
-        if entry.version != versions[ad] {
-            // A private revenue that reaches the keyed gain is the gain,
-            // and the refreshed key would be this one, popping next: the
-            // entry is taken as fresh. Otherwise it bounds the gain below.
-            let private = oracle.private_revenue(ad, node);
-            if private != Some(keyed) {
-                if private.is_some_and(|p| spent + p > budget) {
-                    continue;
-                }
-                let gain = oracle.marginal_gain(&states[ad], node);
-                if spent + gain <= budget {
-                    gains[slot] = gain;
-                    queue.push(marginal_rate(gain, cost), node, ad, versions[ad]);
-                }
+) -> Vec<Vec<O::State>> {
+    let mut filled = Vec::with_capacity(starts.len());
+    let mut starts = starts.into_iter().peekable();
+    while starts.peek().is_some() {
+        let taken = &mut workspace.taken;
+        taken.fill(0);
+        let mut probes: Vec<FillProbe<O::State>> = (starts.by_ref().take(SWEEP_WIDTH))
+            .enumerate()
+            .map(|(k, states)| FillProbe::new(instance, states, 1 << k, taken))
+            .collect();
+        let everyone = u64::MAX >> (64 - probes.len());
+        for &key in candidates.by_rate.keys() {
+            let (node, ad) = (packed_node(key), packed_ad(key));
+            let mut live = everyone & !taken[node as usize];
+            if live == 0 {
                 continue;
             }
+            let pair = Pair::load(instance, oracle, node, ad);
+            let singleton = oracle.singleton_revenue(ad, node);
+            while live != 0 {
+                let probe = &mut probes[live.trailing_zeros() as usize];
+                live &= live - 1;
+                if !probe.overflows(&pair, singleton) {
+                    probe.drain_down_to(key, instance, oracle, taken);
+                    probe.judge(oracle, &pair, 0, singleton, taken);
+                }
+            }
         }
-        if spent + keyed <= budget {
-            oracle.add_seed(&mut states[ad], node);
-            cost_sums[ad] += cost;
-            versions[ad] += 1;
-            assigned[node as usize] = true;
+        for probe in &mut probes {
+            // Every packed key of a non-NaN rate lies above 0.
+            probe.drain_down_to(0, instance, oracle, taken);
+        }
+        filled.extend(probes.into_iter().map(|probe| probe.states));
+    }
+    filled
+}
+
+/// What `Fill` reads of a pair each time it judges one, loaded once.
+struct Pair {
+    node: NodeId,
+    ad: AdId,
+    cost: f64,
+    budget: f64,
+    private: Option<f64>,
+}
+
+impl Pair {
+    fn load<O: RevenueOracle>(instance: &RmInstance, oracle: &O, node: NodeId, ad: AdId) -> Self {
+        Pair {
+            node,
+            ad,
+            cost: instance.cost(ad, node),
+            budget: instance.budget(ad),
+            private: oracle.private_revenue(ad, node),
         }
     }
-    states
+}
+
+/// One probe's `Fill` in progress within a sweep of [`fill_all`].
+struct FillProbe<S> {
+    states: Vec<S>,
+    cost_sums: Vec<f64>,
+    /// Per advertiser, the seeds committed since `Fill` began, plus one
+    /// when it entered with seeds: the run's singleton keys are then stale
+    /// upper bounds, exact only for an advertiser that starts empty.
+    versions: Vec<u32>,
+    /// Re-keyed pairs: the [`pack`]ed rate key, the version it was
+    /// computed at and the bits of the gain behind it. Live keys never
+    /// tie, so neither of the last two decides the order.
+    refresh: BinaryHeap<(u128, u32, u64)>,
+    /// This probe's bit in a node's `taken` mask.
+    bit: u64,
+}
+
+impl<S: SeedState> FillProbe<S> {
+    fn new(instance: &RmInstance, states: Vec<S>, bit: u64, taken: &mut [u64]) -> Self {
+        let mut cost_sums = vec![0.0f64; states.len()];
+        for (ad, state) in states.iter().enumerate() {
+            for &u in state.seeds() {
+                cost_sums[ad] += instance.cost(ad, u);
+                taken[u as usize] |= bit;
+            }
+        }
+        let versions = (states.iter())
+            .map(|s| u32::from(!s.seeds().is_empty()))
+            .collect();
+        FillProbe {
+            states,
+            cost_sums,
+            versions,
+            refresh: BinaryHeap::new(),
+            bit,
+        }
+    }
+
+    /// What the advertiser would spend with the pair's node added, before
+    /// its gain.
+    fn spent(&self, pair: &Pair) -> f64 {
+        self.cost_sums[pair.ad] + pair.cost + self.states[pair.ad].revenue()
+    }
+
+    /// Whether one of `Fill`'s budget exits drops the run entry of `pair`
+    /// (whose singleton revenue is `singleton`) before its gain is
+    /// evaluated, in `Fill`'s own float expressions.
+    fn overflows(&self, pair: &Pair, singleton: f64) -> bool {
+        let spent = self.spent(pair);
+        let keyed = if self.versions[pair.ad] != 0 {
+            // A stale key: the private revenue bounds the gain below.
+            pair.private
+        } else {
+            Some(singleton)
+        };
+        spent > pair.budget || keyed.is_some_and(|g| spent + g > pair.budget)
+    }
+
+    /// Pop and judge every refreshed entry whose key lies above `floor`.
+    fn drain_down_to<O: RevenueOracle<State = S>>(
+        &mut self,
+        floor: u128,
+        instance: &RmInstance,
+        oracle: &O,
+        taken: &mut [u64],
+    ) {
+        while let Some(&(top, version, gain)) = self.refresh.peek() {
+            if top <= floor {
+                break;
+            }
+            self.refresh.pop();
+            let pair = Pair::load(instance, oracle, packed_node(top), packed_ad(top));
+            self.judge(oracle, &pair, version, f64::from_bits(gain), taken);
+        }
+    }
+
+    /// `Fill`'s step for one popped entry of `pair`, keyed at `version` by
+    /// the gain `keyed` (the singleton revenue at version 0). A pair that
+    /// does not fit is dropped for good, since π(S ∪ {v}) + c(S ∪ {v}) only
+    /// grows with S: without evaluating its gain once the spend alone, or
+    /// with the pair's private revenue, overflows, and right after its
+    /// refresh otherwise.
+    fn judge<O: RevenueOracle<State = S>>(
+        &mut self,
+        oracle: &O,
+        pair: &Pair,
+        version: u32,
+        keyed: f64,
+        taken: &mut [u64],
+    ) {
+        let Pair {
+            node,
+            ad,
+            cost,
+            budget,
+            private,
+        } = *pair;
+        if taken[node as usize] & self.bit != 0 {
+            return;
+        }
+        let spent = self.spent(pair);
+        if spent > budget {
+            return;
+        }
+        // A private revenue that reaches the keyed gain is the gain, and
+        // the refreshed key would be this one, popping next: the entry is
+        // taken as fresh. Otherwise it bounds the gain below.
+        if version != self.versions[ad] && private != Some(keyed) {
+            if private.is_some_and(|p| spent + p > budget) {
+                return;
+            }
+            let gain = oracle.marginal_gain(&self.states[ad], node);
+            if spent + gain <= budget {
+                let rate = pack(marginal_rate(gain, cost), node, ad);
+                self.refresh.push((rate, self.versions[ad], gain.to_bits()));
+            }
+            return;
+        }
+        if spent + keyed <= budget {
+            oracle.add_seed(&mut self.states[ad], node);
+            self.cost_sums[ad] += cost;
+            self.versions[ad] += 1;
+            taken[node as usize] |= self.bit;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::greedy::greedy_single;
     use crate::oracle::ExactRevenueOracle;
     use crate::problem::{Advertiser, SeedCosts};
     use crate::sampling::RrRevenueEstimator;
@@ -711,7 +892,8 @@ mod tests {
             gamma: f64,
         ) -> ThresholdGreedyOutcome {
             let (states, stopples) = main_loop(instance, oracle, gamma);
-            let (chosen, depleted) = best_of(instance, oracle, &states, &stopples);
+            let candidates = SingletonCandidates::scan(instance, oracle);
+            let (chosen, depleted) = best_of(instance, oracle, &states, &stopples, &candidates);
             let allocation = fill(instance, oracle, chosen);
             ThresholdGreedyOutcome {
                 revenue: oracle.allocation_revenue(&allocation.seed_sets),
@@ -975,14 +1157,45 @@ mod tests {
             starts.push(partial);
         }
         assert!(starts.iter().any(|s| s.total_seeds() > 0), "{label}");
-        for start in starts {
+        let mut eager_fills = Vec::new();
+        for start in &starts {
             let lazy = fill(instance, counting, start.clone());
             lazy_gains += counting.take();
             let eager = eager::fill(instance, &eager_oracle, start.clone());
             eager_gains += eager_oracle.take();
             assert_eq!(lazy, eager, "{label}, Fill from {start:?}");
+            eager_fills.push(eager);
         }
+        // One sweep fills every start as its own `Fill` does; 70 starts
+        // take two chunks of the sweep.
+        let (starts, eager_fills): (Vec<&Allocation>, Vec<&Allocation>) = (starts.iter().cycle())
+            .zip(eager_fills.iter().cycle())
+            .take(70)
+            .unzip();
+        let swept = sweep(instance, counting, &starts);
+        assert!(swept.iter().eq(eager_fills), "{label}");
+        counting.take();
         (lazy_gains, eager_gains)
+    }
+
+    /// [`fill_all`] from every start at once.
+    fn sweep<O: RevenueOracle>(
+        instance: &RmInstance,
+        oracle: &O,
+        starts: &[&Allocation],
+    ) -> Vec<Allocation> {
+        let candidates = SingletonCandidates::scan(instance, oracle);
+        let mut workspace = Workspace::new(instance, &candidates);
+        let states = (starts.iter())
+            .map(|start| {
+                (start.seed_sets.iter().enumerate())
+                    .map(|(ad, seeds)| seeded_state(oracle, ad, seeds))
+                    .collect()
+            })
+            .collect();
+        (fill_all(instance, oracle, states, &candidates, &mut workspace).iter())
+            .map(|states| allocation_of(states))
+            .collect()
     }
 
     #[test]
@@ -1204,5 +1417,85 @@ mod tests {
             after.coverage().rate_orders().record(old, None);
         }
         scans_agree(&after, "orders from before the extension");
+    }
+    /// The main loop that visits only rate-alive pairs matches the eager
+    /// loop, which judges every pair, over an α grid of the three
+    /// incentive models, where many pairs sit right at a threshold.
+    #[test]
+    fn rate_alive_main_loops_match_the_judging_reference() {
+        let (estimator, _) = rr_instance(3, 2);
+        for model in 0..3 {
+            for k in 0..6 {
+                let inst = incentive_instance(&estimator, model, 0.1 + 0.07 * f64::from(k));
+                let label = format!("model {model}, α step {k}");
+                let counting = CountingGains::new(&estimator, true, true);
+                let (lazy, eager) = assert_lazy_matches_eager(&inst, &counting, &label);
+                assert!(lazy < eager, "{label}: {lazy} lazy vs {eager} eager gains");
+            }
+        }
+    }
+
+    /// The rate run split by advertiser covers every `by_gain` position
+    /// once, in descending rate order, and each advertiser's rate-alive
+    /// prefix holds exactly the pairs whose singleton rate reaches the
+    /// threshold, a threshold equal to a pair's own rate included.
+    #[test]
+    fn rate_alive_prefixes_hold_exactly_the_passing_pairs() {
+        let (estimator, inst) = rr_instance(3, 2);
+        let c = SingletonCandidates::scan(&inst, &estimator);
+        let keys = c.by_gain.keys();
+        let mut seen = vec![false; keys.len()];
+        for ad in 0..3 {
+            let order = c.rate_order(ad);
+            assert!(!order.is_empty());
+            for w in order.windows(2) {
+                assert!(c.gain_rates[w[0] as usize] >= c.gain_rates[w[1] as usize]);
+            }
+            for &i in order {
+                assert_eq!(packed_ad(keys[i as usize]), ad);
+                assert!(!std::mem::replace(&mut seen[i as usize], true));
+            }
+            for &i in order.iter().step_by(5) {
+                let threshold = c.gain_rates[i as usize];
+                let alive = c.rate_alive(ad, threshold);
+                let passing = (order.iter())
+                    .filter(|&&j| c.gain_rates[j as usize] >= threshold)
+                    .count();
+                assert_eq!(alive.len(), passing, "ad {ad}");
+                assert!(alive.contains(&i), "ad {ad}");
+            }
+        }
+        assert!(seen.iter().all(|&s| s));
+    }
+
+    /// The fallback `Greedy` run taken from the rate run is the one
+    /// `greedy_single` sorts, over random sets of excluded nodes.
+    #[test]
+    fn fallback_run_matches_the_sorted_greedy() {
+        let mut rng = Pcg64Mcg::seed_from_u64(4);
+        for (h, seed) in [(2, 1), (3, 2), (10, 3)] {
+            let (estimator, inst) = rr_instance(h, seed);
+            let n = inst.num_nodes;
+            let candidates = SingletonCandidates::scan(&inst, &estimator);
+            for trial in 0..20 {
+                let ad = trial % h;
+                let excluded: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.3)).collect();
+                let nodes: Vec<NodeId> = (0..n as NodeId)
+                    .filter(|&u| !excluded[u as usize])
+                    .collect();
+                let sorted = greedy_single(&inst, &estimator, ad, &nodes);
+                let run = candidates.greedy_run(ad, &excluded);
+                let from_run = greedy_from_run(&inst, &estimator, ad, run);
+                assert_eq!(
+                    (&from_run.selected, from_run.stopple),
+                    (&sorted.selected, sorted.stopple),
+                    "h = {h}, trial {trial}"
+                );
+                assert_eq!(
+                    from_run.best_revenue().to_bits(),
+                    sorted.best_revenue().to_bits()
+                );
+            }
+        }
     }
 }

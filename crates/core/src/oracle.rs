@@ -96,6 +96,15 @@ pub trait RevenueOracle {
     /// Commit `u` into the state.
     fn add_seed(&self, state: &mut Self::State, u: NodeId);
 
+    /// The oracle's estimate of the whole allocation that `states` hold,
+    /// one state per advertiser in order, read off the states instead of
+    /// walking the seed sets again: by default the sum of their revenues,
+    /// [`Self::allocation_revenue`] of their seeds. An oracle that
+    /// estimates a whole allocation otherwise overrides it.
+    fn estimate_of(&self, states: &[Self::State]) -> f64 {
+        states.iter().map(SeedState::revenue).sum()
+    }
+
     /// Total revenue `π(S⃗)` of a full allocation.
     fn allocation_revenue(&self, allocation: &[Vec<NodeId>]) -> f64 {
         allocation

@@ -185,17 +185,31 @@ impl RmInstance {
         let mut costs: Vec<f64> = (0..self.num_nodes as NodeId)
             .map(|u| self.cost(ad, u))
             .collect();
-        // Costs are validated finite at construction; total_cmp orders any
-        // float either way, and equal costs add up alike in any order.
-        costs.sort_unstable_by(|a, b| a.total_cmp(b));
+        // The count is a prefix of the costs in ascending order, so only
+        // that prefix is sorted: a block of the cheapest costs left is
+        // selected, sorted and summed, and the next block, twice as long,
+        // only when the whole of this one fitted. Costs are validated
+        // finite at construction; total_cmp orders any float either way,
+        // and equal costs add up alike in any order.
         let mut total = 0.0;
         let mut count = 0usize;
-        for c in costs {
-            total += c;
-            if total > budget_cap {
-                break;
+        let mut block = 64;
+        while count < costs.len() {
+            let rest = &mut costs[count..];
+            let len = block.min(rest.len());
+            if len < rest.len() {
+                rest.select_nth_unstable_by(len, f64::total_cmp);
             }
-            count += 1;
+            let cheapest = &mut rest[..len];
+            cheapest.sort_unstable_by(f64::total_cmp);
+            for &c in cheapest.iter() {
+                total += c;
+                if total > budget_cap {
+                    return count.max(1);
+                }
+                count += 1;
+            }
+            block *= 2;
         }
         count.max(1)
     }
@@ -263,6 +277,8 @@ impl Allocation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_pcg::Pcg64Mcg;
 
     fn small_instance() -> RmInstance {
         RmInstance::try_new(
@@ -322,6 +338,63 @@ mod tests {
         assert_eq!(inst.max_seeds_within(1, 20.0), 4);
         // Even a zero cap reports at least one node.
         assert_eq!(inst.max_seeds_within(0, 0.0), 1);
+    }
+
+    /// The count the block-wise prefix gives is the full sort's, on random
+    /// costs with many ties and on caps that fall exactly on a prefix sum.
+    #[test]
+    fn max_seeds_within_matches_the_full_sort() {
+        fn sorted_count(costs: &[f64], budget_cap: f64) -> usize {
+            let mut costs = costs.to_vec();
+            costs.sort_unstable_by(|a, b| a.total_cmp(b));
+            let mut total = 0.0;
+            let mut count = 0usize;
+            for c in costs {
+                total += c;
+                if total > budget_cap {
+                    break;
+                }
+                count += 1;
+            }
+            count.max(1)
+        }
+        let mut rng = Pcg64Mcg::seed_from_u64(11);
+        for trial in 0..150 {
+            let n = rng.gen_range(1..700usize);
+            let costs: Vec<f64> = (0..n)
+                .map(|_| match trial % 3 {
+                    0 => rng.gen_range(0.0..5.0),
+                    1 => f64::from(rng.gen_range(0..6u32)) * 0.1,
+                    _ => rng.gen_range(1e-3..1.0f64).powi(3) * 1e3,
+                })
+                .collect();
+            let inst = RmInstance::try_new(
+                n,
+                vec![Advertiser::try_new(1.0, 1.0).unwrap()],
+                SeedCosts::Shared(costs.clone()),
+            )
+            .unwrap();
+            let mut sorted = costs.clone();
+            sorted.sort_unstable_by(f64::total_cmp);
+            let mut prefix = 0.0;
+            let mut caps = vec![0.0, f64::INFINITY, sorted.iter().sum::<f64>()];
+            for (i, &c) in sorted.iter().enumerate() {
+                prefix += c;
+                if i % 11 == 0 || i + 1 == n {
+                    caps.extend([prefix, prefix - 1e-12, prefix + 1e-12]);
+                }
+            }
+            for _ in 0..5 {
+                caps.push(rng.gen_range(0.0..prefix.max(1.0)));
+            }
+            for cap in caps {
+                assert_eq!(
+                    inst.max_seeds_within(0, cap),
+                    sorted_count(&costs, cap),
+                    "trial {trial}, n = {n}, cap = {cap}"
+                );
+            }
+        }
     }
 
     #[test]

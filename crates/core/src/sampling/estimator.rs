@@ -177,6 +177,12 @@ impl RevenueOracle for RrRevenueEstimator {
         Some(self.scale * self.view.private_count(ad, u) as f64)
     }
 
+    /// [`RrRevenueEstimator::allocation_estimate`] of the states' seed
+    /// sets, bit for bit: the total coverage, scaled once.
+    fn estimate_of(&self, states: &[RrSeedState]) -> f64 {
+        self.scale * states.iter().map(|s| s.covered_count).sum::<usize>() as f64
+    }
+
     fn new_state(&self, ad: AdId) -> RrSeedState {
         RrSeedState {
             ad,

@@ -17,7 +17,6 @@
 use crate::algorithms::rm_oracle::{rm_with_oracle, OracleSolution};
 use crate::approx::lambda;
 use crate::error::RmError;
-use crate::oracle::RevenueOracle;
 use crate::problem::{Allocation, RmInstance};
 use crate::sampling::bounds::{
     failure_exponent, revenue_lower_bound, revenue_upper_bound, theta_max, theta_zero, BoundParams,
@@ -136,10 +135,11 @@ pub struct RmaResult {
 }
 
 /// Algorithm 7: `SeekUB` — an upper bound on `π̃(O⃗, R1)` derived from the
-/// `Search` endpoint solutions via Theorem 3.2.
+/// `Search` endpoint solutions via Theorem 3.2. `solution` comes from
+/// `RM_with_Oracle` over `estimator`, and its `Search` carries the
+/// endpoints' estimates.
 pub fn seek_ub(solution: &OracleSolution, estimator: &RrRevenueEstimator, num_ads: usize) -> f64 {
-    let est = |alloc: &Allocation| estimator.allocation_estimate(&alloc.seed_sets);
-    let trivial = est(&solution.allocation) / solution.lambda;
+    let trivial = solution_estimate(solution, estimator) / solution.lambda;
     if num_ads == 1 {
         return trivial;
     }
@@ -150,19 +150,57 @@ pub fn seek_ub(solution: &OracleSolution, estimator: &RrRevenueEstimator, num_ad
     let b_min = solution.b_min;
     let mut z = trivial;
     if search.b1 < b_min {
-        if let Some(t2) = &search.t2 {
-            z = 6.0 * est(t2);
+        if search.t2.is_some() {
+            z = 6.0 * search.t2_estimate;
         }
-    } else if let Some(t2) = &search.t2 {
+    } else if search.t2.is_some() {
         if search.b2 == 0 {
-            z = 2.0 * est(t2) + h * search.gamma2;
+            z = 2.0 * search.t2_estimate + h * search.gamma2;
         } else if search.b2 == 1 {
-            z = 6.0 * est(t2) + h * search.gamma2;
+            z = 6.0 * search.t2_estimate + h * search.gamma2;
         }
-    } else if let Some(t1) = &search.t1 {
-        z = est(t1) / solution.lambda;
+    } else if search.t1.is_some() {
+        z = search.t1_estimate / solution.lambda;
     }
     z.min(trivial)
+}
+
+/// `π̃(S⃗*, R)` of `solution`, which `RM_with_Oracle` computed over
+/// `estimator`: carried by its `Search`, and estimated here only without
+/// one (`h = 1`).
+fn solution_estimate(solution: &OracleSolution, estimator: &RrRevenueEstimator) -> f64 {
+    match &solution.search {
+        Some(search) => search.best_estimate,
+        None => estimator.allocation_estimate(&solution.allocation.seed_sets),
+    }
+}
+
+/// What Algorithm 6 reads off `R2` about `allocation`, from one walk over
+/// it: whether every advertiser's seed set passes the budget check of
+/// lines 9–11, the lower bound `LB(S⃗*)` of line 12, and the estimate
+/// `π̃(S⃗*, R2)`.
+fn validate(
+    est2: &RrRevenueEstimator,
+    instance: &RmInstance,
+    allocation: &Allocation,
+    q: f64,
+    n_gamma: f64,
+    rho: f64,
+) -> (bool, f64, f64) {
+    let scale = est2.scale();
+    let counts = est2
+        .coverage()
+        .allocation_coverage_counts(&allocation.seed_sets);
+    let overspent = counts.iter().enumerate().any(|(ad, &count)| {
+        let seeds = allocation.seeds(ad);
+        let cov = scale * count as f64 / scale.max(f64::MIN_POSITIVE);
+        let ub = revenue_upper_bound(cov, q, n_gamma, est2.num_rr());
+        ub > (1.0 + rho) * instance.budget(ad) - instance.set_cost(ad, seeds)
+    });
+    let estimate = scale * counts.iter().sum::<usize>() as f64;
+    let cov_total = estimate / scale.max(f64::MIN_POSITIVE);
+    let lb = revenue_lower_bound(cov_total, q, n_gamma, est2.num_rr());
+    (!overspent, lb, estimate)
 }
 
 /// Algorithm 6 running against a shared [`RrCache`]: the collections
@@ -251,30 +289,24 @@ pub(crate) fn rma_with_cache<M: PropagationModel + ?Sized>(
         // Line 7: upper bound on π̃(O⃗, R1).
         let z = seek_ub(&solution, &est1, h);
 
-        // Lines 9–11: budget feasibility of each S*_i against R2.
-        let mut feasible = true;
-        for ad in 0..h {
-            let seeds = solution.allocation.seeds(ad);
-            let cov = est2.revenue(ad, seeds) / est2.scale().max(f64::MIN_POSITIVE);
-            let ub = revenue_upper_bound(cov, q, n_gamma, est2.num_rr());
-            let seed_cost = instance.set_cost(ad, seeds);
-            if ub > (1.0 + config.rho) * instance.budget(ad) - seed_cost {
-                feasible = false;
-                break;
-            }
-        }
+        // Lines 9–12: budget feasibility of each S*_i and the lower bound
+        // LB(S⃗*), against R2.
+        let (feasible, lb, revenue_estimate) = validate(
+            &est2,
+            instance,
+            &solution.allocation,
+            q,
+            n_gamma,
+            config.rho,
+        );
 
-        // Lines 12–14: the approximation certificate β = LB(S⃗*)/UB(O⃗).
-        let cov_total = est2.allocation_estimate(&solution.allocation.seed_sets)
-            / est2.scale().max(f64::MIN_POSITIVE);
-        let lb = revenue_lower_bound(cov_total, q, n_gamma, est2.num_rr());
+        // Lines 13–14: the approximation certificate β = LB(S⃗*)/UB(O⃗).
         let cov_opt = z / est1.scale().max(f64::MIN_POSITIVE);
         let ub_opt = revenue_upper_bound(cov_opt, q, n_gamma, est1.num_rr());
         let beta = if ub_opt > 0.0 { lb / ub_opt } else { 1.0 };
 
         let reached_cap = est1.num_rr() >= theta_cap_eff && est2.num_rr() >= theta_cap_eff;
         if (beta >= lam - config.epsilon && feasible) || reached_cap {
-            let revenue_estimate = est2.allocation_estimate(&solution.allocation.seed_sets);
             return Ok(RmaResult {
                 allocation: solution.allocation,
                 lambda: lam,
@@ -305,6 +337,7 @@ pub(crate) fn rma_with_cache<M: PropagationModel + ?Sized>(
 /// The one-batch algorithm of Section 4.3 against a shared cache: a single
 /// collection of `num_rr_sets` RR-sets (the [`RrStream::Optimize`] stream,
 /// shared with RMA) feeds `RM_with_Oracle` once under relaxed budgets.
+/// Returns the allocation and its estimate `π̃(S⃗*, R)`.
 pub(crate) fn one_batch_with_cache<M: PropagationModel + ?Sized>(
     graph: &DirectedGraph,
     model: &M,
@@ -312,7 +345,7 @@ pub(crate) fn one_batch_with_cache<M: PropagationModel + ?Sized>(
     num_rr_sets: usize,
     config: &RmaConfig,
     cache: &RrCache,
-) -> Result<(Allocation, RrRevenueEstimator, RrRequestStats), RmError> {
+) -> Result<(Allocation, f64, RrRevenueEstimator, RrRequestStats), RmError> {
     let h = instance.num_ads();
     if model.num_ads() != h {
         return Err(RmError::DimensionMismatch {
@@ -333,12 +366,14 @@ pub(crate) fn one_batch_with_cache<M: PropagationModel + ?Sized>(
     );
     let relaxed = instance.with_scaled_budgets(1.0 + config.rho / 2.0);
     let solution = rm_with_oracle(&relaxed, &est, config.tau);
-    Ok((solution.allocation, est, request))
+    let estimate = solution_estimate(&solution, &est);
+    Ok((solution.allocation, estimate, est, request))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::RevenueOracle;
     use crate::problem::{Advertiser, SeedCosts};
     use rmsa_diffusion::{RrArena, RrStrategy, UniformIc, UniformRrSampler};
     use rmsa_graph::generators::celebrity_graph;
@@ -502,7 +537,7 @@ mod tests {
         let (g, m, inst) = setup(2);
         let cfg = quick_config();
         let cache = fresh_cache(inst.num_nodes);
-        let (alloc, est, request) =
+        let (alloc, _, est, request) =
             one_batch_with_cache(&g, &m, &inst, 10_000, &cfg, &cache).expect("valid config");
         assert_eq!(request.requested, 10_000);
         assert!(alloc.total_seeds() > 0);
@@ -518,13 +553,116 @@ mod tests {
         let (g, m, inst) = setup(2);
         let cfg = quick_config();
         let cache = fresh_cache(inst.num_nodes);
-        let (a_small, est_small, _) =
+        let (a_small, _, est_small, _) =
             one_batch_with_cache(&g, &m, &inst, 2_000, &cfg, &cache).unwrap();
-        let (a_large, est_large, _) =
+        let (a_large, _, est_large, _) =
             one_batch_with_cache(&g, &m, &inst, 30_000, &cfg, &cache).unwrap();
         let r_small = est_small.allocation_estimate(&a_small.seed_sets);
         let r_large = est_large.allocation_estimate(&a_large.seed_sets);
         assert!(r_small > 0.0 && r_large > 0.0);
         assert!((r_small - r_large).abs() / r_large < 0.5);
+    }
+    /// `SeekUB` as it walked the allocations on `R1` itself.
+    fn walked_seek_ub(solution: &OracleSolution, est: &RrRevenueEstimator, h: usize) -> f64 {
+        let walk = |alloc: &Allocation| est.allocation_estimate(&alloc.seed_sets);
+        let trivial = walk(&solution.allocation) / solution.lambda;
+        let Some(search) = solution.search.as_ref().filter(|_| h > 1) else {
+            return trivial;
+        };
+        let mut z = trivial;
+        if search.b1 < solution.b_min {
+            if let Some(t2) = &search.t2 {
+                z = 6.0 * walk(t2);
+            }
+        } else if let Some(t2) = &search.t2 {
+            if search.b2 == 0 {
+                z = 2.0 * walk(t2) + h as f64 * search.gamma2;
+            } else if search.b2 == 1 {
+                z = 6.0 * walk(t2) + h as f64 * search.gamma2;
+            }
+        } else if let Some(t1) = &search.t1 {
+            z = walk(t1) / solution.lambda;
+        }
+        z.min(trivial)
+    }
+
+    /// The checks on `R2` as they walked the allocation three times.
+    fn walked_validate(
+        est2: &RrRevenueEstimator,
+        instance: &RmInstance,
+        allocation: &Allocation,
+        q: f64,
+        rho: f64,
+    ) -> (bool, f64, f64) {
+        let n_gamma = instance.num_nodes as f64 * instance.gamma();
+        let mut feasible = true;
+        for ad in 0..instance.num_ads() {
+            let seeds = allocation.seeds(ad);
+            let cov = est2.revenue(ad, seeds) / est2.scale().max(f64::MIN_POSITIVE);
+            let ub = revenue_upper_bound(cov, q, n_gamma, est2.num_rr());
+            if ub > (1.0 + rho) * instance.budget(ad) - instance.set_cost(ad, seeds) {
+                feasible = false;
+                break;
+            }
+        }
+        let cov_total =
+            est2.allocation_estimate(&allocation.seed_sets) / est2.scale().max(f64::MIN_POSITIVE);
+        let lb = revenue_lower_bound(cov_total, q, n_gamma, est2.num_rr());
+        (
+            feasible,
+            lb,
+            est2.allocation_estimate(&allocation.seed_sets),
+        )
+    }
+
+    /// The estimates `Search` carries and the one walk over `R2` give the
+    /// bits the repeated walks gave: `SeekUB`'s bound (so β), the
+    /// feasibility verdict, LB and the revenue estimate.
+    #[test]
+    fn carried_estimates_match_walking_the_allocations_bit_for_bit() {
+        let mut rng = <rand_pcg::Pcg64Mcg as rand::SeedableRng>::seed_from_u64(8);
+        let mut branches = std::collections::BTreeSet::new();
+        for h in [1, 2, 3, 4, 6] {
+            let (g, m, inst) = setup(h);
+            let sampler = UniformRrSampler::new(&inst.cpe_values());
+            let estimator = |sets: usize, rng: &mut rand_pcg::Pcg64Mcg| {
+                let mut arena = RrArena::new(inst.num_nodes, RrStrategy::Standard);
+                arena.generate(&g, &m, &sampler, sets, rng);
+                RrRevenueEstimator::new(&arena, h, inst.gamma())
+            };
+            let (est1, est2) = (estimator(20_000, &mut rng), estimator(7_000, &mut rng));
+            for scale in [0.3, 0.6, 1.0, 2.0, 5.0] {
+                let scaled = inst.with_scaled_budgets(scale);
+                let solution = rm_with_oracle(&scaled, &est1, 0.1);
+                if let Some(search) = &solution.search {
+                    branches.insert((search.b1 >= solution.b_min, search.b2));
+                    for (carried, alloc) in [
+                        (search.best_estimate, Some(&search.best)),
+                        (search.t1_estimate, search.t1.as_ref()),
+                        (search.t2_estimate, search.t2.as_ref()),
+                    ] {
+                        let walked = alloc.map_or(0.0, |a| est1.allocation_estimate(&a.seed_sets));
+                        assert_eq!(carried.to_bits(), walked.to_bits(), "h = {h}");
+                    }
+                }
+                let label = format!("h = {h}, budgets × {scale}");
+                let z = seek_ub(&solution, &est1, h);
+                assert_eq!(
+                    z.to_bits(),
+                    walked_seek_ub(&solution, &est1, h).to_bits(),
+                    "{label}"
+                );
+                for q in [0.5, 8.0, 40.0] {
+                    let n_gamma = inst.num_nodes as f64 * inst.gamma();
+                    let (feasible, lb, estimate) =
+                        validate(&est2, &inst, &solution.allocation, q, n_gamma, 0.2);
+                    let walked = walked_validate(&est2, &inst, &solution.allocation, q, 0.2);
+                    assert_eq!(feasible, walked.0, "{label}, q = {q}");
+                    assert_eq!(lb.to_bits(), walked.1.to_bits(), "{label}, q = {q}");
+                    assert_eq!(estimate.to_bits(), walked.2.to_bits(), "{label}, q = {q}");
+                }
+            }
+        }
+        assert!(branches.len() >= 2, "{branches:?}");
     }
 }

@@ -132,7 +132,7 @@ impl Solver for OneBatch {
         // The practical memory cap applies to explicit sizes too; `capped`
         // is set only when the request was actually truncated.
         let num_rr = requested.min(self.config.max_rr_per_collection);
-        let (allocation, est, request) = one_batch_with_cache(
+        let (allocation, revenue_estimate, est, request) = one_batch_with_cache(
             ctx.graph,
             &ctx.model,
             ctx.instance,
@@ -143,7 +143,7 @@ impl Solver for OneBatch {
         Ok(SolveReport {
             solver: self.name(),
             seeding_cost: allocation.total_cost(ctx.instance),
-            revenue_estimate: est.allocation_estimate(&allocation.seed_sets),
+            revenue_estimate,
             revenue_lower_bound: None,
             beta: None,
             lambda: Some(crate::approx::lambda(ctx.num_ads(), self.config.tau)),

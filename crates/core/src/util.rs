@@ -142,6 +142,11 @@ impl SortedRun {
     pub fn entries(&self) -> impl Iterator<Item = LazyEntry> + '_ {
         self.0.iter().map(|&p| LazyEntry::unpack(p))
     }
+
+    /// The [`pack`]ed keys, in order.
+    pub fn keys(&self) -> &[u128] {
+        &self.0
+    }
 }
 
 /// A CELF lazy-greedy priority queue over `(node, advertiser)` candidates.
@@ -157,11 +162,6 @@ impl SortedRun {
 pub struct LazyQueue<'a> {
     run: Cow<'a, [u128]>,
     next: usize,
-    /// Run positions `[live_from, live_to)` whose [`Self::pop_live`]
-    /// verdicts are cached in `live_mask`, bit `i - live_from` for `i`.
-    live_from: usize,
-    live_to: usize,
-    live_mask: u64,
     /// Re-pushed entries: the [`pack`]ed key, then the version. Live
     /// keys never tie, so the version never decides the order.
     refresh: BinaryHeap<(u128, u32)>,
@@ -170,7 +170,12 @@ pub struct LazyQueue<'a> {
 impl LazyQueue<'static> {
     /// Queue over the given initial candidates.
     pub fn from_entries(entries: Vec<LazyEntry>) -> Self {
-        LazyQueue::from_run(Cow::Owned(SortedRun::new(entries).0))
+        LazyQueue::owning(SortedRun::new(entries))
+    }
+
+    /// Queue whose initial candidates are an owned, already sorted run.
+    pub fn owning(run: SortedRun) -> Self {
+        LazyQueue::from_run(Cow::Owned(run.0))
     }
 }
 
@@ -184,9 +189,6 @@ impl<'a> LazyQueue<'a> {
         LazyQueue {
             run,
             next: 0,
-            live_from: 0,
-            live_to: 0,
-            live_mask: 0,
             refresh: BinaryHeap::new(),
         }
     }
@@ -203,33 +205,24 @@ impl<'a> LazyQueue<'a> {
         self.refresh.push((pack(key, node, ad), version));
     }
 
-    /// [`Self::pop`] after stepping the run's cursor past every entry for
-    /// which `live(position, packed key)` is false. Only an entry that
-    /// could never be taken again may be stepped past: the pops that
-    /// remain then keep their order. `live` is asked about blocks of 64
-    /// entries at once, ahead of the cursor, so an entry it passed must
-    /// still be checked when it pops.
-    pub fn pop_live(&mut self, mut live: impl FnMut(usize, u128) -> bool) -> Option<LazyEntry> {
-        let run: &[u128] = &self.run;
-        let mut next = self.next;
-        while next < run.len() {
-            if next >= self.live_to {
-                // One verdict per entry, gathered without a branch on it.
-                self.live_from = next;
-                self.live_to = (next + 64).min(run.len());
-                self.live_mask = (run[next..self.live_to].iter().enumerate())
-                    .fold(0, |mask, (j, &key)| {
-                        mask | u64::from(live(next + j, key)) << j
-                    });
-            }
-            let pending = self.live_mask >> (next - self.live_from);
-            if pending != 0 {
-                next += pending.trailing_zeros() as usize;
-                break;
-            }
-            next = self.live_to;
+    /// [`Self::pop`] after stepping the run's cursor to the next position
+    /// whose bit is set in `alive` (bit `i % 64` of word `i / 64` for run
+    /// position `i`). Only an entry that could never be taken again may
+    /// have its bit clear: the pops that remain then keep their order.
+    pub fn pop_alive(&mut self, alive: &[u64]) -> Option<LazyEntry> {
+        let mut word = self.next / 64;
+        let mut bits = alive
+            .get(word)
+            .map_or(0, |&w| w & (!0u64 << (self.next % 64)));
+        while bits == 0 && word + 1 < alive.len() {
+            word += 1;
+            bits = alive[word];
         }
-        self.next = next;
+        self.next = if bits == 0 {
+            self.run.len()
+        } else {
+            (word * 64 + bits.trailing_zeros() as usize).min(self.run.len())
+        };
         self.pop()
     }
 
@@ -419,12 +412,12 @@ mod tests {
         assert_eq!(first, vec![(4.0, 1, 1), (2.0, 2, 0), (1.0, 0, 0)]);
     }
 
-    /// Verdicts taken 64 entries ahead of the cursor give the pops of a
-    /// queue that checks each entry as it pops, while entries die as the
-    /// pops go on (a node dies once taken, as an assigned node does) and
-    /// refreshed entries are re-pushed.
+    /// Stepping past cleared bits gives the pops of a queue that checks
+    /// each entry as it pops, while entries die as the pops go on (a
+    /// node's entries are cleared once it is taken, as a depleted
+    /// advertiser's are) and refreshed entries are re-pushed.
     #[test]
-    fn pop_live_matches_checking_each_pop_under_a_growing_dead_set() {
+    fn pop_alive_matches_checking_each_pop_under_a_growing_dead_set() {
         for trial in 0..50u64 {
             let mut rng = Pcg64Mcg::seed_from_u64(trial);
             let entries: Vec<LazyEntry> = (0..rng.gen_range(1..300u32))
@@ -433,14 +426,18 @@ mod tests {
             let run = SortedRun::new(entries);
             // Takes an entry unless its node is dead; refreshes a fresh
             // entry once, at random, with a lower key.
-            let drive = |lookahead: bool| {
+            let drive = |skipping: bool| {
                 let mut rng = Pcg64Mcg::seed_from_u64(trial);
                 let mut queue = LazyQueue::borrowing(&run);
+                let mut alive = vec![0u64; run.keys().len().div_ceil(64)];
+                for i in 0..run.keys().len() {
+                    alive[i / 64] |= 1 << (i % 64);
+                }
                 let mut dead = [false; 97];
                 let mut taken = Vec::new();
                 loop {
-                    let popped = if lookahead {
-                        queue.pop_live(|_, key| !dead[packed_node(key) as usize])
+                    let popped = if skipping {
+                        queue.pop_alive(&alive)
                     } else {
                         queue.pop()
                     };
@@ -453,6 +450,11 @@ mod tests {
                         continue;
                     }
                     dead[e.node as usize] = true;
+                    for (i, &key) in run.keys().iter().enumerate() {
+                        if packed_node(key) == e.node {
+                            alive[i / 64] &= !(1 << (i % 64));
+                        }
+                    }
                     taken.push((e.key, e.node, e.ad, e.version));
                 }
                 taken
@@ -462,7 +464,7 @@ mod tests {
     }
 
     #[test]
-    fn pop_live_steps_past_dead_run_entries_only() {
+    fn pop_alive_steps_past_cleared_run_entries_only() {
         let run = SortedRun::new(vec![
             entry(1.0, 0, 0),
             entry(4.0, 1, 1),
@@ -470,15 +472,21 @@ mod tests {
             entry(3.0, 3, 1),
         ]);
         let mut q = LazyQueue::borrowing(&run);
-        // Positions count along the sorted run: 4.0, 3.0, 2.0, 1.0.
-        let live = |i: usize, key: u128| packed_ad(key) == 1 || i == 3;
-        let first = q.pop_live(live).unwrap();
+        // Positions count along the sorted run: 4.0, 3.0, 2.0, 1.0; the
+        // one at position 2 is cleared.
+        let alive = [0b1011];
+        let first = q.pop_alive(&alive).unwrap();
         assert_eq!((first.key, first.node), (4.0, 1));
         // A re-pushed entry is never filtered, and still wins on its key.
         q.push(3.5, 1, 1, 1);
-        let got: Vec<(f64, NodeId)> = std::iter::from_fn(|| q.pop_live(live))
+        let got: Vec<(f64, NodeId)> = std::iter::from_fn(|| q.pop_alive(&alive))
             .map(|e| (e.key, e.node))
             .collect();
         assert_eq!(got, vec![(3.5, 1), (3.0, 3), (1.0, 0)]);
+        // Past the last set bit only the refresh heap is left.
+        let mut q = LazyQueue::borrowing(&run);
+        q.push(0.5, 9, 0, 1);
+        assert_eq!(q.pop_alive(&[0]).map(|e| e.node), Some(9));
+        assert!(q.pop_alive(&[0]).is_none());
     }
 }

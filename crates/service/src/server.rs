@@ -30,7 +30,7 @@
 
 use crate::lock_unpoisoned;
 use crate::net::{Poller, Waker};
-use crate::session::{RenderedResult, SessionKey, SessionRegistry};
+use crate::session::{solve_class, RenderedResult, SessionKey, SessionRegistry, SolveClass};
 use crate::wire::{
     render_solve_head, ErrorCode, Response, SolveRequest, SolveTiming, WarmRequest, WireError,
 };
@@ -316,6 +316,18 @@ pub(crate) struct Job {
     pub(crate) reply: Reply,
 }
 
+impl Job {
+    /// The job's session, and its solve class (`None` for a `warm`): what
+    /// [`take_batch`] batches on.
+    fn batch_class(&self) -> (SessionKey, Option<SolveClass>) {
+        let class = match &self.kind {
+            JobKind::Solve(solve) => Some(solve_class(solve)),
+            JobKind::Warm(_) => None,
+        };
+        (self.key, class)
+    }
+}
+
 pub(crate) enum JobKind {
     Solve(SolveRequest),
     Warm(WarmRequest),
@@ -597,23 +609,9 @@ fn worker_loop(shared: &Shared) {
         let (batch, queue_left) = {
             let mut queue = lock_unpoisoned(&shared.queue);
             loop {
-                if let Some(key) = queue.front().map(|j| j.key) {
-                    // Batch: the front job plus every queued job sharing
-                    // its fingerprint, preserving arrival order.
-                    let mut batch = Vec::new();
-                    let mut i = 0;
-                    while i < queue.len() {
-                        if queue[i].key == key {
-                            match queue.remove(i) {
-                                Some(job) => batch.push(job),
-                                None => break,
-                            }
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    let left = queue.len();
-                    break (batch, left);
+                if !queue.is_empty() {
+                    let batch = take_batch(&mut queue, Job::batch_class);
+                    break (batch, queue.len());
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
@@ -631,6 +629,42 @@ fn worker_loop(shared: &Shared) {
         flight::record(names::BATCH_FORM, batch.len() as u64, queue_left as u64);
         serve_batch(shared, batch, popped_at);
     }
+}
+
+/// Remove from `queue` the jobs one worker serves next, in arrival order.
+/// `class` gives a job's session and solve class (`None` for a `warm`).
+///
+/// A solve at the front takes along the later solves of its session and
+/// class: their results are the same bytes, so one solver run answers
+/// them all, while solves of other classes stay queued for the other
+/// workers. The scan stops at a warm of its session, since a solve moved
+/// ahead of an earlier warm could return another result. A warm at the
+/// front takes along every later job of its session, to be served after it.
+fn take_batch<T, K: PartialEq, C: PartialEq>(
+    queue: &mut VecDeque<T>,
+    class: impl Fn(&T) -> (K, Option<C>),
+) -> Vec<T> {
+    let Some(front) = queue.pop_front() else {
+        return Vec::new();
+    };
+    let (session, front_class) = class(&front);
+    let mut batch = vec![front];
+    let mut i = 0;
+    while i < queue.len() {
+        let (job_session, job_class) = class(&queue[i]);
+        let take = match (&front_class, job_class) {
+            _ if job_session != session => false,
+            (None, _) => true,
+            (Some(_), None) => break,
+            (Some(front_class), Some(job_class)) => *front_class == job_class,
+        };
+        if take {
+            batch.extend(queue.remove(i));
+        } else {
+            i += 1;
+        }
+    }
+    batch
 }
 
 /// Persist `session` to the registry's snapshot directory on a background
@@ -849,5 +883,35 @@ mod tests {
         assert_eq!(config.obs_snapshot_secs(), 2);
         assert_eq!(config.slo_ms(), 25);
         assert_eq!(config.flight_dump(), Some(Path::new("/tmp/flight.json")));
+    }
+    /// Batches hold one solve class of one session, and no solve passes a
+    /// warm of its session queued before it.
+    #[test]
+    fn batches_take_duplicates_of_the_front_class_only() {
+        // (id, session, class); class `None` is a warm.
+        let take = |queue: &mut VecDeque<(u32, u8, Option<char>)>| {
+            let batch = take_batch(queue, |&(_, session, class)| (session, class));
+            batch.into_iter().map(|(id, ..)| id).collect::<Vec<_>>()
+        };
+        let mut queue: VecDeque<_> = [
+            (0, 1, Some('a')),
+            (1, 1, Some('b')),
+            (2, 2, Some('a')),
+            (3, 1, Some('a')),
+            (4, 1, None),
+            (5, 1, Some('a')),
+            (6, 1, Some('b')),
+            (7, 2, Some('a')),
+        ]
+        .into();
+        // Session 1's `a` solves up to its warm; session 2's `a` is
+        // another session's.
+        assert_eq!(take(&mut queue), [0, 3]);
+        assert_eq!(take(&mut queue), [1]);
+        assert_eq!(take(&mut queue), [2, 7]);
+        // The warm takes every later job of its session along.
+        assert_eq!(take(&mut queue), [4, 5, 6]);
+        assert!(queue.is_empty());
+        assert!(take(&mut queue).is_empty());
     }
 }

@@ -38,9 +38,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// evaluate)`. Two requests with equal keys are the *same pure function
 /// application* under the warm invariant, so their results are
 /// interchangeable bit-for-bit.
-type SolveClass = (&'static str, &'static str, u64, bool);
+pub(crate) type SolveClass = (&'static str, &'static str, u64, bool);
 
-fn solve_class(request: &SolveRequest) -> SolveClass {
+pub(crate) fn solve_class(request: &SolveRequest) -> SolveClass {
     (
         request.algorithm.name(),
         request.incentive.label(),
